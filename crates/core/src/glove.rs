@@ -42,6 +42,14 @@
 //!   pay for itself (`CASCADE_MIN_MEAN_SAMPLES`); otherwise it degrades to the
 //!   plain hull-bound pruning of earlier revisions. Either way the
 //!   published output is byte-identical to the unpruned path.
+//! * Every walk over a row's bound cells (`cascade_walk`) visits them in
+//!   ascending `(bound, partner)` order and stops at the first bound above
+//!   the best exact value, so it pays only for what it visits: candidates
+//!   come off a binary heap rather than a full sort, and a row-minimum
+//!   rescan drops the cells its exact cells already rule out before
+//!   ordering the rest. Cells keep a saved evaluation prefix (24 bytes
+//!   beside the 9-byte value and tier) only when the cascade is engaged,
+//!   the one mode in which an evaluation can stop part way.
 //! * Hull summaries are maintained *incrementally*: a merge that suppresses
 //!   no samples unions the parents' hulls in O(1) instead of rescanning the
 //!   merged fingerprint ([`StretchHull::union`]); suppressing merges fall
@@ -70,6 +78,8 @@ use crate::stretch::{
 };
 use crate::suppress::SuppressionLedger;
 use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Statistics of one GLOVE run.
@@ -197,8 +207,10 @@ const TIER_EXACT: u8 = 3;
 /// stream `f64`s and tier tests stream bytes instead of interleaving both
 /// through one encoded cell. The progress column carries the saved prefix
 /// of partially evaluated cells so a re-escalated cell resumes its exact
-/// scan instead of restarting from sample zero; unpruned runs leave it
-/// empty (every cell is exact on creation, so it is never read).
+/// scan instead of restarting from sample zero. Only runs with early
+/// abandonment (the engaged cascade) can leave a cell partially evaluated,
+/// so every other run leaves the column empty: a cell then costs 9 bytes
+/// instead of 33.
 #[derive(Debug, Clone, Default)]
 struct PairPage {
     val: Vec<f64>,
@@ -260,6 +272,7 @@ trait CellRow {
     fn get(&self, j: usize) -> (f64, u8);
     fn set(&mut self, j: usize, val: f64, tier: u8);
     /// Saved evaluation prefix of the cell, for resumable tier-2 scans.
+    /// Only rows of runs with early abandonment have one.
     fn progress(&mut self, j: usize) -> &mut StretchProgress;
 }
 
@@ -320,31 +333,68 @@ impl CellRow for LocalRow<'_> {
     }
 }
 
+/// A walk candidate: a cell's stored bound and the partner slot it pairs
+/// with. Candidates are visited in ascending `(bound, j)` order under
+/// `partial_cmp` on the bound — not `f64::total_cmp`, which orders `-0.0`
+/// before `0.0` and would reorder ties the partner index must break.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Cand {
+    bound: f64,
+    j: usize,
+}
+
+impl Eq for Cand {}
+
+impl Ord for Cand {
+    /// Reversed, so that [`BinaryHeap`] — a max-heap — pops the smallest
+    /// `(bound, j)` first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .bound
+            .partial_cmp(&self.bound)
+            .expect("bounds are finite")
+            .then(other.j.cmp(&self.j))
+    }
+}
+
+impl PartialOrd for Cand {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// The cascade walk shared by matrix construction, merged-row filling and
-/// row-minimum rescans: sorts `cand` by ascending `(bound, j)` and
+/// row-minimum rescans: visits `cand` in ascending `(bound, j)` order and
 /// escalates each candidate whose bound could still produce — or tie — the
 /// minimum through the remaining tiers, folding completed evaluations into
 /// `best` under the `(value, smaller j)` rule.
 ///
 /// Stops at the first stored bound strictly above the current best value:
 /// every remaining candidate's exact effort is ≥ that bound, so it can
-/// neither win nor tie. Inside the walk, a tier-0 candidate is first
-/// promoted to the max of its signature and hull bounds (both admissible,
-/// neither dominating: the hull sees convex extents, the signature sees
-/// occupancy holes); if that already rules it out the candidate is skipped
-/// without touching the fingerprints. Survivors are evaluated with the current best as the
+/// neither win nor tie. Most walks stop long before the end of their list,
+/// so the order is produced lazily: the list is heapified in O(n) and
+/// popped one candidate at a time, O(n + w log n) for `w` visited
+/// candidates instead of sorting all `n` up front. The visit sequence is
+/// the sorted one, candidate for candidate.
+///
+/// Inside the walk, a tier-0 candidate is first promoted to the max of its
+/// signature and hull bounds (both admissible, neither dominating: the hull
+/// sees convex extents, the signature sees occupancy holes); if that
+/// already rules it out the candidate is skipped without touching the
+/// fingerprints. Survivors are evaluated with the current best as the
 /// abandonment cutoff (when `early_abandon` is on): an abandoned candidate
 /// proved itself *strictly* worse than the best, so it cannot win or tie,
 /// and it leaves behind both a tighter admissible bound for later rounds
 /// and its saved evaluation prefix, so a re-escalation resumes the exact
-/// scan where it stopped instead of restarting from sample zero. A
-/// candidate whose exact effort equals the final minimum
-/// always survives every tier and is evaluated in full — which keeps
-/// tie-breaking, and hence the published output, byte-identical to the
-/// unpruned scan.
+/// scan where it stopped instead of restarting from sample zero. Without
+/// early abandonment every evaluation runs to completion from a fresh
+/// prefix, so the row carries no progress column at all. A candidate whose
+/// exact effort equals the final minimum always survives every tier and is
+/// evaluated in full — which keeps tie-breaking, and hence the published
+/// output, byte-identical to the unpruned scan.
 #[allow(clippy::too_many_arguments)]
 fn cascade_walk<R: CellRow>(
-    mut cand: Vec<(f64, usize)>,
+    cand: Vec<Cand>,
     best: &mut RowMin,
     row: &mut R,
     mut hull_bound: impl FnMut(usize) -> f64,
@@ -353,8 +403,8 @@ fn cascade_walk<R: CellRow>(
     counters: &mut CascadeCounters,
     computed: &mut u64,
 ) {
-    cand.sort_unstable_by(|a, b| a.partial_cmp(b).expect("bounds are finite"));
-    for &(bound, j) in &cand {
+    let mut heap = BinaryHeap::from(cand);
+    while let Some(Cand { bound, j }) = heap.pop() {
         if bound > best.value {
             break;
         }
@@ -373,12 +423,13 @@ fn cascade_walk<R: CellRow>(
             }
         }
         if tier != TIER_EXACT {
-            let cutoff = if early_abandon {
-                best.value
+            let mut fresh = StretchProgress::start();
+            let (cutoff, prog) = if early_abandon {
+                (best.value, row.progress(j))
             } else {
-                f64::INFINITY
+                (f64::INFINITY, &mut fresh)
             };
-            match eval(j, cutoff, row.progress(j)) {
+            match eval(j, cutoff, prog) {
                 StretchEval::Exact(d) => {
                     if tier == TIER_PARTIAL {
                         counters.exact_from_partial += 1;
@@ -404,6 +455,17 @@ fn cascade_walk<R: CellRow>(
                 partner: j,
             };
         }
+    }
+}
+
+/// The progress column of a new row of `len` cells: one saved prefix per
+/// cell under early abandonment, none otherwise (no evaluation stops part
+/// way, so there is nothing to resume).
+fn progress_column(early_abandon: bool, len: usize) -> Vec<StretchProgress> {
+    if early_abandon {
+        vec![StretchProgress::start(); len]
+    } else {
+        Vec::new()
     }
 }
 
@@ -665,6 +727,9 @@ struct Arena {
     active: Vec<usize>,
     retired_count: usize,
     counters: CascadeCounters,
+    /// The distance cascade is engaged: tier-0 signatures, early
+    /// abandonment and the progress column that resumes abandoned scans.
+    cascade: bool,
 }
 
 impl Arena {
@@ -684,18 +749,18 @@ impl Arena {
     /// whose exact effort could equal the final minimum survives every tier
     /// and is evaluated before the walk stops, so ties break on the same
     /// partner the unpruned scan would pick.
-    fn rescan_row_min(
-        &mut self,
-        i: usize,
-        cfg: &StretchConfig,
-        cascade: bool,
-        stats: &mut GloveStats,
-    ) {
+    ///
+    /// Deferred cells whose stored bound already exceeds the best exact
+    /// cell never reach the walk. The walk breaks at the first bound above
+    /// `best.value`, and that value only falls, so such a cell would be
+    /// reached only to be the one the walk stops at. Dropping them leaves
+    /// the visited sequence unchanged and spares ordering them.
+    fn rescan_row_min(&mut self, i: usize, cfg: &StretchConfig, stats: &mut GloveStats) {
         let mut best = RowMin {
             value: f64::INFINITY,
             partner: NO_PARTNER,
         };
-        let mut deferred: Vec<(f64, usize)> = Vec::new();
+        let mut deferred: Vec<Cand> = Vec::new();
         for &j in &self.active {
             if j == i {
                 continue;
@@ -708,15 +773,19 @@ impl Arena {
                         partner: j,
                     };
                 }
-            } else {
-                deferred.push((val, j));
+            } else if val <= best.value {
+                deferred.push(Cand { bound: val, j });
             }
         }
+        // Cells pushed before `best` reached its final value may be ruled
+        // out by it as well.
+        deferred.retain(|c| c.bound <= best.value);
         let Arena {
             ref slots,
             ref hulls,
             ref mut pages,
             ref mut counters,
+            cascade,
             ..
         } = *self;
         let mut computed = 0u64;
@@ -761,45 +830,43 @@ impl Arena {
             remap[old_id] = new_id;
         }
 
-        let track_sigs = !self.sigs.is_empty();
         let mut states = Vec::with_capacity(old_ids.len());
         let mut kreq = Vec::with_capacity(old_ids.len());
         let mut hulls = Vec::with_capacity(old_ids.len());
-        let mut sigs = Vec::with_capacity(if track_sigs { old_ids.len() } else { 0 });
+        let mut sigs = Vec::with_capacity(if self.cascade { old_ids.len() } else { 0 });
         let mut pages = Vec::with_capacity(old_ids.len());
         let mut row_min = Vec::with_capacity(old_ids.len());
         for (new_i, &old_i) in old_ids.iter().enumerate() {
             states.push(self.states[old_i]);
             kreq.push(self.kreq[old_i]);
             hulls.push(self.hulls[old_i]);
-            if track_sigs {
+            if self.cascade {
                 sigs.push(self.sigs[old_i]);
             }
             // Only Active–Active cells are ever read again; Done slots
             // appended mid-run have empty rows, so copying their entries
-            // would be both wrong and out of bounds.
+            // would be both wrong and out of bounds. Placeholder cells are
+            // never read.
             let i_active = self.states[old_i] == SlotState::Active;
-            // Unpruned runs never track progress (`prog` stays empty), and
-            // the empty rows of Done slots appended mid-run have none to
-            // copy either; their placeholder cells are never read.
-            let track_prog = !self.pages[old_i].prog.is_empty();
             let mut val = Vec::with_capacity(new_i);
             let mut tier = Vec::with_capacity(new_i);
-            let mut prog = Vec::with_capacity(new_i);
+            // Only runs with early abandonment keep a progress column.
+            let mut prog = Vec::with_capacity(if self.cascade { new_i } else { 0 });
             for &old_j in &old_ids[..new_i] {
-                if i_active && self.states[old_j] == SlotState::Active {
-                    let (v, t) = self.cell(old_i, old_j);
-                    val.push(v);
-                    tier.push(t);
-                    prog.push(if track_prog {
+                let live = i_active && self.states[old_j] == SlotState::Active;
+                let (v, t) = if live {
+                    self.cell(old_i, old_j)
+                } else {
+                    (f64::INFINITY, TIER_EXACT)
+                };
+                val.push(v);
+                tier.push(t);
+                if self.cascade {
+                    prog.push(if live {
                         self.pages[old_i].prog[old_j]
                     } else {
                         StretchProgress::start()
                     });
-                } else {
-                    val.push(f64::INFINITY);
-                    tier.push(TIER_EXACT);
-                    prog.push(StretchProgress::start());
                 }
             }
             pages.push(PairPage { val, tier, prog });
@@ -987,6 +1054,7 @@ pub(crate) fn run_monolithic(
         active: Vec::new(),
         retired_count: 0,
         counters: CascadeCounters::default(),
+        cascade,
     };
     arena.active = (0..n)
         .filter(|&i| arena.states[i] == SlotState::Active)
@@ -1011,8 +1079,8 @@ pub(crate) fn run_monolithic(
         let rows: Vec<(PairPage, CascadeCounters, u64)> = par_map(n, threads, |i| {
             let mut val = Vec::with_capacity(i);
             let mut tier = Vec::with_capacity(i);
-            let mut prog = vec![StretchProgress::start(); i];
-            let mut cand: Vec<(f64, usize)> = Vec::new();
+            let mut prog = progress_column(cascade, i);
+            let mut cand: Vec<Cand> = Vec::new();
             let mut counters = CascadeCounters {
                 created: i as u64,
                 ..CascadeCounters::default()
@@ -1029,7 +1097,7 @@ pub(crate) fn run_monolithic(
                     };
                     val.push(b);
                     tier.push(init_tier);
-                    cand.push((b, j));
+                    cand.push(Cand { bound: b, j });
                 } else {
                     val.push(f64::INFINITY);
                     tier.push(init_tier);
@@ -1092,7 +1160,7 @@ pub(crate) fn run_monolithic(
 
     let actives: Vec<usize> = arena.active.clone();
     for &i in &actives {
-        arena.rescan_row_min(i, cfg, cascade, &mut stats);
+        arena.rescan_row_min(i, cfg, &mut stats);
     }
     arena.observe(&mut ledger);
 
@@ -1167,7 +1235,7 @@ pub(crate) fn run_monolithic(
                 })
                 .collect();
             for i in stale {
-                arena.rescan_row_min(i, cfg, cascade, &mut stats);
+                arena.rescan_row_min(i, cfg, &mut stats);
             }
         } else {
             // Compute efforts of the merged fingerprint to every remaining
@@ -1181,8 +1249,8 @@ pub(crate) fn run_monolithic(
                 // bounds alone rule the remainder out.
                 let mut val = vec![f64::INFINITY; m];
                 let mut tier = vec![TIER_EXACT; m];
-                let mut prog = vec![StretchProgress::start(); m];
-                let mut cand: Vec<(f64, usize)> = Vec::with_capacity(partners.len());
+                let mut prog = progress_column(cascade, m);
+                let mut cand: Vec<Cand> = Vec::with_capacity(partners.len());
                 for &j in &partners {
                     let b = if cascade {
                         signature_lower_bound(&arena.sigs[m], &arena.sigs[j], cfg, &space)
@@ -1191,7 +1259,7 @@ pub(crate) fn run_monolithic(
                     };
                     val[j] = b;
                     tier[j] = init_tier;
-                    cand.push((b, j));
+                    cand.push(Cand { bound: b, j });
                 }
                 arena.counters.created += partners.len() as u64;
                 if !cascade {
@@ -1254,7 +1322,7 @@ pub(crate) fn run_monolithic(
                     })
                     .collect();
                 for &j in &stale_rows {
-                    arena.rescan_row_min(j, cfg, cascade, &mut stats);
+                    arena.rescan_row_min(j, cfg, &mut stats);
                 }
                 // The rest only escalate the new pair's cell while its
                 // bound could actually beat their cached minimum (a tie
@@ -1291,17 +1359,18 @@ pub(crate) fn run_monolithic(
                                 continue;
                             }
                         }
-                        let cutoff = if cascade {
-                            row_min[j].value
+                        let mut fresh = StretchProgress::start();
+                        let (cutoff, prog) = if cascade {
+                            (row_min[j].value, &mut pages[m].prog[j])
                         } else {
-                            f64::INFINITY
+                            (f64::INFINITY, &mut fresh)
                         };
                         match fingerprint_stretch_cutoff_resume_seq(
                             slots.operand(m),
                             slots.operand(j),
                             cfg,
                             cutoff,
-                            &mut pages[m].prog[j],
+                            prog,
                         ) {
                             StretchEval::Exact(d) => {
                                 if tier == TIER_PARTIAL {
@@ -1372,7 +1441,7 @@ pub(crate) fn run_monolithic(
                 for (idx, &j) in partners.iter().enumerate() {
                     let p = arena.row_min[j].partner;
                     if p == a || p == b {
-                        arena.rescan_row_min(j, cfg, cascade, &mut stats);
+                        arena.rescan_row_min(j, cfg, &mut stats);
                     } else {
                         let d = dists[idx];
                         if d < arena.row_min[j].value
@@ -1631,6 +1700,32 @@ mod tests {
         assert_eq!(gated.stats.pairs_abandoned, 0);
         assert_eq!(gated.dataset.fingerprints, hull_only.dataset.fingerprints);
         assert_eq!(gated.stats.pairs_computed, hull_only.stats.pairs_computed);
+    }
+
+    #[test]
+    fn arenas_without_early_abandonment_keep_no_progress_column() {
+        // Below the cascade gate, and in `cascade: false` runs, no
+        // evaluation stops part way, so a cell is an 8-byte value and a
+        // 1-byte tier with no 24-byte saved prefix beside it.
+        let short = toy_dataset(256);
+        let long = long_toy_dataset(240);
+        for (ds, cascade) in [(&short, true), (&long, false)] {
+            let out = anonymize(
+                ds,
+                &GloveConfig {
+                    cascade,
+                    ..GloveConfig::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(out.stats.pairs_abandoned, 0);
+            let per_pair =
+                out.stats.ledger.peak_arena_bytes as f64 / out.stats.candidate_pairs() as f64;
+            assert!(
+                per_pair < 16.0,
+                "{per_pair:.1} peak arena bytes per candidate pair"
+            );
+        }
     }
 
     #[test]

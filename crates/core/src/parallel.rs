@@ -29,13 +29,24 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
+/// Largest number of indices a worker takes per cursor grab: small batches
+/// amortize cursor contention without hurting balance.
+const MAX_BATCH: usize = 8;
+
 /// Applies `f` to every index in `0..n` on a pool of `threads` workers and
 /// returns the results in index order.
 ///
 /// Indices are handed out in small batches through an atomic cursor, so
-/// wildly uneven per-index costs still balance. `f` must be `Sync` because
-/// all workers share it; results are sent back over a channel and scattered
-/// into place, keeping the whole crate free of `unsafe`.
+/// wildly uneven per-index costs still balance. A batch holds up to
+/// `MAX_BATCH` indices on long ranges and shrinks on short ones until
+/// every worker gets about that many grabs, down to one index at a time.
+/// A short range of expensive items is thereby shared out index by index:
+/// two items on two threads run on both workers instead of as one batch
+/// on the first, and sixteen uneven shards balance dynamically instead of
+/// splitting into two fixed halves. Which worker ran an index never shows
+/// in the result. `f` must be `Sync` because all workers share it; results
+/// are sent back over a channel and scattered into place, keeping the
+/// whole crate free of `unsafe`.
 pub fn par_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -46,8 +57,7 @@ where
         return (0..n).map(f).collect();
     }
 
-    // Small batches amortize cursor contention without hurting balance.
-    const BATCH: usize = 8;
+    let batch = (n / (threads * MAX_BATCH)).clamp(1, MAX_BATCH);
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, T)>();
 
@@ -57,11 +67,11 @@ where
             let cursor = &cursor;
             let f = &f;
             scope.spawn(move || loop {
-                let start = cursor.fetch_add(BATCH, Ordering::Relaxed);
+                let start = cursor.fetch_add(batch, Ordering::Relaxed);
                 if start >= n {
                     break;
                 }
-                let end = (start + BATCH).min(n);
+                let end = (start + batch).min(n);
                 for i in start..end {
                     // Receiver outlives all senders within the scope; a send
                     // failure would mean the collector vanished, which the
@@ -98,6 +108,8 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     #[test]
     fn results_are_in_index_order() {
@@ -144,6 +156,25 @@ mod tests {
         });
         assert_eq!(out[1], 1);
         assert_eq!(out[63], 63);
+    }
+
+    #[test]
+    fn short_ranges_run_on_every_worker() {
+        // Two items on two threads must overlap: each announces itself and
+        // waits for the other. If one worker took both, the first item
+        // would time out instead of hanging the test.
+        let arrived = (Mutex::new(0usize), Condvar::new());
+        let met = par_map(2, 2, |_| {
+            let (count, cv) = &arrived;
+            let mut n = count.lock().expect("no item panics holding the lock");
+            *n += 1;
+            cv.notify_all();
+            let (n, _) = cv
+                .wait_timeout_while(n, Duration::from_secs(5), |n| *n < 2)
+                .expect("no item panics holding the lock");
+            *n == 2
+        });
+        assert_eq!(met, [true, true], "both items ran on one worker");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! ### Backpressure vs shedding
 //!
-//! The queue is a bounded [`std::sync::mpsc::sync_channel`]; `offer` never
-//! blocks the connection thread. When the queue is full the session either
+//! The queue is a bounded FIFO under one lock, whose length is the exact
+//! occupancy gauge; `offer` never blocks the connection thread. When the
+//! queue is full the session either
 //! answers `BUSY` (default — the client retries the unsent suffix after a
 //! backoff, and nothing is lost) or, when the tenant opted into
 //! `shed`, drops the remainder of the batch and books the drops in the
@@ -28,11 +29,11 @@ use glove_core::config::StreamConfig;
 use glove_core::policy::{PolicyPlane, SharedPolicy};
 use glove_core::stream::{EpochOutput, StreamEvent, StreamStats};
 use glove_core::{Dataset, GloveError};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// The epoch persistence hook: called with each closed epoch's dataset and
@@ -80,7 +81,6 @@ pub struct SessionMetrics {
     accepted: AtomicU64,
     shed: AtomicU64,
     epochs: AtomicU64,
-    queue_len: AtomicU64,
     queue_peak: AtomicU64,
     progress: Mutex<(u64, u64, u64)>,
     final_report: Mutex<Option<RunReport>>,
@@ -94,7 +94,6 @@ impl SessionMetrics {
             accepted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             epochs: AtomicU64::new(0),
-            queue_len: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
             progress: Mutex::new((0, 0, 0)),
             final_report: Mutex::new(None),
@@ -121,8 +120,9 @@ impl SessionMetrics {
         self.epochs.load(Ordering::SeqCst)
     }
 
-    /// High-water mark of the bounded queue (events). Never exceeds the
-    /// configured capacity — the bounded-memory proof of the bench.
+    /// High-water mark of the bounded queue (events): the queue's length
+    /// read under its own lock right after each push, so it never exceeds
+    /// the configured capacity — the bounded-memory proof of the bench.
     pub fn queue_peak(&self) -> u64 {
         self.queue_peak.load(Ordering::SeqCst)
     }
@@ -166,6 +166,106 @@ impl SessionMetrics {
     }
 }
 
+/// Most events the worker takes from the queue per lock acquisition.
+const TAKE_EVENTS: usize = 256;
+
+/// The bounded event queue between a connection thread and its worker.
+///
+/// The occupancy gauge is the deque's own length, read and written under
+/// the lock that guards every push and take. A counter kept beside a
+/// channel has to move before or after the handoff, so for a moment it
+/// reads one event more (or fewer) than the queue holds; this one cannot.
+///
+/// The worker takes up to [`TAKE_EVENTS`] events per lock acquisition.
+/// Taking them one at a time would re-acquire the lock for every event,
+/// and an offer arriving while the worker drains a full queue would wait
+/// behind the whole drain. At most `capacity + TAKE_EVENTS` events are
+/// buffered in all.
+struct EventQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+    capacity: usize,
+}
+
+struct QueueState {
+    events: VecDeque<StreamEvent>,
+    /// The session stopped offering: the worker drains what is left, then
+    /// sees the end of the stream.
+    closed: bool,
+    /// The worker is gone: further offers answer [`Offer::Dead`].
+    dead: bool,
+}
+
+impl EventQueue {
+    fn new(capacity: usize) -> Self {
+        Self {
+            state: Mutex::new(QueueState {
+                events: VecDeque::new(),
+                closed: false,
+                dead: false,
+            }),
+            ready: Condvar::new(),
+            capacity,
+        }
+    }
+
+    /// The queue state. Every update leaves it valid, so a guard poisoned
+    /// by a thread that panicked while holding it is taken over as is.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Appends the longest prefix of `events` that fits and books the new
+    /// length in `peak`. Returns how many were taken, or `None` once the
+    /// queue is closed or its worker gone.
+    fn push(&self, events: Vec<StreamEvent>, peak: &AtomicU64) -> Option<usize> {
+        let mut q = self.lock();
+        if q.closed || q.dead {
+            return None;
+        }
+        let taken = (self.capacity - q.events.len()).min(events.len());
+        q.events.extend(events.into_iter().take(taken));
+        peak.fetch_max(q.events.len() as u64, Ordering::SeqCst);
+        drop(q);
+        if taken > 0 {
+            self.ready.notify_one();
+        }
+        Some(taken)
+    }
+
+    /// Moves the oldest events, up to [`TAKE_EVENTS`], into `held`,
+    /// blocking while the queue is empty and open; `false` once it is
+    /// closed and drained.
+    fn take(&self, held: &mut VecDeque<StreamEvent>) -> bool {
+        let mut q = self.lock();
+        loop {
+            if !q.events.is_empty() {
+                let n = q.events.len().min(TAKE_EVENTS);
+                held.extend(q.events.drain(..n));
+                return true;
+            }
+            if q.closed {
+                return false;
+            }
+            q = self.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// The offering side is done: the worker ends after draining.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    /// The consuming side is gone: queued events are dropped and offers
+    /// answer [`Offer::Dead`].
+    fn abandon(&self) {
+        let mut q = self.lock();
+        q.dead = true;
+        q.events.clear();
+    }
+}
+
 /// Result of offering one `EVENTS` batch to the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Offer {
@@ -193,7 +293,7 @@ pub enum Offer {
 /// One open tenant session (owned by its connection thread).
 pub struct Session {
     metrics: Arc<SessionMetrics>,
-    sender: Option<SyncSender<StreamEvent>>,
+    queue: Arc<EventQueue>,
     worker: Option<JoinHandle<Result<RunReport, String>>>,
     policy: SharedPolicy,
     shed: bool,
@@ -221,18 +321,19 @@ impl Session {
         ));
         let (shed, retry_ms) = (config.shed, config.retry_ms);
         let policy = glove_core::policy::shared(config.policy.clone());
-        let (sender, receiver) = sync_channel::<StreamEvent>(config.queue_events.max(1));
+        let queue = Arc::new(EventQueue::new(config.queue_events.max(1)));
         let worker = {
             let metrics = Arc::clone(&metrics);
             let policy = Arc::clone(&policy);
+            let queue = Arc::clone(&queue);
             std::thread::Builder::new()
                 .name(format!("glove-serve-{}", config.tenant))
-                .spawn(move || run_worker(config, receiver, metrics, policy, push))
+                .spawn(move || run_worker(config, queue, metrics, policy, push))
                 .map_err(|e| GloveError::InvalidConfig(format!("cannot spawn worker: {e}")))?
         };
         Ok(Session {
             metrics,
-            sender: Some(sender),
+            queue,
             worker: Some(worker),
             policy,
             shed,
@@ -259,58 +360,38 @@ impl Session {
     /// Offers a batch to the bounded queue without blocking. See
     /// [`Offer`] for the three outcomes.
     pub fn offer(&mut self, events: Vec<StreamEvent>) -> Offer {
-        let Some(sender) = &self.sender else {
+        let total = events.len();
+        let Some(taken) = self.queue.push(events, &self.metrics.queue_peak) else {
             return Offer::Dead;
         };
-        let total = events.len();
-        let mut accepted = 0u32;
-        for event in events {
-            // Count the slot *before* handing the event over: the worker
-            // decrements after recv, so counting afterwards could underflow
-            // when the worker wins the race.
-            let len = self.metrics.queue_len.fetch_add(1, Ordering::SeqCst) + 1;
-            match sender.try_send(event) {
-                Ok(()) => {
-                    accepted += 1;
-                    self.metrics.queue_peak.fetch_max(len, Ordering::SeqCst);
-                }
-                Err(TrySendError::Full(_)) => {
-                    self.metrics.queue_len.fetch_sub(1, Ordering::SeqCst);
-                    self.metrics
-                        .accepted
-                        .fetch_add(u64::from(accepted), Ordering::SeqCst);
-                    let rest = (total - accepted as usize) as u32;
-                    if self.shed {
-                        self.metrics
-                            .shed
-                            .fetch_add(u64::from(rest), Ordering::SeqCst);
-                        return Offer::Accepted {
-                            accepted,
-                            shed: rest,
-                        };
-                    }
-                    return Offer::Busy {
-                        accepted,
-                        retry_ms: self.retry_ms,
-                    };
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.metrics.queue_len.fetch_sub(1, Ordering::SeqCst);
-                    return Offer::Dead;
-                }
-            }
-        }
         self.metrics
             .accepted
-            .fetch_add(u64::from(accepted), Ordering::SeqCst);
-        Offer::Accepted { accepted, shed: 0 }
+            .fetch_add(taken as u64, Ordering::SeqCst);
+        let accepted = taken as u32;
+        let rest = (total - taken) as u32;
+        if rest == 0 {
+            Offer::Accepted { accepted, shed: 0 }
+        } else if self.shed {
+            self.metrics
+                .shed
+                .fetch_add(u64::from(rest), Ordering::SeqCst);
+            Offer::Accepted {
+                accepted,
+                shed: rest,
+            }
+        } else {
+            Offer::Busy {
+                accepted,
+                retry_ms: self.retry_ms,
+            }
+        }
     }
 
     /// Closes the queue, drains the worker (every accepted event is
     /// consumed before the engine's final flush), and returns the final
     /// report — or the engine/sink failure that ended the run early.
     pub fn finish(&mut self) -> Result<RunReport, String> {
-        self.sender = None;
+        self.queue.close();
         match self.worker.take() {
             Some(handle) => handle
                 .join()
@@ -323,11 +404,28 @@ impl Session {
     }
 }
 
+impl Drop for Session {
+    /// A session dropped without [`Session::finish`] still ends its
+    /// worker: the queue closes, the worker drains it and finishes.
+    fn drop(&mut self) {
+        self.queue.close();
+    }
+}
+
 /// The blocking queue-drain iterator the worker feeds to `run_events`.
 struct QueueIter {
-    receiver: Receiver<StreamEvent>,
-    metrics: Arc<SessionMetrics>,
+    queue: Arc<EventQueue>,
+    /// Events taken from the queue and not yet handed to the engine.
+    held: VecDeque<StreamEvent>,
     sink_failed: Arc<AtomicBool>,
+}
+
+impl Drop for QueueIter {
+    /// The worker is done with the queue, normally or not: later offers
+    /// must learn it.
+    fn drop(&mut self) {
+        self.queue.abandon();
+    }
 }
 
 impl Iterator for QueueIter {
@@ -341,13 +439,12 @@ impl Iterator for QueueIter {
                 "aborting tenant stream: an epoch could not be persisted".into(),
             )));
         }
-        match self.receiver.recv() {
-            Ok(event) => {
-                self.metrics.queue_len.fetch_sub(1, Ordering::SeqCst);
-                Some(Ok(event))
-            }
-            Err(_) => None, // every sender dropped: clean end of stream
+        // `None` once the session closed the queue and it drained: the
+        // clean end of the stream.
+        if self.held.is_empty() && !self.queue.take(&mut self.held) {
+            return None;
         }
+        self.held.pop_front().map(Ok)
     }
 }
 
@@ -402,7 +499,7 @@ impl Observer for ServeObserver {
 
 fn run_worker(
     config: SessionConfig,
-    receiver: Receiver<StreamEvent>,
+    queue: Arc<EventQueue>,
     metrics: Arc<SessionMetrics>,
     policy: SharedPolicy,
     push: Option<PushSink>,
@@ -425,8 +522,8 @@ fn run_worker(
         sink_error: None,
     };
     let mut events = QueueIter {
-        receiver,
-        metrics: Arc::clone(&metrics),
+        queue,
+        held: VecDeque::new(),
         sink_failed: Arc::clone(&sink_failed),
     };
     let builder = RunBuilder::new(stream.glove)
