@@ -2,14 +2,18 @@
 //! scenario, emitting a BENCH JSON point.
 //!
 //! Three monolithic runs over the same dataset pin down what each tier of
-//! the candidate-filter cascade buys:
+//! the candidate-filter cascade buys. They run one greedy loop and differ
+//! only in the tier a fresh pair cell is seeded at (`GloveConfig::pruning`):
 //!
-//! * **exact** — `pruning: false`: the paper's full-matrix kernel, every
-//!   candidate pair evaluated to completion (the byte-identity anchor);
-//! * **pre-cascade** — `pruning: true, cascade: false`: the hull-bound-only
+//! * **exact** — `Pruning::Off`, exact seeds: the paper's full-matrix
+//!   kernel, every candidate pair evaluated to completion (the
+//!   byte-identity anchor). This bench and the oracle tests are the only
+//!   places exact seeds run;
+//! * **pre-cascade** — `Pruning::HullOnly`, hull seeds: the hull-bound-only
 //!   pruner that predates the cascade (tier 1 alone);
-//! * **cascade** — the default: tier-0 bit-packed signatures, tier-1 hulls
-//!   and tier-2 early-abandoned exact evaluations.
+//! * **cascade** — `Pruning::Cascade`, the default, signature seeds: tier-0
+//!   bit-packed signatures, tier-1 hulls and tier-2 early-abandoned exact
+//!   evaluations.
 //!
 //! All three must publish byte-identical datasets and agree on
 //! `pairs_computed + pairs_pruned` (every candidate is decided exactly
@@ -25,15 +29,14 @@
 
 use glove_bench::metro_bench_dataset;
 use glove_core::glove::{anonymize, GloveOutput};
-use glove_core::GloveConfig;
+use glove_core::{GloveConfig, Pruning};
 use std::time::Instant;
 
-fn run(ds: &glove_core::Dataset, pruning: bool, cascade: bool) -> (f64, GloveOutput) {
+fn run(ds: &glove_core::Dataset, pruning: Pruning) -> (f64, GloveOutput) {
     let config = GloveConfig {
         k: 2,
         threads: 0,
         pruning,
-        cascade,
         ..GloveConfig::default()
     };
     let started = Instant::now();
@@ -57,11 +60,11 @@ fn main() {
     let samples = ds.num_samples();
 
     eprintln!("[hotloop] exact run (pruning off)…");
-    let (exact_s, exact) = run(&ds, false, false);
+    let (exact_s, exact) = run(&ds, Pruning::Off);
     eprintln!("[hotloop] pre-cascade run (hull bound only)…");
-    let (hull_s, hull) = run(&ds, true, false);
+    let (hull_s, hull) = run(&ds, Pruning::HullOnly);
     eprintln!("[hotloop] cascade run (signatures + hulls + early abandon)…");
-    let (casc_s, casc) = run(&ds, true, true);
+    let (casc_s, casc) = run(&ds, Pruning::Cascade);
 
     // Exactness anchors: the cascade is a pure filter — all three modes
     // publish byte-identical datasets, and every candidate the exact kernel

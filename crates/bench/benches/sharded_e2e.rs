@@ -2,11 +2,11 @@
 //! `metro_like` scenario, emitting a BENCH JSON point.
 //!
 //! Unlike the Criterion-shimmed benches, this target measures full runs
-//! directly (monolithic, `--shards 8`, and the sharded run again with the
-//! distance cascade off for the before/after delta), prints a `BENCH {...}`
-//! line and writes the same JSON point to `BENCH_sharded_e2e.json` in the
-//! working directory, so CI can archive the speedup trajectory across
-//! commits.
+//! directly (monolithic, `--shards 8`, and the sharded run again with hull
+//! seeds, `Pruning::HullOnly`, for the before/after delta of the cascade's
+//! signature seeds), prints a `BENCH {...}` line and writes the same JSON
+//! point to `BENCH_sharded_e2e.json` in the working directory, so CI can
+//! archive the speedup trajectory across commits.
 //!
 //! Modes mirror the criterion shim: `cargo bench --bench sharded_e2e` (the
 //! plain `--bench` flag) measures at full size; `--test` (as in CI's
@@ -16,7 +16,7 @@
 use glove_bench::metro_bench_dataset;
 use glove_core::api::RunBuilder;
 use glove_core::glove::anonymize;
-use glove_core::{GloveConfig, ShardPolicy};
+use glove_core::{GloveConfig, Pruning, ShardPolicy};
 use std::time::Instant;
 
 const SHARDS: usize = 8;
@@ -28,13 +28,13 @@ const OVERHEAD_SLACK_S: f64 = 0.25;
 fn run(
     ds: &glove_core::Dataset,
     shard: Option<ShardPolicy>,
-    cascade: bool,
+    pruning: Pruning,
 ) -> (f64, glove_core::glove::GloveOutput) {
     let config = GloveConfig {
         k: 2,
         threads: 0,
         shard,
-        cascade,
+        pruning,
         ..GloveConfig::default()
     };
     let started = Instant::now();
@@ -58,16 +58,16 @@ fn main() {
     let samples = ds.num_samples();
 
     eprintln!("[sharded_e2e] monolithic run…");
-    let (mono_s, mono) = run(&ds, None, true);
+    let (mono_s, mono) = run(&ds, None, Pruning::Cascade);
     eprintln!("[sharded_e2e] sharded run ({SHARDS} activity shards)…");
-    let (shard_s, sharded) = run(&ds, Some(ShardPolicy::activity(SHARDS)), true);
+    let (shard_s, sharded) = run(&ds, Some(ShardPolicy::activity(SHARDS)), Pruning::Cascade);
 
-    // The same sharded run with the distance cascade off (tier-1 hull
-    // pruning only): the before/after delta of the hot-loop cascade, on
-    // record in the JSON. The cascade is a pure filter, so the published
-    // output must not move.
+    // The same sharded run with hull seeds (tier-1 hull pruning only): the
+    // before/after delta of the hot-loop cascade, on record in the JSON.
+    // The cascade is a pure filter, so the published output must not move.
     eprintln!("[sharded_e2e] sharded run, cascade off (before/after delta)…");
-    let (precascade_s, precascade) = run(&ds, Some(ShardPolicy::activity(SHARDS)), false);
+    let (precascade_s, precascade) =
+        run(&ds, Some(ShardPolicy::activity(SHARDS)), Pruning::HullOnly);
     let cascade_speedup = precascade_s / shard_s.max(1e-9);
     assert_eq!(
         precascade.dataset.fingerprints, sharded.dataset.fingerprints,

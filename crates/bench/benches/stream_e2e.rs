@@ -3,10 +3,11 @@
 //!
 //! Like `sharded_e2e`, this target measures full runs directly rather than
 //! through the Criterion shim: one monolithic batch run and streamed runs
-//! (daily windows, fresh carry) over the same events — with the distance
-//! cascade on and off for the before/after delta — printing a
-//! `BENCH {...}` line and writing the JSON point to
-//! `BENCH_stream_e2e.json` so CI can archive the trajectory.
+//! (daily windows, fresh carry) over the same events — under the default
+//! `Pruning::Cascade` and under `Pruning::HullOnly` for the before/after
+//! delta. Daily windows sit below the cascade's engagement gate, so both
+//! runs seed hull bounds — printing a `BENCH {...}` line and writing the
+//! JSON point to `BENCH_stream_e2e.json` so CI can archive the trajectory.
 //!
 //! The two fingerprints CI watches:
 //!
@@ -24,7 +25,7 @@ use glove_bench::metro_bench_dataset;
 use glove_core::api::{NullObserver, RunBuilder};
 use glove_core::glove::anonymize;
 use glove_core::stream::{events_of, run_stream};
-use glove_core::{CarryPolicy, GloveConfig, StreamConfig, UnderKPolicy};
+use glove_core::{CarryPolicy, GloveConfig, Pruning, StreamConfig, UnderKPolicy};
 use std::time::Instant;
 
 const WINDOW_MIN: u32 = 1_440; // daily epochs over the 14-day metro span
@@ -77,7 +78,7 @@ fn main() {
     eprintln!("[stream_e2e] streamed run, cascade off (before/after delta)…");
     let precascade_config = StreamConfig {
         glove: GloveConfig {
-            cascade: false,
+            pruning: Pruning::HullOnly,
             ..GloveConfig::default()
         },
         ..config

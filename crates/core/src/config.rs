@@ -293,6 +293,27 @@ impl StreamConfig {
     }
 }
 
+/// How the greedy loop seeds a fresh pair cell of its effort matrix (see
+/// DESIGN.md "Distance cascade"). A cell then only escalates, tier by tier,
+/// while its value could still decide a row minimum; every seed is
+/// admissible, so all three modes publish byte-identical output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Pruning {
+    /// Seed with the bit-packed signature bound of `core::compact` and let
+    /// exact evaluations abandon early — when the mean fingerprint length
+    /// clears the engine's engagement gate. Below it the filter costs more
+    /// than it saves, so the run seeds hull bounds instead. This is the
+    /// default.
+    #[default]
+    Cascade,
+    /// Seed with the hull bound whatever the fingerprint length: the
+    /// pre-cascade pruner, kept as a comparator.
+    HullOnly,
+    /// Seed with the exact Eq. 10 value: the paper's full-matrix kernel,
+    /// kept as the oracle every pruned run must reproduce.
+    Off,
+}
+
 /// Full configuration of a GLOVE run (Alg. 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GloveConfig {
@@ -313,31 +334,20 @@ pub struct GloveConfig {
     /// Optional sharding policy. `None` (the default) runs the monolithic
     /// Alg. 1 over the whole dataset.
     pub shard: Option<ShardPolicy>,
-    /// Admissible pair pruning: skip full Eq. 10 evaluations whose
-    /// hull-derived lower bound proves they cannot be a row minimum. The
-    /// published output is byte-identical with pruning on or off (the bound
-    /// is admissible, not approximate); only `pairs_computed` shrinks.
-    /// Default: true.
-    pub pruning: bool,
-    /// Distance cascade on top of pruning: seed candidate pairs with the
-    /// bit-packed tier-0 signature bound of `core::compact` before the hull
-    /// bound, and let surviving exact evaluations abandon early once their
-    /// partial mean proves them out of contention. Only active when
-    /// `pruning` is on, and the engine engages it only when the mean
-    /// fingerprint length clears a small threshold — for short fingerprints
-    /// the exact kernel is cheaper than the filter, so the run falls back
-    /// to hull-only pruning. The published output stays byte-identical either
-    /// way — the cascade only changes how much work each decision costs
-    /// (`pairs_skipped_tier0`/`pairs_skipped_tier1`/`pairs_abandoned`
-    /// record where candidates were dismissed). Default: true.
-    pub cascade: bool,
+    /// Admissible pair pruning: the tier at which the greedy loop seeds a
+    /// fresh pair cell (see [`Pruning`]). Every mode publishes
+    /// byte-identical output; only the work behind each decision changes
+    /// (`pairs_computed` and the per-tier skip counters of `GloveStats`).
+    /// Default: [`Pruning::Cascade`].
+    pub pruning: Pruning,
     /// Columnar sample storage: keep the arena's samples in the bit-packed
     /// struct-of-arrays pages of `core::compact::SampleStore` (24 bytes per
     /// sample, no per-fingerprint heap allocation) instead of one
     /// `Vec<Sample>` per fingerprint. The stretch kernels read the pages
     /// directly through the same generic arithmetic as the reference
     /// layout, so the published output is byte-identical either way; only
-    /// the memory footprint changes (see `GloveStats::ledger`).
+    /// the memory footprint changes (see `GloveStats::ledger`). A test
+    /// oracle, not a deployment setting: the serve wire does not carry it.
     /// Default: true.
     pub columnar: bool,
 }
@@ -352,8 +362,7 @@ impl Default for GloveConfig {
             reshape: true,
             threads: 0,
             shard: None,
-            pruning: true,
-            cascade: true,
+            pruning: Pruning::default(),
             columnar: true,
         }
     }

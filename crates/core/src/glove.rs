@@ -29,27 +29,29 @@
 //!   enough (see `global_best`).
 //! * Matrix construction and row recomputation fan out over
 //!   [`crate::parallel`], the stand-in for the paper's GPU kernel.
-//! * With [`GloveConfig::pruning`] on (the default), matrix cells hold an
-//!   admissible lower bound on Eq. 10 until an exact value is actually
-//!   needed to decide a row minimum. Bounds escalate through a cascade of
-//!   tiers (see DESIGN.md "Distance cascade"): tier 0 is the bit-packed
-//!   popcount signature bound of [`crate::compact`], tier 1 the hull bound
-//!   of [`crate::stretch::stretch_lower_bound`], tier 2 the exact — but
-//!   cutoff-aware, early-abandoning — Eq. 10 evaluation of
-//!   [`crate::stretch::fingerprint_stretch_cutoff`]. [`GloveConfig::cascade`]
-//!   gates tiers 0 and the early abandonment, and the loop additionally
-//!   engages them only when fingerprints are long enough for the filter to
-//!   pay for itself (`CASCADE_MIN_MEAN_SAMPLES`); otherwise it degrades to the
-//!   plain hull-bound pruning of earlier revisions. Either way the
-//!   published output is byte-identical to the unpruned path.
+//! * Every pair cell has one life cycle, whatever the mode. It is *seeded*
+//!   once at the run's seed tier (see [`Pruning`] and DESIGN.md "Distance
+//!   cascade"): the bit-packed popcount signature bound of
+//!   [`crate::compact`] (tier 0), the hull bound of
+//!   [`crate::stretch::stretch_lower_bound`] (tier 1), or the exact Eq. 10
+//!   value (the paper's full-matrix kernel, [`Pruning::Off`]). From then on
+//!   one escalation step (`Pricer::escalate`) moves it up the ladder
+//!   signature → hull → partial → exact, and only while its bound could
+//!   still decide a row minimum. The partial tier is a cutoff-aware,
+//!   early-abandoning Eq. 10 evaluation
+//!   ([`crate::stretch::fingerprint_stretch_cutoff_resume_seq`]).
+//!   [`Pruning::Cascade`] seeds signatures only when fingerprints are long
+//!   enough for the filter to pay for itself (`CASCADE_MIN_MEAN_SAMPLES`)
+//!   and hull bounds otherwise. Every seed is admissible, so the published
+//!   output is byte-identical across modes.
 //! * Every walk over a row's bound cells (`cascade_walk`) visits them in
 //!   ascending `(bound, partner)` order and stops at the first bound above
 //!   the best exact value, so it pays only for what it visits: candidates
 //!   come off a binary heap rather than a full sort, and a row-minimum
 //!   rescan drops the cells its exact cells already rule out before
 //!   ordering the rest. Cells keep a saved evaluation prefix (24 bytes
-//!   beside the 9-byte value and tier) only when the cascade is engaged,
-//!   the one mode in which an evaluation can stop part way.
+//!   beside the 9-byte value and tier) only in signature-seeded runs, the
+//!   one mode in which an evaluation can stop part way.
 //! * Hull summaries are maintained *incrementally*: a merge that suppresses
 //!   no samples unions the parents' hulls in O(1) instead of rescanning the
 //!   merged fingerprint ([`StretchHull::union`]); suppressing merges fall
@@ -57,13 +59,16 @@
 //! * At most one fingerprint can be left with multiplicity < `k` when the
 //!   loop exhausts mergeable pairs; [`ResidualPolicy`] decides its fate
 //!   (the paper does not specify — see DESIGN.md).
+//! * Every published group is checked against its k floor in release
+//!   builds too: a group that hides too few subscribers is an error, never
+//!   a release.
 //! * [`GloveConfig::shard`] routes the run through [`crate::shard`], which
 //!   partitions the dataset and runs this loop per shard.
 
 use crate::compact::{
     signature_lower_bound, CompactSignature, SampleSpan, SampleStore, SignatureSpace, StoreSlice,
 };
-use crate::config::{GloveConfig, ResidualPolicy, StretchConfig};
+use crate::config::{GloveConfig, Pruning, ResidualPolicy, StretchConfig};
 use crate::error::GloveError;
 use crate::ledger::MemoryLedger;
 use crate::merge::merge_fingerprints;
@@ -94,17 +99,18 @@ pub struct GloveStats {
     pub pairs_computed: u64,
     /// Distinct pairs whose full Eq. 10 evaluation was never needed: some
     /// tier of the admissible distance cascade ruled them out of every row
-    /// minimum they participated in (0 when pruning is disabled). Always
+    /// minimum they participated in (0 under [`Pruning::Off`]). Always
     /// equals `pairs_skipped_tier0 + pairs_skipped_tier1 + pairs_abandoned`,
     /// and `pairs_computed + pairs_pruned` equals the number of pairs the
     /// unpruned kernel would have evaluated.
     pub pairs_pruned: u64,
     /// Pairs dismissed by the tier-0 bit-packed signature bound alone:
-    /// their hull bound was never even computed. 0 when
-    /// [`GloveConfig::cascade`] is off or the run's mean fingerprint length
-    /// sits below the engagement gate (the hull tier then fields every
-    /// pair). Pairs involving an already-k-anonymous input fingerprint are
-    /// counted here in cascade runs — no tier ever needs to look at them.
+    /// their hull bound was never even computed. 0 unless the run seeds
+    /// signature bounds, i.e. [`Pruning::Cascade`] with a mean fingerprint
+    /// length at or above the engagement gate (below it the hull tier
+    /// fields every pair). Pairs involving an already-k-anonymous input
+    /// fingerprint are counted here in signature-seeded runs — no tier ever
+    /// needs to look at them.
     pub pairs_skipped_tier0: u64,
     /// Pairs dismissed by the tier-1 hull bound: promoted past the
     /// signature tier but never worth starting an exact evaluation.
@@ -112,7 +118,8 @@ pub struct GloveStats {
     /// Pairs whose exact evaluation was *started* but abandoned early (tier
     /// 2): the partial Eq. 10 mean proved them strictly above every cutoff
     /// they were ever tested against, so the evaluation never ran to
-    /// completion. 0 when [`GloveConfig::cascade`] is off or not engaged.
+    /// completion. 0 unless the run seeds signature bounds (see
+    /// `pairs_skipped_tier0`).
     pub pairs_abandoned: u64,
     /// Per-shard breakdown when the run was sharded (empty for monolithic
     /// runs).
@@ -189,6 +196,22 @@ struct RowMin {
 
 const NO_PARTNER: usize = usize::MAX;
 
+impl RowMin {
+    /// The minimum of a row with no candidate yet.
+    const NONE: RowMin = RowMin {
+        value: f64::INFINITY,
+        partner: NO_PARTNER,
+    };
+
+    /// Folds in an exact effort under the `(value, smaller partner)` rule.
+    #[inline]
+    fn offer(&mut self, value: f64, partner: usize) {
+        if value < self.value || (value == self.value && partner < self.partner) {
+            *self = RowMin { value, partner };
+        }
+    }
+}
+
 /// Cell tiers of the distance cascade, in escalation order. A cell only
 /// ever moves to a higher tier, and its value is an admissible lower bound
 /// on the pair's Eq. 10 effort at every tier below [`TIER_EXACT`].
@@ -207,15 +230,31 @@ const TIER_EXACT: u8 = 3;
 /// stream `f64`s and tier tests stream bytes instead of interleaving both
 /// through one encoded cell. The progress column carries the saved prefix
 /// of partially evaluated cells so a re-escalated cell resumes its exact
-/// scan instead of restarting from sample zero. Only runs with early
-/// abandonment (the engaged cascade) can leave a cell partially evaluated,
-/// so every other run leaves the column empty: a cell then costs 9 bytes
-/// instead of 33.
+/// scan instead of restarting from sample zero. Only signature-seeded runs
+/// (the engaged cascade) abandon evaluations part way, so every other run
+/// leaves the column empty: a cell then costs 9 bytes instead of 33.
 #[derive(Debug, Clone, Default)]
 struct PairPage {
     val: Vec<f64>,
     tier: Vec<u8>,
     prog: Vec<StretchProgress>,
+}
+
+impl PairPage {
+    /// A row holding the values `val`, every cell at `tier`, with a
+    /// progress column only when evaluations can abandon.
+    fn new(val: Vec<f64>, tier: u8, abandons: bool) -> Self {
+        let len = val.len();
+        PairPage {
+            val,
+            tier: vec![tier; len],
+            prog: if abandons {
+                vec![StretchProgress::start(); len]
+            } else {
+                Vec::new()
+            },
+        }
+    }
 }
 
 /// Transition counters of the distance cascade. Counting *transitions*
@@ -228,14 +267,15 @@ struct PairPage {
 /// evaluation completed (counted in `GloveStats::pairs_computed`).
 #[derive(Debug, Clone, Copy, Default)]
 struct CascadeCounters {
-    /// Bound cells created (every pair the unpruned kernel would evaluate).
+    /// Cells created (every pair the full-matrix kernel would evaluate).
     created: u64,
-    /// Cells that reached the hull tier (in hull-only runs, all of them).
+    /// Cells that reached the hull tier, by seed or by promotion.
     hulled: u64,
     /// Cells whose exact evaluation was started and abandoned at least
     /// once.
     entered_partial: u64,
-    /// Cells evaluated to completion directly from the hull tier.
+    /// Cells evaluated to completion without an abandonment: exact seeds,
+    /// and cells escalated straight from the hull tier.
     exact_from_hull: u64,
     /// Cells evaluated to completion after at least one abandonment.
     exact_from_partial: u64,
@@ -248,6 +288,19 @@ impl CascadeCounters {
         self.entered_partial += o.entered_partial;
         self.exact_from_hull += o.exact_from_hull;
         self.exact_from_partial += o.exact_from_partial;
+    }
+
+    /// Books `cells` new cells seeded at `tier`. A seed counts as having
+    /// passed every tier below it, so an exact seed lands in the computed
+    /// bucket, never in a skipped one.
+    fn seeded(&mut self, tier: u8, cells: u64) {
+        self.created += cells;
+        if tier >= TIER_HULL {
+            self.hulled += cells;
+        }
+        if tier == TIER_EXACT {
+            self.exact_from_hull += cells;
+        }
     }
 
     /// Cells the signature bound dismissed before a hull bound existed.
@@ -264,10 +317,15 @@ impl CascadeCounters {
     fn abandoned(&self) -> u64 {
         self.entered_partial - self.exact_from_partial
     }
+
+    /// Cells evaluated to completion.
+    fn exact(&self) -> u64 {
+        self.exact_from_hull + self.exact_from_partial
+    }
 }
 
 /// Read/write access to one matrix row, abstracting over rows that live in
-/// the arena's triangular pages versus local rows still under construction.
+/// the arena's triangular pages versus rows still under construction.
 trait CellRow {
     fn get(&self, j: usize) -> (f64, u8);
     fn set(&mut self, j: usize, val: f64, tier: u8);
@@ -276,46 +334,9 @@ trait CellRow {
     fn progress(&mut self, j: usize) -> &mut StretchProgress;
 }
 
-/// A row of the installed triangular matrix: cell `(i, j)` lives in
-/// `pages[max(i,j)]` at column `min(i,j)`.
-struct TriRow<'a> {
-    pages: &'a mut [PairPage],
-    i: usize,
-}
-
-impl CellRow for TriRow<'_> {
-    #[inline]
-    fn get(&self, j: usize) -> (f64, u8) {
-        debug_assert_ne!(self.i, j);
-        let (r, c) = if self.i > j { (self.i, j) } else { (j, self.i) };
-        (self.pages[r].val[c], self.pages[r].tier[c])
-    }
-
-    #[inline]
-    fn set(&mut self, j: usize, val: f64, tier: u8) {
-        debug_assert_ne!(self.i, j);
-        let (r, c) = if self.i > j { (self.i, j) } else { (j, self.i) };
-        self.pages[r].val[c] = val;
-        self.pages[r].tier[c] = tier;
-    }
-
-    #[inline]
-    fn progress(&mut self, j: usize) -> &mut StretchProgress {
-        debug_assert_ne!(self.i, j);
-        let (r, c) = if self.i > j { (self.i, j) } else { (j, self.i) };
-        &mut self.pages[r].prog[c]
-    }
-}
-
 /// A row under construction (matrix build or merged-row fill), not yet
-/// installed in the arena.
-struct LocalRow<'a> {
-    val: &'a mut [f64],
-    tier: &'a mut [u8],
-    prog: &'a mut [StretchProgress],
-}
-
-impl CellRow for LocalRow<'_> {
+/// installed in the arena: cell `j` is column `j`.
+impl CellRow for PairPage {
     #[inline]
     fn get(&self, j: usize) -> (f64, u8) {
         (self.val[j], self.tier[j])
@@ -330,6 +351,40 @@ impl CellRow for LocalRow<'_> {
     #[inline]
     fn progress(&mut self, j: usize) -> &mut StretchProgress {
         &mut self.prog[j]
+    }
+}
+
+/// Page and column of cell `(i, j)` in the triangular matrix:
+/// `pages[max(i,j)]` at column `min(i,j)`.
+#[inline]
+fn tri(i: usize, j: usize) -> (usize, usize) {
+    debug_assert_ne!(i, j);
+    (i.max(j), i.min(j))
+}
+
+/// Row `i` of the installed triangular matrix.
+struct TriRow<'a> {
+    pages: &'a mut [PairPage],
+    i: usize,
+}
+
+impl CellRow for TriRow<'_> {
+    #[inline]
+    fn get(&self, j: usize) -> (f64, u8) {
+        let (r, c) = tri(self.i, j);
+        self.pages[r].get(c)
+    }
+
+    #[inline]
+    fn set(&mut self, j: usize, val: f64, tier: u8) {
+        let (r, c) = tri(self.i, j);
+        self.pages[r].set(c, val, tier);
+    }
+
+    #[inline]
+    fn progress(&mut self, j: usize) -> &mut StretchProgress {
+        let (r, c) = tri(self.i, j);
+        self.pages[r].progress(c)
     }
 }
 
@@ -363,109 +418,201 @@ impl PartialOrd for Cand {
     }
 }
 
-/// The cascade walk shared by matrix construction, merged-row filling and
-/// row-minimum rescans: visits `cand` in ascending `(bound, j)` order and
-/// escalates each candidate whose bound could still produce — or tie — the
-/// minimum through the remaining tiers, folding completed evaluations into
-/// `best` under the `(value, smaller j)` rule.
-///
-/// Stops at the first stored bound strictly above the current best value:
-/// every remaining candidate's exact effort is ≥ that bound, so it can
-/// neither win nor tie. Most walks stop long before the end of their list,
-/// so the order is produced lazily: the list is heapified in O(n) and
-/// popped one candidate at a time, O(n + w log n) for `w` visited
-/// candidates instead of sorting all `n` up front. The visit sequence is
-/// the sorted one, candidate for candidate.
-///
-/// Inside the walk, a tier-0 candidate is first promoted to the max of its
-/// signature and hull bounds (both admissible, neither dominating: the hull
-/// sees convex extents, the signature sees occupancy holes); if that
-/// already rules it out the candidate is skipped without touching the
-/// fingerprints. Survivors are evaluated with the current best as the
-/// abandonment cutoff (when `early_abandon` is on): an abandoned candidate
-/// proved itself *strictly* worse than the best, so it cannot win or tie,
-/// and it leaves behind both a tighter admissible bound for later rounds
-/// and its saved evaluation prefix, so a re-escalation resumes the exact
-/// scan where it stopped instead of restarting from sample zero. Without
-/// early abandonment every evaluation runs to completion from a fresh
-/// prefix, so the row carries no progress column at all. A candidate whose
-/// exact effort equals the final minimum always survives every tier and is
-/// evaluated in full — which keeps tie-breaking, and hence the published
-/// output, byte-identical to the unpruned scan.
-#[allow(clippy::too_many_arguments)]
-fn cascade_walk<R: CellRow>(
-    cand: Vec<Cand>,
-    best: &mut RowMin,
-    row: &mut R,
-    mut hull_bound: impl FnMut(usize) -> f64,
-    mut eval: impl FnMut(usize, f64, &mut StretchProgress) -> StretchEval,
-    early_abandon: bool,
-    counters: &mut CascadeCounters,
-    computed: &mut u64,
-) {
-    let mut heap = BinaryHeap::from(cand);
-    while let Some(Cand { bound, j }) = heap.pop() {
-        if bound > best.value {
-            break;
-        }
-        let (mut val, mut tier) = row.get(j);
-        if tier == TIER_SIG {
-            counters.hulled += 1;
-            // Both bounds are admissible but incomparable: the hull bound
-            // sees the convex extent (tight for separated clouds), the
-            // signature bound sees occupancy holes (tight for interleaved
-            // extents with disjoint cells) — so keep the larger.
-            val = hull_bound(j).max(val);
-            tier = TIER_HULL;
-            row.set(j, val, tier);
-            if val > best.value {
-                continue;
-            }
-        }
-        if tier != TIER_EXACT {
-            let mut fresh = StretchProgress::start();
-            let (cutoff, prog) = if early_abandon {
-                (best.value, row.progress(j))
-            } else {
-                (f64::INFINITY, &mut fresh)
-            };
-            match eval(j, cutoff, prog) {
-                StretchEval::Exact(d) => {
-                    if tier == TIER_PARTIAL {
-                        counters.exact_from_partial += 1;
-                    } else {
-                        counters.exact_from_hull += 1;
-                    }
-                    *computed += 1;
-                    val = d;
-                    row.set(j, d, TIER_EXACT);
-                }
-                StretchEval::AtLeast(p) => {
-                    if tier != TIER_PARTIAL {
-                        counters.entered_partial += 1;
-                    }
-                    row.set(j, p, TIER_PARTIAL);
-                    continue;
-                }
-            }
-        }
-        if val < best.value || (val == best.value && j < best.partner) {
-            *best = RowMin {
-                value: val,
-                partner: j,
-            };
-        }
-    }
+/// Everything a pair cell is priced from: the slots' samples, their hull
+/// and signature summaries, the stretch parameters and the run's seed
+/// tier. Seeding, escalation and the walk live here, so the parallel
+/// matrix build and every sequential caller run the same code in every
+/// mode.
+struct Pricer {
+    slots: SlotSamples,
+    /// Per-slot hull summaries feeding the tier-1 bound, maintained
+    /// incrementally on merge.
+    hulls: Vec<StretchHull>,
+    /// Per-slot bit-packed signatures feeding the tier-0 bound; empty
+    /// unless the run seeds signature bounds.
+    sigs: Vec<CompactSignature>,
+    cfg: StretchConfig,
+    space: SignatureSpace,
+    /// The tier every fresh cell is seeded at: [`TIER_SIG`], [`TIER_HULL`]
+    /// or [`TIER_EXACT`].
+    seed: u8,
 }
 
-/// The progress column of a new row of `len` cells: one saved prefix per
-/// cell under early abandonment, none otherwise (no evaluation stops part
-/// way, so there is nothing to resume).
-fn progress_column(early_abandon: bool, len: usize) -> Vec<StretchProgress> {
-    if early_abandon {
-        vec![StretchProgress::start(); len]
-    } else {
-        Vec::new()
+impl Pricer {
+    fn new(dataset: &Dataset, config: &GloveConfig, seed: u8) -> Self {
+        let space = SignatureSpace::of(&config.stretch);
+        let sigs = if seed == TIER_SIG {
+            let sig = |f: &Fingerprint| CompactSignature::of(f, &space);
+            dataset.fingerprints.iter().map(sig).collect()
+        } else {
+            Vec::new()
+        };
+        Pricer {
+            slots: SlotSamples::of(dataset, config.columnar),
+            hulls: dataset.fingerprints.iter().map(StretchHull::of).collect(),
+            sigs,
+            cfg: config.stretch,
+            space,
+            seed,
+        }
+    }
+
+    /// Evaluations stop part way only in signature-seeded runs (the engaged
+    /// cascade), so only their rows carry a progress column.
+    fn abandons(&self) -> bool {
+        self.seed == TIER_SIG
+    }
+
+    /// Appends a merged fingerprint with its hull (and its signature, when
+    /// the run seeds signature bounds).
+    fn push(&mut self, fp: Fingerprint, hull: StretchHull) {
+        if self.abandons() {
+            self.sigs.push(CompactSignature::of(&fp, &self.space));
+        }
+        self.hulls.push(hull);
+        self.slots.push(fp);
+    }
+
+    /// Keeps only `old_ids`, in order — the slot side of arena compaction.
+    fn compacted(&mut self, old_ids: &[usize]) {
+        self.slots.compacted(old_ids);
+        self.hulls = old_ids.iter().map(|&i| self.hulls[i]).collect();
+        if self.abandons() {
+            self.sigs = old_ids.iter().map(|&i| self.sigs[i]).collect();
+        }
+    }
+
+    /// The operands of pair `(i, j)` in canonical orientation, larger slot
+    /// first. The saved prefix of an equal-length pair is
+    /// direction-specific, so every evaluation of one cell must walk the
+    /// directions in the same order regardless of which row triggered it.
+    /// The published value is symmetric either way.
+    #[inline]
+    fn operands(&self, i: usize, j: usize) -> (Operand<'_>, Operand<'_>) {
+        let (r, c) = tri(i, j);
+        (self.slots.operand(r), self.slots.operand(c))
+    }
+
+    /// The seed value of cell `(i, j)` at the run's seed tier. A cell with
+    /// an already-k-anonymous endpoint (`!live`) is never read, so the
+    /// bound seeds leave it at `+∞` without pricing it; the exact seed
+    /// evaluates it anyway, as the paper's full-matrix kernel does.
+    #[inline]
+    fn seed_value(&self, i: usize, j: usize, live: bool) -> f64 {
+        match self.seed {
+            TIER_EXACT => {
+                let (a, b) = self.operands(i, j);
+                fingerprint_stretch_seq(a, b, &self.cfg)
+            }
+            _ if !live => f64::INFINITY,
+            TIER_SIG => signature_lower_bound(&self.sigs[i], &self.sigs[j], &self.cfg, &self.space),
+            _ => stretch_lower_bound(&self.hulls[i], &self.hulls[j], &self.cfg),
+        }
+    }
+
+    /// The one escalation step of every cell: moves cell `(i, j)` of `row`
+    /// (owned by slot `i`) up the ladder signature → hull → partial → exact
+    /// and books each transition. Returns the exact effort, or `None` once
+    /// `ruled_out` dismisses the cell's bound or the evaluation abandons
+    /// against `cutoff` (the value `ruled_out` tests against).
+    ///
+    /// A signature bound is first promoted to the max of its signature and
+    /// hull bounds (both admissible, neither dominating: the hull sees
+    /// convex extents, the signature sees occupancy holes); if that already
+    /// rules the cell out, the fingerprints are never touched. Survivors are
+    /// evaluated with `cutoff` as the abandonment cutoff when the run
+    /// abandons: an abandoned cell proved itself *strictly* worse than the
+    /// cutoff, and it keeps both a tighter admissible bound and its saved
+    /// evaluation prefix, so a re-escalation resumes the exact scan where
+    /// it stopped. Otherwise every evaluation runs to completion from a
+    /// fresh prefix.
+    #[inline]
+    fn escalate<R: CellRow>(
+        &self,
+        row: &mut R,
+        i: usize,
+        j: usize,
+        cutoff: f64,
+        ruled_out: impl Fn(f64) -> bool,
+        counters: &mut CascadeCounters,
+    ) -> Option<f64> {
+        let (mut val, mut tier) = row.get(j);
+        if tier == TIER_EXACT {
+            return Some(val);
+        }
+        if ruled_out(val) {
+            return None;
+        }
+        if tier == TIER_SIG {
+            counters.hulled += 1;
+            val = stretch_lower_bound(&self.hulls[i], &self.hulls[j], &self.cfg).max(val);
+            tier = TIER_HULL;
+            row.set(j, val, tier);
+            if ruled_out(val) {
+                return None;
+            }
+        }
+        let mut fresh = StretchProgress::start();
+        let (cutoff, prog) = if self.abandons() {
+            (cutoff, row.progress(j))
+        } else {
+            (f64::INFINITY, &mut fresh)
+        };
+        let (a, b) = self.operands(i, j);
+        match fingerprint_stretch_cutoff_resume_seq(a, b, &self.cfg, cutoff, prog) {
+            StretchEval::Exact(d) => {
+                if tier == TIER_PARTIAL {
+                    counters.exact_from_partial += 1;
+                } else {
+                    counters.exact_from_hull += 1;
+                }
+                row.set(j, d, TIER_EXACT);
+                Some(d)
+            }
+            StretchEval::AtLeast(p) => {
+                if tier != TIER_PARTIAL {
+                    counters.entered_partial += 1;
+                }
+                row.set(j, p, TIER_PARTIAL);
+                None
+            }
+        }
+    }
+
+    /// The walk shared by matrix construction, merged-row filling and
+    /// row-minimum rescans of row `i`: visits `cand` in ascending
+    /// `(bound, j)` order and escalates each candidate whose bound could
+    /// still produce — or tie — the minimum, folding exact efforts into
+    /// `best` under the `(value, smaller j)` rule.
+    ///
+    /// Stops at the first stored bound strictly above the current best
+    /// value: every remaining candidate's exact effort is ≥ that bound, so
+    /// it can neither win nor tie. Most walks stop long before the end of
+    /// their list, so the order is produced lazily: the list is heapified in
+    /// O(n) and popped one candidate at a time, O(n + w log n) for `w`
+    /// visited candidates instead of sorting all `n` up front. The visit
+    /// sequence is the sorted one, candidate for candidate. A candidate
+    /// whose exact effort equals the final minimum always survives every
+    /// tier and is evaluated in full — which keeps tie-breaking, and hence
+    /// the published output, byte-identical to the full-matrix kernel.
+    fn cascade_walk<R: CellRow>(
+        &self,
+        i: usize,
+        cand: Vec<Cand>,
+        best: &mut RowMin,
+        row: &mut R,
+        counters: &mut CascadeCounters,
+    ) {
+        let mut heap = BinaryHeap::from(cand);
+        while let Some(Cand { bound, j }) = heap.pop() {
+            let limit = best.value;
+            if bound > limit {
+                break;
+            }
+            if let Some(d) = self.escalate(row, i, j, limit, |v| v > limit, counters) {
+                best.offer(d, j);
+            }
+        }
     }
 }
 
@@ -499,13 +646,7 @@ const PAR_SCAN_MIN: usize = 8192;
 /// slot order, the result is the unique minimum — identical to the
 /// sequential scan, bit for bit, for any thread count.
 fn global_best(active: &[usize], row_min: &[RowMin], threads: usize) -> (usize, RowMin) {
-    let init = (
-        NO_PARTNER,
-        RowMin {
-            value: f64::INFINITY,
-            partner: NO_PARTNER,
-        },
-    );
+    let init = (NO_PARTNER, RowMin::NONE);
     let fold = |acc: (usize, RowMin), i: usize| {
         let rm = row_min[i];
         if rm.value < acc.1.value || (rm.value == acc.1.value && i < acc.0) {
@@ -533,6 +674,9 @@ fn global_best(active: &[usize], row_min: &[RowMin], threads: usize) -> (usize, 
         }
     })
 }
+
+/// The one kernel operand type of the hot loop, whatever the layout.
+type Operand<'a> = StretchOperand<StoreSlice<'a>>;
 
 /// Backing storage of the arena's fingerprints: either the classic
 /// one-`Vec<Sample>`-per-fingerprint reference layout, or the columnar
@@ -591,7 +735,7 @@ impl SlotSamples {
     /// The kernel operand of slot `i` — one concrete type for both layouts,
     /// so the hot loop needs no generic dispatch of its own.
     #[inline]
-    fn operand(&self, i: usize) -> StretchOperand<StoreSlice<'_>> {
+    fn operand(&self, i: usize) -> Operand<'_> {
         match self {
             Self::Reference(fps) => StretchOperand {
                 samples: StoreSlice::wide(fps[i].samples()),
@@ -708,18 +852,12 @@ impl SlotSamples {
 }
 
 struct Arena {
-    slots: SlotSamples,
+    pricer: Pricer,
     states: Vec<SlotState>,
     /// Per-slot k requirement: the maximum policy k over the slot's member
     /// users. Uniform runs hold `config.k` everywhere; merged slots take
     /// the max of their parents.
     kreq: Vec<usize>,
-    /// Per-slot hull summaries feeding the tier-1 bound, maintained
-    /// incrementally on merge.
-    hulls: Vec<StretchHull>,
-    /// Per-slot bit-packed signatures feeding the tier-0 bound; empty when
-    /// the cascade is off.
-    sigs: Vec<CompactSignature>,
     /// Lower-triangular effort matrix in struct-of-arrays pages:
     /// `pages[i]` holds columns `0..i`.
     pages: Vec<PairPage>,
@@ -727,17 +865,13 @@ struct Arena {
     active: Vec<usize>,
     retired_count: usize,
     counters: CascadeCounters,
-    /// The distance cascade is engaged: tier-0 signatures, early
-    /// abandonment and the progress column that resumes abandoned scans.
-    cascade: bool,
 }
 
 impl Arena {
     #[inline]
     fn cell(&self, i: usize, j: usize) -> (f64, u8) {
-        debug_assert_ne!(i, j);
-        let (r, c) = if i > j { (i, j) } else { (j, i) };
-        (self.pages[r].val[c], self.pages[r].tier[c])
+        let (r, c) = tri(i, j);
+        self.pages[r].get(c)
     }
 
     /// Recomputes the cached row minimum of slot `i` by scanning the active
@@ -748,18 +882,15 @@ impl Arena {
     /// The result is the exact minimum by `(value, partner)`: every cell
     /// whose exact effort could equal the final minimum survives every tier
     /// and is evaluated before the walk stops, so ties break on the same
-    /// partner the unpruned scan would pick.
+    /// partner the full-matrix scan would pick.
     ///
     /// Deferred cells whose stored bound already exceeds the best exact
     /// cell never reach the walk. The walk breaks at the first bound above
     /// `best.value`, and that value only falls, so such a cell would be
     /// reached only to be the one the walk stops at. Dropping them leaves
     /// the visited sequence unchanged and spares ordering them.
-    fn rescan_row_min(&mut self, i: usize, cfg: &StretchConfig, stats: &mut GloveStats) {
-        let mut best = RowMin {
-            value: f64::INFINITY,
-            partner: NO_PARTNER,
-        };
+    fn rescan_row_min(&mut self, i: usize) {
+        let mut best = RowMin::NONE;
         let mut deferred: Vec<Cand> = Vec::new();
         for &j in &self.active {
             if j == i {
@@ -767,12 +898,7 @@ impl Arena {
             }
             let (val, tier) = self.cell(i, j);
             if tier == TIER_EXACT {
-                if val < best.value || (val == best.value && j < best.partner) {
-                    best = RowMin {
-                        value: val,
-                        partner: j,
-                    };
-                }
+                best.offer(val, j);
             } else if val <= best.value {
                 deferred.push(Cand { bound: val, j });
             }
@@ -781,40 +907,12 @@ impl Arena {
         // out by it as well.
         deferred.retain(|c| c.bound <= best.value);
         let Arena {
-            ref slots,
-            ref hulls,
+            ref pricer,
             ref mut pages,
             ref mut counters,
-            cascade,
             ..
         } = *self;
-        let mut computed = 0u64;
-        let mut row = TriRow { pages, i };
-        cascade_walk(
-            deferred,
-            &mut best,
-            &mut row,
-            |j| stretch_lower_bound(&hulls[i], &hulls[j], cfg),
-            |j, cutoff, prog| {
-                // Canonical orientation (larger slot first): the saved
-                // prefix of an equal-length pair is direction-specific, so
-                // every evaluation of one cell must walk the directions in
-                // the same order regardless of which row triggered it. The
-                // published value is symmetric either way.
-                let (r, c) = if i > j { (i, j) } else { (j, i) };
-                fingerprint_stretch_cutoff_resume_seq(
-                    slots.operand(r),
-                    slots.operand(c),
-                    cfg,
-                    cutoff,
-                    prog,
-                )
-            },
-            cascade,
-            counters,
-            &mut computed,
-        );
-        stats.pairs_computed += computed;
+        pricer.cascade_walk(i, deferred, &mut best, &mut TriRow { pages, i }, counters);
         self.row_min[i] = best;
     }
 
@@ -830,19 +928,14 @@ impl Arena {
             remap[old_id] = new_id;
         }
 
+        let abandons = self.pricer.abandons();
         let mut states = Vec::with_capacity(old_ids.len());
         let mut kreq = Vec::with_capacity(old_ids.len());
-        let mut hulls = Vec::with_capacity(old_ids.len());
-        let mut sigs = Vec::with_capacity(if self.cascade { old_ids.len() } else { 0 });
         let mut pages = Vec::with_capacity(old_ids.len());
         let mut row_min = Vec::with_capacity(old_ids.len());
         for (new_i, &old_i) in old_ids.iter().enumerate() {
             states.push(self.states[old_i]);
             kreq.push(self.kreq[old_i]);
-            hulls.push(self.hulls[old_i]);
-            if self.cascade {
-                sigs.push(self.sigs[old_i]);
-            }
             // Only Active–Active cells are ever read again; Done slots
             // appended mid-run have empty rows, so copying their entries
             // would be both wrong and out of bounds. Placeholder cells are
@@ -851,7 +944,7 @@ impl Arena {
             let mut val = Vec::with_capacity(new_i);
             let mut tier = Vec::with_capacity(new_i);
             // Only runs with early abandonment keep a progress column.
-            let mut prog = Vec::with_capacity(if self.cascade { new_i } else { 0 });
+            let mut prog = Vec::with_capacity(if abandons { new_i } else { 0 });
             for &old_j in &old_ids[..new_i] {
                 let live = i_active && self.states[old_j] == SlotState::Active;
                 let (v, t) = if live {
@@ -861,7 +954,7 @@ impl Arena {
                 };
                 val.push(v);
                 tier.push(t);
-                if self.cascade {
+                if abandons {
                     prog.push(if live {
                         self.pages[old_i].prog[old_j]
                     } else {
@@ -881,14 +974,73 @@ impl Arena {
             });
         }
         self.active = self.active.iter().map(|&i| remap[i]).collect();
-        self.slots.compacted(&old_ids);
+        self.pricer.compacted(&old_ids);
         self.states = states;
         self.kreq = kreq;
-        self.hulls = hulls;
-        self.sigs = sigs;
         self.pages = pages;
         self.row_min = row_min;
         self.retired_count = 0;
+    }
+
+    /// Merges the residual under-k slot `r` into the nearest finished group
+    /// ([`ResidualPolicy::MergeIntoNearest`]), then keeps absorbing the
+    /// next-nearest finished groups until the group meets the deepest k of
+    /// everything it holds. Groups are taken in the order of the distances
+    /// already computed from the residual, so no pair is evaluated twice.
+    /// Under a uniform k the first absorption always suffices: the target
+    /// hides at least k subscribers and the residual at least one. The
+    /// result takes the nearest group's slot.
+    fn merge_residual(
+        &mut self,
+        r: usize,
+        config: &GloveConfig,
+        stats: &mut GloveStats,
+    ) -> Result<(), GloveError> {
+        let done: Vec<usize> = (0..self.states.len())
+            .filter(|&i| self.states[i] == SlotState::Done)
+            .collect();
+        let slots = &self.pricer.slots;
+        if done.is_empty() {
+            // Fewer than k users in total was rejected up front, so this can
+            // only happen if every user sits in the single residual
+            // fingerprint — which then cannot be helped.
+            return Err(GloveError::Unsatisfiable(format!(
+                "no k-anonymous group exists to absorb the residual fingerprint \
+                 ({} users < k = {})",
+                slots.multiplicity(r),
+                self.kreq[r]
+            )));
+        }
+        let cfg = &config.stretch;
+        let dists = par_map(done.len(), config.threads, |idx| {
+            fingerprint_stretch_seq(slots.operand(r), slots.operand(done[idx]), cfg)
+        });
+        stats.pairs_computed += done.len() as u64;
+        let mut order: Vec<usize> = (0..done.len()).collect();
+        order.sort_by(|&x, &y| {
+            let by_dist = dists[x].partial_cmp(&dists[y]);
+            by_dist.expect("efforts are finite").then(x.cmp(&y))
+        });
+        let mut group = slots.fingerprint(r).into_owned();
+        let mut need = self.kreq[r];
+        for &idx in &order {
+            let target = done[idx];
+            let outcome =
+                merge_fingerprints(&slots.fingerprint(target), &group, cfg, &config.suppression)?;
+            stats.merges += 1;
+            stats.suppressed.absorb(outcome.suppressed);
+            group = outcome.fingerprint;
+            need = need.max(self.kreq[target]);
+            self.states[target] = SlotState::Retired;
+            if group.multiplicity() >= need {
+                break;
+            }
+        }
+        let home = done[order[0]];
+        self.pricer.slots.replace(home, group);
+        self.states[home] = SlotState::Done;
+        self.states[r] = SlotState::Retired;
+        Ok(())
     }
 
     /// Current bytes held by the arena's own structures: matrix pages,
@@ -902,8 +1054,8 @@ impl Arena {
                 + p.prog.capacity() * std::mem::size_of::<StretchProgress>())
                 as u64;
         }
-        bytes += (self.hulls.capacity() * std::mem::size_of::<StretchHull>()) as u64;
-        bytes += (self.sigs.capacity() * std::mem::size_of::<CompactSignature>()) as u64;
+        bytes += (self.pricer.hulls.capacity() * std::mem::size_of::<StretchHull>()) as u64;
+        bytes += (self.pricer.sigs.capacity() * std::mem::size_of::<CompactSignature>()) as u64;
         bytes += (self.row_min.capacity() * std::mem::size_of::<RowMin>()) as u64;
         bytes +=
             (self.states.capacity() + self.active.capacity() * std::mem::size_of::<usize>()) as u64;
@@ -915,8 +1067,9 @@ impl Arena {
     /// build end, just before each compaction, and at loop end captures the
     /// true peaks without per-round scans.
     fn observe(&self, ledger: &mut MemoryLedger) {
+        let slots = &self.pricer.slots;
         ledger.observe_arena(self.bytes());
-        ledger.observe_store(self.slots.store_bytes(), self.slots.resident_pages());
+        ledger.observe_store(slots.store_bytes(), slots.resident_pages());
     }
 }
 
@@ -932,7 +1085,8 @@ impl Arena {
 /// * [`GloveError::InvalidConfig`] for invalid configurations;
 /// * [`GloveError::Unsatisfiable`] when the dataset holds fewer than `k`
 ///   subscribers (no grouping can reach k-anonymity);
-/// * [`GloveError::InvalidDataset`] for an empty dataset.
+/// * [`GloveError::InvalidDataset`] for an empty dataset, or when a group
+///   about to be published hides fewer subscribers than its k floor.
 pub fn anonymize(dataset: &Dataset, config: &GloveConfig) -> Result<GloveOutput, GloveError> {
     anonymize_with_plan(dataset, config, None)
 }
@@ -962,16 +1116,12 @@ pub fn anonymize_with_plan(
     }
     // Satisfiability: the deepest requirement any fingerprint in this
     // dataset actually carries must be coverable by the population.
-    let need = match plan {
-        Some(p) => dataset
-            .fingerprints
-            .iter()
-            .map(|f| p.required_k(f.users()))
-            .max()
-            .unwrap_or(config.k)
-            .max(config.k),
-        None => config.k,
-    };
+    let need = dataset
+        .fingerprints
+        .iter()
+        .map(|f| k_floor(f.users(), config.k, plan))
+        .max()
+        .unwrap_or(config.k);
     if dataset.num_users() < need {
         return Err(GloveError::Unsatisfiable(format!(
             "dataset has {} subscribers, fewer than k = {}",
@@ -1000,13 +1150,16 @@ pub(crate) fn run_monolithic(
     let threads = config.threads;
     let cfg = &config.stretch;
     let n = dataset.fingerprints.len();
-    // Engage the cascade only where the filter is cheaper than what it
-    // filters (see `CASCADE_MIN_MEAN_SAMPLES`); sharded runs pass through
-    // here per shard, so the gate adapts to each shard's population.
-    let cascade =
-        config.pruning && config.cascade && dataset.num_samples() >= CASCADE_MIN_MEAN_SAMPLES * n;
-    let space = SignatureSpace::of(cfg);
-    let init_tier = if cascade { TIER_SIG } else { TIER_HULL };
+    // The one place the pruning mode is read: it picks the tier every fresh
+    // cell is seeded at. The cascade engages only where the filter is
+    // cheaper than what it filters (see `CASCADE_MIN_MEAN_SAMPLES`); sharded
+    // runs pass through here per shard, so the gate adapts to each shard's
+    // population.
+    let seed = match config.pruning {
+        Pruning::Cascade if dataset.num_samples() >= CASCADE_MIN_MEAN_SAMPLES * n => TIER_SIG,
+        Pruning::Cascade | Pruning::HullOnly => TIER_HULL,
+        Pruning::Off => TIER_EXACT,
+    };
 
     // ---- Initialization (Alg. 1 lines 1–3) -------------------------------
     let mut ledger = MemoryLedger::default();
@@ -1016,10 +1169,10 @@ pub(crate) fn run_monolithic(
     let kreq: Vec<usize> = dataset
         .fingerprints
         .iter()
-        .map(|f| plan.map_or(config.k, |p| p.required_k(f.users()).max(config.k)))
+        .map(|f| k_floor(f.users(), config.k, plan))
         .collect();
     let mut arena = Arena {
-        slots: SlotSamples::of(dataset, config.columnar),
+        pricer: Pricer::new(dataset, config, seed),
         states: dataset
             .fingerprints
             .iter()
@@ -1033,134 +1186,50 @@ pub(crate) fn run_monolithic(
             })
             .collect(),
         kreq,
-        hulls: dataset.fingerprints.iter().map(StretchHull::of).collect(),
-        sigs: if cascade {
-            dataset
-                .fingerprints
-                .iter()
-                .map(|f| CompactSignature::of(f, &space))
-                .collect()
-        } else {
-            Vec::new()
-        },
         pages: Vec::with_capacity(n),
-        row_min: vec![
-            RowMin {
-                value: f64::INFINITY,
-                partner: NO_PARTNER,
-            };
-            n
-        ],
+        row_min: vec![RowMin::NONE; n],
         active: Vec::new(),
         retired_count: 0,
         counters: CascadeCounters::default(),
-        cascade,
     };
     arena.active = (0..n)
         .filter(|&i| arena.states[i] == SlotState::Active)
         .collect();
 
-    // Triangular matrix, rows in parallel. Pruned runs seed every
-    // Active–Active cell with the cheapest admissible bound of the cascade
-    // (tier-0 signature with the cascade on, tier-1 hull without) and,
-    // still inside the parallel row pass, walk the row's candidates in
-    // ascending-bound order escalating tiers exactly until the bounds rule
-    // the rest out — so the bulk of the exact efforts is computed in
-    // parallel and the sequential row-minimum rescans below only top up
-    // cells a row-local walk cannot see (j > i). Cells with an
-    // already-k-anonymous endpoint are created but never read, so they stay
-    // at the cheapest tier without even a bound computation. Unpruned runs
-    // evaluate everything up front (the paper's full-matrix GPU kernel).
-    if config.pruning {
-        let hulls_ref = &arena.hulls;
-        let sigs_ref = &arena.sigs;
-        let slots_ref = &arena.slots;
-        let states_ref = &arena.states;
-        let rows: Vec<(PairPage, CascadeCounters, u64)> = par_map(n, threads, |i| {
-            let mut val = Vec::with_capacity(i);
-            let mut tier = Vec::with_capacity(i);
-            let mut prog = progress_column(cascade, i);
-            let mut cand: Vec<Cand> = Vec::new();
-            let mut counters = CascadeCounters {
-                created: i as u64,
-                ..CascadeCounters::default()
-            };
-            if !cascade {
-                counters.hulled += i as u64;
-            }
-            for j in 0..i {
-                if states_ref[i] == SlotState::Active && states_ref[j] == SlotState::Active {
-                    let b = if cascade {
-                        signature_lower_bound(&sigs_ref[i], &sigs_ref[j], cfg, &space)
-                    } else {
-                        stretch_lower_bound(&hulls_ref[i], &hulls_ref[j], cfg)
-                    };
-                    val.push(b);
-                    tier.push(init_tier);
-                    cand.push(Cand { bound: b, j });
-                } else {
-                    val.push(f64::INFINITY);
-                    tier.push(init_tier);
+    // Triangular matrix, rows in parallel. Every cell is seeded at the
+    // run's seed tier and, still inside the parallel row pass, the row's
+    // live candidates are walked in ascending-bound order, escalating tiers
+    // exactly until the bounds rule the rest out — so the bulk of the exact
+    // efforts is computed in parallel and the sequential row-minimum rescans
+    // below only top up cells a row-local walk cannot see (j > i). With
+    // exact seeds this is the paper's full-matrix GPU kernel, and the walk
+    // only reads values.
+    let (pricer, states) = (&arena.pricer, &arena.states);
+    let rows: Vec<(PairPage, CascadeCounters)> = par_map(n, threads, |i| {
+        let mut counters = CascadeCounters::default();
+        counters.seeded(seed, i as u64);
+        let mut cand: Vec<Cand> = Vec::new();
+        let val = (0..i)
+            .map(|j| {
+                let live = states[i] == SlotState::Active && states[j] == SlotState::Active;
+                let bound = pricer.seed_value(i, j, live);
+                if live {
+                    cand.push(Cand { bound, j });
                 }
-            }
-            let mut best = RowMin {
-                value: f64::INFINITY,
-                partner: NO_PARTNER,
-            };
-            let mut computed = 0u64;
-            let mut row = LocalRow {
-                val: &mut val,
-                tier: &mut tier,
-                prog: &mut prog,
-            };
-            cascade_walk(
-                cand,
-                &mut best,
-                &mut row,
-                |j| stretch_lower_bound(&hulls_ref[i], &hulls_ref[j], cfg),
-                |j, cutoff, prog| {
-                    fingerprint_stretch_cutoff_resume_seq(
-                        slots_ref.operand(i),
-                        slots_ref.operand(j),
-                        cfg,
-                        cutoff,
-                        prog,
-                    )
-                },
-                cascade,
-                &mut counters,
-                &mut computed,
-            );
-            (PairPage { val, tier, prog }, counters, computed)
-        });
-        for (page, counters, computed) in rows {
-            stats.pairs_computed += computed;
-            arena.counters.absorb(counters);
-            arena.pages.push(page);
-        }
-    } else {
-        let slots_ref = &arena.slots;
-        arena.pages = par_map(n, threads, |i| {
-            let mut val = Vec::with_capacity(i);
-            for j in 0..i {
-                val.push(fingerprint_stretch_seq(
-                    slots_ref.operand(i),
-                    slots_ref.operand(j),
-                    cfg,
-                ));
-            }
-            PairPage {
-                tier: vec![TIER_EXACT; i],
-                val,
-                prog: Vec::new(),
-            }
-        });
-        stats.pairs_computed += (n as u64) * (n as u64 - 1) / 2;
+                bound
+            })
+            .collect();
+        let mut page = PairPage::new(val, seed, pricer.abandons());
+        let mut row_local = RowMin::NONE;
+        pricer.cascade_walk(i, cand, &mut row_local, &mut page, &mut counters);
+        (page, counters)
+    });
+    for (page, counters) in rows {
+        arena.counters.absorb(counters);
+        arena.pages.push(page);
     }
-
-    let actives: Vec<usize> = arena.active.clone();
-    for &i in &actives {
-        arena.rescan_row_min(i, cfg, &mut stats);
+    for i in arena.active.clone() {
+        arena.rescan_row_min(i);
     }
     arena.observe(&mut ledger);
 
@@ -1168,14 +1237,14 @@ pub(crate) fn run_monolithic(
     while arena.active.len() >= 2 {
         // Global minimum over cached row minima (parallel min-reduction for
         // large active sets; see `global_best`).
-        let (best_i, best) = global_best(&arena.active, &arena.row_min, threads);
-        let (a, b) = (best_i, best.partner);
+        let (a, best) = global_best(&arena.active, &arena.row_min, threads);
+        let b = best.partner;
         debug_assert_ne!(b, NO_PARTNER, "active set of >= 2 must yield a pair");
 
         // Merge and retire (lines 5–8).
         let outcome = {
-            let fa = arena.slots.fingerprint(a);
-            let fb = arena.slots.fingerprint(b);
+            let fa = arena.pricer.slots.fingerprint(a);
+            let fb = arena.pricer.slots.fingerprint(b);
             merge_fingerprints(&fa, &fb, cfg, &config.suppression)?
         };
         let merge_dropped = outcome.suppressed.samples;
@@ -1186,18 +1255,20 @@ pub(crate) fn run_monolithic(
         arena.retired_count += 2;
         arena.active.retain(|&i| i != a && i != b);
 
-        let m = arena.slots.len();
-        let m_multiplicity = outcome.fingerprint.multiplicity();
-        // A merged group must hide its deepest member.
+        let m = arena.pricer.slots.len();
+        // A merged group must hide its deepest member. Once it does, it
+        // leaves the game (lines 10–14 skip recomputation).
         let m_kreq = arena.kreq[a].max(arena.kreq[b]);
+        let m_done = outcome.fingerprint.multiplicity() >= m_kreq;
         arena.kreq.push(m_kreq);
         // Incremental hull maintenance: when the merge suppressed nothing,
         // every parent sample is covered by some merged sample and every
         // merged sample is a bounding box of parent samples, so the merged
         // hull is exactly the union of the parents' hulls — no O(n) rescan.
         // Suppression can shrink the true hull, so those merges refresh.
+        let hulls = &arena.pricer.hulls;
         let hull = if merge_dropped == 0 {
-            let h = arena.hulls[a].union(&arena.hulls[b], outcome.fingerprint.len());
+            let h = hulls[a].union(&hulls[b], outcome.fingerprint.len());
             debug_assert_eq!(
                 h,
                 StretchHull::of(&outcome.fingerprint),
@@ -1207,252 +1278,68 @@ pub(crate) fn run_monolithic(
         } else {
             StretchHull::of(&outcome.fingerprint)
         };
-        arena.hulls.push(hull);
-        if cascade {
-            arena
-                .sigs
-                .push(CompactSignature::of(&outcome.fingerprint, &space));
-        }
-        arena.slots.push(outcome.fingerprint);
+        arena.pricer.push(outcome.fingerprint, hull);
         arena.pages.push(PairPage::default());
-        arena.row_min.push(RowMin {
-            value: f64::INFINITY,
-            partner: NO_PARTNER,
+        arena.row_min.push(RowMin::NONE);
+        arena.states.push(if m_done {
+            SlotState::Done
+        } else {
+            SlotState::Active
         });
 
-        if m_multiplicity >= m_kreq {
-            // The merged fingerprint is k-anonymous: it leaves the game
-            // (lines 10–14 skip recomputation).
-            arena.states.push(SlotState::Done);
-            // Rows that pointed at a or b must find a new minimum.
-            let stale: Vec<usize> = arena
-                .active
+        // Rows whose minimum pointed at a or b must find a new minimum. The
+        // stale set is fixed *before* rescanning, and a rescanned row does
+        // not fold the newcomer this round (its rescan runs while `m` is not
+        // yet active): folding it would shift tie attribution and the merge
+        // order. Rescans touch cells among pre-existing slots only, so they
+        // are independent of the new row below.
+        let stale: Vec<usize> = arena
+            .active
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let p = arena.row_min[i].partner;
+                p == a || p == b
+            })
+            .collect();
+        for &i in &stale {
+            arena.rescan_row_min(i);
+        }
+        if !m_done {
+            // Seed the merged fingerprint's row against every remaining
+            // active fingerprint (lines 11–13) and walk it in ascending-bound
+            // order until the bounds rule the rest out. The other partners
+            // then only escalate the new pair's cell while its bound could
+            // actually beat their cached minimum (a tie never wins: `m` is
+            // the largest id).
+            let Arena {
+                ref pricer,
+                ref mut pages,
+                ref mut counters,
+                ref mut row_min,
+                ref active,
+                ..
+            } = arena;
+            let mut page = PairPage::new(vec![f64::INFINITY; m], TIER_EXACT, pricer.abandons());
+            counters.seeded(seed, active.len() as u64);
+            let cand: Vec<Cand> = active
                 .iter()
-                .copied()
-                .filter(|&i| {
-                    let p = arena.row_min[i].partner;
-                    p == a || p == b
+                .map(|&j| {
+                    let bound = pricer.seed_value(m, j, true);
+                    page.set(j, bound, seed);
+                    Cand { bound, j }
                 })
                 .collect();
-            for i in stale {
-                arena.rescan_row_min(i, cfg, &mut stats);
-            }
-        } else {
-            // Compute efforts of the merged fingerprint to every remaining
-            // active fingerprint (lines 11–13).
-            arena.states.push(SlotState::Active);
-            let partners = arena.active.clone();
-
-            if config.pruning {
-                // Seed every candidate with the cheapest bound, then walk
-                // in ascending-bound order escalating tiers until the
-                // bounds alone rule the remainder out.
-                let mut val = vec![f64::INFINITY; m];
-                let mut tier = vec![TIER_EXACT; m];
-                let mut prog = progress_column(cascade, m);
-                let mut cand: Vec<Cand> = Vec::with_capacity(partners.len());
-                for &j in &partners {
-                    let b = if cascade {
-                        signature_lower_bound(&arena.sigs[m], &arena.sigs[j], cfg, &space)
-                    } else {
-                        stretch_lower_bound(&arena.hulls[m], &arena.hulls[j], cfg)
-                    };
-                    val[j] = b;
-                    tier[j] = init_tier;
-                    cand.push(Cand { bound: b, j });
+            pricer.cascade_walk(m, cand, &mut row_min[m], &mut page, counters);
+            pages[m] = page;
+            let mut row = TriRow { pages, i: m };
+            for &j in active {
+                if stale.binary_search(&j).is_ok() {
+                    continue;
                 }
-                arena.counters.created += partners.len() as u64;
-                if !cascade {
-                    arena.counters.hulled += partners.len() as u64;
-                }
-                let mut new_min = RowMin {
-                    value: f64::INFINITY,
-                    partner: NO_PARTNER,
-                };
-                let mut computed = 0u64;
-                {
-                    let Arena {
-                        ref slots,
-                        ref hulls,
-                        ref mut counters,
-                        ..
-                    } = arena;
-                    let mut row = LocalRow {
-                        val: &mut val,
-                        tier: &mut tier,
-                        prog: &mut prog,
-                    };
-                    cascade_walk(
-                        cand,
-                        &mut new_min,
-                        &mut row,
-                        |j| stretch_lower_bound(&hulls[m], &hulls[j], cfg),
-                        |j, cutoff, prog| {
-                            fingerprint_stretch_cutoff_resume_seq(
-                                slots.operand(m),
-                                slots.operand(j),
-                                cfg,
-                                cutoff,
-                                prog,
-                            )
-                        },
-                        cascade,
-                        counters,
-                        &mut computed,
-                    );
-                }
-                stats.pairs_computed += computed;
-                arena.pages[m] = PairPage { val, tier, prog };
-                arena.row_min[m] = new_min;
-
-                // Partners whose minimum pointed at a retired slot rescan
-                // first (their iterations are independent of the updates
-                // below: rescans touch cells among pre-existing slots,
-                // updates only the new slot's row). The stale set is fixed
-                // *before* rescanning: a rescanned row does not fold the
-                // newcomer in this round (its rescan ran while `m` was not
-                // yet active), exactly like the unpruned path — folding it
-                // would shift tie attribution and the merge order.
-                let stale_rows: Vec<usize> = partners
-                    .iter()
-                    .copied()
-                    .filter(|&j| {
-                        let p = arena.row_min[j].partner;
-                        p == a || p == b
-                    })
-                    .collect();
-                for &j in &stale_rows {
-                    arena.rescan_row_min(j, cfg, &mut stats);
-                }
-                // The rest only escalate the new pair's cell while its
-                // bound could actually beat their cached minimum (a tie
-                // never wins: `m` is the largest id).
-                let Arena {
-                    ref slots,
-                    ref hulls,
-                    ref mut pages,
-                    ref mut counters,
-                    ref mut row_min,
-                    ..
-                } = arena;
-                let mut computed = 0u64;
-                for &j in &partners {
-                    if stale_rows.binary_search(&j).is_ok() {
-                        continue;
-                    }
-                    let (mut val, mut tier) = (pages[m].val[j], pages[m].tier[j]);
-                    let d = if tier == TIER_EXACT {
-                        val
-                    } else {
-                        if val >= row_min[j].value {
-                            continue;
-                        }
-                        if tier == TIER_SIG {
-                            counters.hulled += 1;
-                            // Admissible but incomparable bounds: keep the
-                            // larger (see `cascade_walk`).
-                            val = stretch_lower_bound(&hulls[m], &hulls[j], cfg).max(val);
-                            tier = TIER_HULL;
-                            pages[m].val[j] = val;
-                            pages[m].tier[j] = tier;
-                            if val >= row_min[j].value {
-                                continue;
-                            }
-                        }
-                        let mut fresh = StretchProgress::start();
-                        let (cutoff, prog) = if cascade {
-                            (row_min[j].value, &mut pages[m].prog[j])
-                        } else {
-                            (f64::INFINITY, &mut fresh)
-                        };
-                        match fingerprint_stretch_cutoff_resume_seq(
-                            slots.operand(m),
-                            slots.operand(j),
-                            cfg,
-                            cutoff,
-                            prog,
-                        ) {
-                            StretchEval::Exact(d) => {
-                                if tier == TIER_PARTIAL {
-                                    counters.exact_from_partial += 1;
-                                } else {
-                                    counters.exact_from_hull += 1;
-                                }
-                                computed += 1;
-                                pages[m].val[j] = d;
-                                pages[m].tier[j] = TIER_EXACT;
-                                d
-                            }
-                            StretchEval::AtLeast(p) => {
-                                if tier != TIER_PARTIAL {
-                                    counters.entered_partial += 1;
-                                }
-                                pages[m].val[j] = p;
-                                pages[m].tier[j] = TIER_PARTIAL;
-                                continue;
-                            }
-                        }
-                    };
-                    if d < row_min[j].value || (d == row_min[j].value && m < row_min[j].partner) {
-                        row_min[j] = RowMin {
-                            value: d,
-                            partner: m,
-                        };
-                    }
-                }
-                stats.pairs_computed += computed;
-            } else {
-                // Unpruned: the full new row, in parallel.
-                let slots_ref = &arena.slots;
-                let dists = par_map(partners.len(), threads, |idx| {
-                    fingerprint_stretch_seq(
-                        slots_ref.operand(m),
-                        slots_ref.operand(partners[idx]),
-                        cfg,
-                    )
-                });
-                stats.pairs_computed += partners.len() as u64;
-
-                // Fill the new slot's triangular row (it is the largest id,
-                // so everything fits in pages[m]).
-                arena.pages[m] = PairPage {
-                    val: vec![f64::INFINITY; m],
-                    tier: vec![TIER_EXACT; m],
-                    prog: Vec::new(),
-                };
-                let mut new_min = RowMin {
-                    value: f64::INFINITY,
-                    partner: NO_PARTNER,
-                };
-                for (idx, &j) in partners.iter().enumerate() {
-                    let d = dists[idx];
-                    arena.pages[m].val[j] = d;
-                    if d < new_min.value || (d == new_min.value && j < new_min.partner) {
-                        new_min = RowMin {
-                            value: d,
-                            partner: j,
-                        };
-                    }
-                }
-                arena.row_min[m] = new_min;
-
-                // Update the partners' cached minima against the newcomer,
-                // and rescan rows whose minimum pointed at a retired slot.
-                for (idx, &j) in partners.iter().enumerate() {
-                    let p = arena.row_min[j].partner;
-                    if p == a || p == b {
-                        arena.rescan_row_min(j, cfg, &mut stats);
-                    } else {
-                        let d = dists[idx];
-                        if d < arena.row_min[j].value
-                            || (d == arena.row_min[j].value && m < arena.row_min[j].partner)
-                        {
-                            arena.row_min[j] = RowMin {
-                                value: d,
-                                partner: m,
-                            };
-                        }
-                    }
+                let limit = row_min[j].value;
+                if let Some(d) = pricer.escalate(&mut row, m, j, limit, |v| v >= limit, counters) {
+                    row_min[j].offer(d, m);
                 }
             }
             arena.active.push(m);
@@ -1471,45 +1358,10 @@ pub(crate) fn run_monolithic(
     // ---- Residual handling (not specified by Alg. 1; see DESIGN.md) -------
     if let Some(&r) = arena.active.first() {
         match config.residual {
-            ResidualPolicy::MergeIntoNearest => {
-                let done: Vec<usize> = (0..arena.states.len())
-                    .filter(|&i| arena.states[i] == SlotState::Done)
-                    .collect();
-                if done.is_empty() {
-                    // Fewer than k users in total was rejected up front, so
-                    // this can only happen if every user sits in the single
-                    // residual fingerprint — which then cannot be helped.
-                    return Err(GloveError::Unsatisfiable(format!(
-                        "no k-anonymous group exists to absorb the residual fingerprint \
-                         ({} users < k = {})",
-                        arena.slots.multiplicity(r),
-                        arena.kreq[r]
-                    )));
-                }
-                let slots_ref = &arena.slots;
-                let dists = par_map(done.len(), threads, |idx| {
-                    fingerprint_stretch_seq(slots_ref.operand(r), slots_ref.operand(done[idx]), cfg)
-                });
-                stats.pairs_computed += done.len() as u64;
-                let (best_idx, _) = dists
-                    .iter()
-                    .enumerate()
-                    .min_by(|(i, x), (j, y)| x.partial_cmp(y).unwrap().then(i.cmp(j)))
-                    .expect("done is non-empty");
-                let target = done[best_idx];
-                let outcome = {
-                    let ft = arena.slots.fingerprint(target);
-                    let fr = arena.slots.fingerprint(r);
-                    merge_fingerprints(&ft, &fr, cfg, &config.suppression)?
-                };
-                stats.merges += 1;
-                stats.suppressed.absorb(outcome.suppressed);
-                arena.slots.replace(target, outcome.fingerprint);
-                arena.states[r] = SlotState::Retired;
-            }
+            ResidualPolicy::MergeIntoNearest => arena.merge_residual(r, config, &mut stats)?,
             ResidualPolicy::Suppress => {
                 stats.discarded_fingerprints += 1;
-                stats.discarded_users += arena.slots.multiplicity(r) as u64;
+                stats.discarded_users += arena.pricer.slots.multiplicity(r) as u64;
                 arena.states[r] = SlotState::Retired;
             }
         }
@@ -1519,7 +1371,7 @@ pub(crate) fn run_monolithic(
     let mut published = Vec::new();
     for i in 0..arena.states.len() {
         if arena.states[i] == SlotState::Done {
-            let mut fp = arena.slots.fingerprint(i).into_owned();
+            let mut fp = arena.pricer.slots.fingerprint(i).into_owned();
             if config.reshape {
                 stats.reshaped_samples +=
                     reshape_suppressed(&mut fp, &config.suppression, &mut stats.suppressed)? as u64;
@@ -1529,7 +1381,9 @@ pub(crate) fn run_monolithic(
     }
     // Every pair cell ever created ended in exactly one cascade bucket:
     // dismissed at tier 0 or 1, abandoned mid-evaluation, or evaluated to
-    // completion (`pairs_computed`).
+    // completion (`pairs_computed`, which also holds the residual's
+    // distances).
+    stats.pairs_computed += arena.counters.exact();
     stats.pairs_skipped_tier0 = arena.counters.skipped_tier0();
     stats.pairs_skipped_tier1 = arena.counters.skipped_tier1();
     stats.pairs_abandoned = arena.counters.abandoned();
@@ -1541,8 +1395,30 @@ pub(crate) fn run_monolithic(
     stats.elapsed_s = started.elapsed().as_secs_f64();
 
     let dataset = Dataset::new(format!("{}-glove-k{}", dataset.name, config.k), published)?;
-    debug_assert!(dataset.is_k_anonymous(config.k));
+    check_k_floors(&dataset, config.k, plan)?;
     Ok(GloveOutput { dataset, stats })
+}
+
+/// The k a group of `users` must reach: `k`, raised by the plan's deepest
+/// member.
+fn k_floor(users: &[UserId], k: usize, plan: Option<&KPlan>) -> usize {
+    plan.map_or(k, |p| p.required_k(users).max(k))
+}
+
+/// The paper's guarantee, checked in release builds too: every published
+/// group hides at least `k` subscribers, and at least the deepest plan k
+/// of its members.
+fn check_k_floors(dataset: &Dataset, k: usize, plan: Option<&KPlan>) -> Result<(), GloveError> {
+    for fp in &dataset.fingerprints {
+        let need = k_floor(fp.users(), k, plan);
+        if fp.multiplicity() < need {
+            return Err(GloveError::InvalidDataset(format!(
+                "a published group hides {} subscribers, fewer than its k = {need}",
+                fp.multiplicity()
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1586,7 +1462,7 @@ mod tests {
         let unpruned = anonymize(
             &ds,
             &GloveConfig {
-                pruning: false,
+                pruning: Pruning::Off,
                 ..GloveConfig::default()
             },
         )
@@ -1631,7 +1507,7 @@ mod tests {
         let unpruned = anonymize(
             &ds,
             &GloveConfig {
-                pruning: false,
+                pruning: Pruning::Off,
                 ..GloveConfig::default()
             },
         )
@@ -1646,7 +1522,7 @@ mod tests {
         let hull_only = anonymize(
             &ds,
             &GloveConfig {
-                cascade: false,
+                pruning: Pruning::HullOnly,
                 ..GloveConfig::default()
             },
         )
@@ -1691,7 +1567,7 @@ mod tests {
         let hull_only = anonymize(
             &ds,
             &GloveConfig {
-                cascade: false,
+                pruning: Pruning::HullOnly,
                 ..GloveConfig::default()
             },
         )
@@ -1704,16 +1580,16 @@ mod tests {
 
     #[test]
     fn arenas_without_early_abandonment_keep_no_progress_column() {
-        // Below the cascade gate, and in `cascade: false` runs, no
-        // evaluation stops part way, so a cell is an 8-byte value and a
-        // 1-byte tier with no 24-byte saved prefix beside it.
+        // Below the cascade gate, and in hull-only runs, no evaluation
+        // stops part way, so a cell is an 8-byte value and a 1-byte tier
+        // with no 24-byte saved prefix beside it.
         let short = toy_dataset(256);
         let long = long_toy_dataset(240);
-        for (ds, cascade) in [(&short, true), (&long, false)] {
+        for (ds, pruning) in [(&short, Pruning::Cascade), (&long, Pruning::HullOnly)] {
             let out = anonymize(
                 ds,
                 &GloveConfig {
-                    cascade,
+                    pruning,
                     ..GloveConfig::default()
                 },
             )
@@ -1869,7 +1745,7 @@ mod tests {
             &ds,
             &GloveConfig {
                 k: 5,
-                pruning: false,
+                pruning: Pruning::Off,
                 ..GloveConfig::default()
             },
         )
@@ -1945,6 +1821,36 @@ mod tests {
                 hulls.push(union);
                 pool.push(outcome.fingerprint);
             }
+        }
+    }
+
+    #[test]
+    fn release_check_rejects_a_group_below_its_k_floor() {
+        // Hand-built releases: the check must refuse them in every build.
+        let samples = vec![Sample::point(0, 0, 100)];
+        let group = |users: Vec<UserId>| Fingerprint::with_users(users, samples.clone()).unwrap();
+        let release = Dataset::new("broken", vec![group(vec![0, 1]), group(vec![2])]).unwrap();
+        match check_k_floors(&release, 2, None) {
+            Err(GloveError::InvalidDataset(msg)) => {
+                assert!(
+                    msg.contains("hides 1 subscribers") && msg.contains("k = 2"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected InvalidDataset, got {other:?}"),
+        }
+        // A pair meets a uniform k = 2, but not a plan that asks 3 for user 0.
+        let pair = Dataset::new("pair", vec![group(vec![0, 1])]).unwrap();
+        assert!(check_k_floors(&pair, 2, None).is_ok());
+        let plan = KPlan::new(2, [(0, 3)].into_iter().collect());
+        match check_k_floors(&pair, 2, Some(&plan)) {
+            Err(GloveError::InvalidDataset(msg)) => {
+                assert!(
+                    msg.contains("hides 2 subscribers") && msg.contains("k = 3"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected InvalidDataset, got {other:?}"),
         }
     }
 

@@ -100,7 +100,7 @@ pub mod prelude {
         RunBuilder, RunDetail, RunMode, RunOutcome, RunOutput, RunReport,
     };
     pub use crate::config::{
-        CarryPolicy, GloveConfig, ResidualPolicy, ShardBy, ShardPolicy, StreamConfig,
+        CarryPolicy, GloveConfig, Pruning, ResidualPolicy, ShardBy, ShardPolicy, StreamConfig,
         StretchConfig, SuppressionThresholds, UnderKPolicy,
     };
     pub use crate::error::GloveError;
@@ -120,8 +120,8 @@ pub mod prelude {
 }
 
 pub use config::{
-    CarryPolicy, GloveConfig, ResidualPolicy, ShardBy, ShardPolicy, StreamConfig, StretchConfig,
-    SuppressionThresholds, UnderKPolicy,
+    CarryPolicy, GloveConfig, Pruning, ResidualPolicy, ShardBy, ShardPolicy, StreamConfig,
+    StretchConfig, SuppressionThresholds, UnderKPolicy,
 };
 pub use error::GloveError;
 pub use model::{Dataset, Fingerprint, Sample, UserId};

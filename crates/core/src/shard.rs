@@ -291,8 +291,9 @@ pub(crate) fn anonymize_sharded(
     stats.ledger.capture_rss();
     stats.elapsed_s = started.elapsed().as_secs_f64();
 
+    // Every shard's run checked its own groups' k floors, so the stitched
+    // release needs no check of its own.
     let dataset = Dataset::new(format!("{}-glove-k{}", dataset.name, config.k), published)?;
-    debug_assert!(dataset.is_k_anonymous(config.k));
     Ok(GloveOutput { dataset, stats })
 }
 

@@ -206,6 +206,15 @@ pub fn fingerprint_stretch_seq<A: SampleSeq, B: SampleSeq>(
 const PRUNE_MIN_SHORT_LEN: usize = 128;
 
 /// One direction of Eq. (10): match every sample of `long` into `short`.
+///
+/// [`directed_resume`] with an infinite cutoff returns bit-identical
+/// values, but this plain kernel stays beside it because it skips the
+/// resume bookkeeping. Over 40,000 pairs (median of 9 repetitions, 2-vCPU
+/// AMD EPYC host), the resumable entry point with an infinite cutoff took
+/// 2.9 ms against 2.3 ms on ~4-sample daily-window pairs (1.2x) and
+/// 0.214 s against 0.208 s on ~44-sample metro pairs (1.03x). The public
+/// [`fingerprint_stretch`], the exact seeds of `Pruning::Off` and the
+/// residual merge run here.
 fn directed_stretch<L: SampleSeq, S: SampleSeq>(
     long: StretchOperand<L>,
     short: StretchOperand<S>,

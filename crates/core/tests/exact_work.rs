@@ -19,10 +19,18 @@
 //! escalate the new cells against their cached minima, and the arena
 //! compacts. Every run uses two engine threads, so the parallel matrix build
 //! and the parallel shard fan-out are part of what is pinned.
+//!
+//! The oracle modes run the same fixtures: `Pruning::Off` seeds every cell
+//! exact (the paper's full-matrix kernel) on both inputs, and
+//! `Pruning::HullOnly` seeds hull bounds on the sharded release (on the
+//! stream it is the production mode already). Their rows pin the oracles'
+//! own work, and each row's digest is the production row's digest at the
+//! same k: every mode publishes the same bytes.
 
 use glove_core::api::{NullObserver, RunBuilder, RunReport};
 use glove_core::config::{
-    CarryPolicy, GloveConfig, ShardPolicy, StreamConfig, SuppressionThresholds, UnderKPolicy,
+    CarryPolicy, GloveConfig, Pruning, ShardPolicy, StreamConfig, SuppressionThresholds,
+    UnderKPolicy,
 };
 use glove_core::{Dataset, Fingerprint};
 use glove_synth::{generate, ScenarioConfig, ScenarioEvents};
@@ -94,33 +102,33 @@ impl Fnv {
     }
 }
 
-fn glove_config(k: usize) -> GloveConfig {
+fn glove_config(k: usize, pruning: Pruning) -> GloveConfig {
     GloveConfig {
         k,
         suppression: SuppressionThresholds::table2(),
         threads: 2,
+        pruning,
         ..GloveConfig::default()
     }
 }
 
 /// Daily windows over a 14-day metro stream: every arena sits below the
-/// cascade gate.
-#[test]
-fn daily_stream_below_the_gate_does_pinned_work() {
+/// cascade gate. Runs at k = 2 and k = 3.
+fn daily_stream_work(pruning: Pruning) -> Vec<Work> {
     let mut scenario = ScenarioConfig::metro_like(240);
     scenario.seed = 0x9E37_79B9;
     let events: Vec<_> = ScenarioEvents::new(&scenario).collect();
-    let work: Vec<Work> = [2, 3]
+    [2, 3]
         .into_iter()
         .map(|k| {
             let stream = StreamConfig {
                 window_min: 1_440,
                 carry: CarryPolicy::Fresh,
                 under_k: UnderKPolicy::Suppress,
-                glove: glove_config(k),
+                glove: glove_config(k, pruning),
             };
             let mut iter = events.iter().copied().map(Ok);
-            let outcome = RunBuilder::new(glove_config(k))
+            let outcome = RunBuilder::new(glove_config(k, pruning))
                 .stream(stream)
                 .run_events("pin-stream", &mut iter, &mut NullObserver)
                 .expect("stream run succeeds");
@@ -133,9 +141,38 @@ fn daily_stream_below_the_gate_does_pinned_work() {
             assert_eq!(outcome.output.epochs().len(), 14);
             Work::of(k, &outcome.report, digest)
         })
-        .collect();
+        .collect()
+}
+
+/// A two-level sharded release of 14-day fingerprints: every shard clears
+/// the cascade gate. Runs at k = 2 and k = 3.
+fn sharded_release_work(pruning: Pruning) -> Vec<Work> {
+    let mut scenario = ScenarioConfig::metro_like(400);
+    scenario.seed = 0x51ED_2701;
+    let dataset = generate(&scenario).dataset;
+    assert!(
+        dataset.num_samples() >= 16 * dataset.fingerprints.len(),
+        "input must clear the cascade gate"
+    );
+    [2, 3]
+        .into_iter()
+        .map(|k| {
+            let outcome = RunBuilder::new(glove_config(k, pruning))
+                .sharded(ShardPolicy::two_level(4))
+                .run(&dataset)
+                .expect("sharded run succeeds");
+            let mut digest = Fnv::new();
+            digest.dataset(outcome.output.dataset().expect("one release"));
+            Work::of(k, &outcome.report, digest)
+        })
+        .collect()
+}
+
+/// The production stream: every arena seeds hull bounds.
+#[test]
+fn daily_stream_below_the_gate_does_pinned_work() {
     assert_eq!(
-        work,
+        daily_stream_work(Pruning::Cascade),
         [
             Work {
                 k: 2,
@@ -161,31 +198,12 @@ fn daily_stream_below_the_gate_does_pinned_work() {
     );
 }
 
-/// A two-level sharded release of 14-day fingerprints: every shard clears
-/// the cascade gate, so all three tiers and resumed scans are exercised.
+/// The production release: every shard seeds signature bounds, so all
+/// three tiers and resumed scans are exercised.
 #[test]
 fn sharded_release_above_the_gate_does_pinned_work() {
-    let mut scenario = ScenarioConfig::metro_like(400);
-    scenario.seed = 0x51ED_2701;
-    let dataset = generate(&scenario).dataset;
-    assert!(
-        dataset.num_samples() >= 16 * dataset.fingerprints.len(),
-        "input must clear the cascade gate"
-    );
-    let work: Vec<Work> = [2, 3]
-        .into_iter()
-        .map(|k| {
-            let outcome = RunBuilder::new(glove_config(k))
-                .sharded(ShardPolicy::two_level(4))
-                .run(&dataset)
-                .expect("sharded run succeeds");
-            let mut digest = Fnv::new();
-            digest.dataset(outcome.output.dataset().expect("one release"));
-            Work::of(k, &outcome.report, digest)
-        })
-        .collect();
     assert_eq!(
-        work,
+        sharded_release_work(Pruning::Cascade),
         [
             Work {
                 k: 2,
@@ -205,6 +223,94 @@ fn sharded_release_above_the_gate_does_pinned_work() {
                 tier0: 6384,
                 tier1: 4344,
                 abandoned: 16169,
+                digest: 3711053512811730129,
+            },
+        ]
+    );
+}
+
+/// The exact oracle on the stream: every pair of every window is
+/// evaluated, and the published bytes are the production stream's.
+#[test]
+fn daily_stream_oracle_does_pinned_work() {
+    assert_eq!(
+        daily_stream_work(Pruning::Off),
+        [
+            Work {
+                k: 2,
+                merges: 1258,
+                pairs_computed: 224538,
+                pairs_pruned: 0,
+                tier0: 0,
+                tier1: 0,
+                abandoned: 0,
+                digest: 10749736970523958424,
+            },
+            Work {
+                k: 3,
+                merges: 1717,
+                pairs_computed: 329334,
+                pairs_pruned: 0,
+                tier0: 0,
+                tier1: 0,
+                abandoned: 0,
+                digest: 2089264330655700623,
+            },
+        ]
+    );
+}
+
+/// Both oracles on the sharded release: the exact seed evaluates every
+/// pair, the hull seed dismisses the rest at tier 1, and both publish the
+/// production release's bytes.
+#[test]
+fn sharded_release_oracles_do_pinned_work() {
+    assert_eq!(
+        sharded_release_work(Pruning::Off),
+        [
+            Work {
+                k: 2,
+                merges: 200,
+                pairs_computed: 19800,
+                pairs_pruned: 0,
+                tier0: 0,
+                tier1: 0,
+                abandoned: 0,
+                digest: 6233984399905977298,
+            },
+            Work {
+                k: 3,
+                merges: 275,
+                pairs_computed: 29261,
+                pairs_pruned: 0,
+                tier0: 0,
+                tier1: 0,
+                abandoned: 0,
+                digest: 3711053512811730129,
+            },
+        ]
+    );
+    assert_eq!(
+        sharded_release_work(Pruning::HullOnly),
+        [
+            Work {
+                k: 2,
+                merges: 200,
+                pairs_computed: 12512,
+                pairs_pruned: 7288,
+                tier0: 0,
+                tier1: 7288,
+                abandoned: 0,
+                digest: 6233984399905977298,
+            },
+            Work {
+                k: 3,
+                merges: 275,
+                pairs_computed: 18672,
+                pairs_pruned: 10589,
+                tier0: 0,
+                tier1: 10589,
+                abandoned: 0,
                 digest: 3711053512811730129,
             },
         ]

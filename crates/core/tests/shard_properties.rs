@@ -18,8 +18,8 @@ use glove_core::stretch::{
     fingerprint_stretch, fingerprint_stretch_cutoff_resume, StretchEval, StretchProgress,
 };
 use glove_core::{
-    Dataset, Fingerprint, GloveConfig, ResidualPolicy, Sample, ShardBy, ShardPolicy, StretchConfig,
-    UserId,
+    Dataset, Fingerprint, GloveConfig, Pruning, ResidualPolicy, Sample, ShardBy, ShardPolicy,
+    StretchConfig, UserId,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -142,8 +142,8 @@ proptest! {
         ds in arb_dataset(4..=14),
         k in 2usize..=3,
     ) {
-        let pruned_cfg = GloveConfig { k, threads: 1, pruning: true, ..GloveConfig::default() };
-        let unpruned_cfg = GloveConfig { k, threads: 1, pruning: false, ..GloveConfig::default() };
+        let pruned_cfg = GloveConfig { k, threads: 1, pruning: Pruning::Cascade, ..GloveConfig::default() };
+        let unpruned_cfg = GloveConfig { k, threads: 1, pruning: Pruning::Off, ..GloveConfig::default() };
         let pruned = anonymize(&ds, &pruned_cfg).expect("pruned run succeeds");
         let unpruned = anonymize(&ds, &unpruned_cfg).expect("unpruned run succeeds");
         prop_assert_eq!(
@@ -172,9 +172,9 @@ proptest! {
             threads: 1,
             ..GloveConfig::default()
         };
-        let pruned = anonymize(&ds, &GloveConfig { pruning: true, ..base })
+        let pruned = anonymize(&ds, &GloveConfig { pruning: Pruning::Cascade, ..base })
             .expect("pruned run succeeds");
-        let unpruned = anonymize(&ds, &GloveConfig { pruning: false, ..base })
+        let unpruned = anonymize(&ds, &GloveConfig { pruning: Pruning::Off, ..base })
             .expect("unpruned run succeeds");
         prop_assert_eq!(serialize(&pruned.dataset), serialize(&unpruned.dataset));
         prop_assert_eq!(pruned.stats.merges, unpruned.stats.merges);

@@ -13,7 +13,8 @@
 
 use glove_core::stream::{events_of, run_stream, StreamRun};
 use glove_core::{
-    CarryPolicy, Dataset, Fingerprint, GloveConfig, Sample, StreamConfig, UnderKPolicy, UserId,
+    CarryPolicy, Dataset, Fingerprint, GloveConfig, Pruning, Sample, StreamConfig, UnderKPolicy,
+    UserId,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -199,7 +200,7 @@ proptest! {
         let mut config = stream_config(480, CarryPolicy::Fresh, UnderKPolicy::Suppress);
         let pruned = run_stream(ds.name.clone(), events_of(&ds), config)
             .expect("pruned run succeeds");
-        config.glove.pruning = false;
+        config.glove.pruning = Pruning::Off;
         let unpruned = run_stream(ds.name.clone(), events_of(&ds), config)
             .expect("unpruned run succeeds");
         prop_assert_eq!(pruned.epochs.len(), unpruned.epochs.len());

@@ -2,12 +2,18 @@
 //! frame to inline a tenant's full configuration.
 //!
 //! Parsing is *tolerant*: every field defaults to the library default when
-//! absent, so a minimal `{"k": 3}` glove section is a valid configuration.
-//! Serialization is total — `to_value` followed by `from_value` returns
-//! the identical configuration (f64 fields survive because the JSON
-//! renderer prints shortest-round-trip floats). Validation is *not* done
-//! here; the session calls [`StreamConfig::validate`] after decoding so
-//! invalid configurations fail with the engine's own error text.
+//! absent, so a minimal `{"k": 3}` glove section is a valid configuration,
+//! and unknown keys are ignored. Serialization covers every deployment
+//! setting — `to_value` followed by `from_value` returns the identical
+//! configuration (f64 fields survive because the JSON renderer prints
+//! shortest-round-trip floats) — except [`GloveConfig::pruning`] and
+//! [`GloveConfig::columnar`]. Those pick test oracles whose output is
+//! byte-identical, so they do not travel: a served tenant always runs the
+//! library defaults. Older clients still send `pruning`, `cascade` and
+//! `columnar`; the parser ignores them like any unknown key. Validation is
+//! *not* done here; the session calls [`StreamConfig::validate`] after
+//! decoding so invalid configurations fail with the engine's own error
+//! text.
 
 use glove_core::api::json::JsonValue;
 use glove_core::config::{
@@ -137,9 +143,6 @@ pub fn glove_config_to_value(c: &GloveConfig) -> JsonValue {
                 ])
             }),
         ),
-        ("pruning", JsonValue::Bool(c.pruning)),
-        ("cascade", JsonValue::Bool(c.cascade)),
-        ("columnar", JsonValue::Bool(c.columnar)),
     ])
 }
 
@@ -219,15 +222,13 @@ pub fn glove_config_from_value(v: &JsonValue) -> Result<GloveConfig, String> {
             }),
         };
     }
-    config.pruning = bool_field(v, "pruning", config.pruning)?;
-    config.cascade = bool_field(v, "cascade", config.cascade)?;
-    config.columnar = bool_field(v, "columnar", config.columnar)?;
     Ok(config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glove_core::config::Pruning;
 
     #[test]
     fn default_round_trips() {
@@ -256,9 +257,7 @@ mod tests {
                 reshape: false,
                 threads: 3,
                 shard: Some(ShardPolicy::two_level(9)),
-                pruning: false,
-                cascade: false,
-                columnar: false,
+                ..GloveConfig::default()
             },
         };
         let back = stream_config_from_value(&stream_config_to_value(&c)).unwrap();
@@ -271,7 +270,23 @@ mod tests {
         let c = stream_config_from_value(&v).unwrap();
         assert_eq!(c.glove.k, 3);
         assert_eq!(c.window_min, StreamConfig::default().window_min);
-        assert!(c.glove.pruning);
+        assert_eq!(c.glove.pruning, Pruning::Cascade);
+    }
+
+    #[test]
+    fn old_clients_oracle_keys_are_ignored() {
+        // An older `glove send` always sends the three oracle switches; the
+        // tenant still runs the library defaults.
+        let v = JsonValue::parse(
+            r#"{"glove": {"k": 3, "pruning": false, "cascade": false, "columnar": false}}"#,
+        )
+        .unwrap();
+        let c = stream_config_from_value(&v).unwrap();
+        let defaults = GloveConfig::default();
+        assert_eq!(c.glove.k, 3);
+        assert_eq!(c.glove.pruning, defaults.pruning);
+        assert_eq!(c.glove.columnar, defaults.columnar);
+        assert_eq!(c.glove, GloveConfig { k: 3, ..defaults });
     }
 
     #[test]
