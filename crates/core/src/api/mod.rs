@@ -454,11 +454,20 @@ impl StreamGlove {
     }
 
     /// Runs the engine over a raw time-ordered event iterator (the
-    /// bounded-memory path: nothing but the engine's window is ever
-    /// resident). `name` names the stream, exactly as
-    /// [`crate::stream::StreamEngine::new`] would see it. Input counters of
-    /// the report that require the full dataset (`fingerprints_in`,
+    /// bounded-memory path: one window publishing, one window filling and
+    /// one event are resident at most). `name` names the stream, exactly
+    /// as [`crate::stream::StreamEngine::new`] would see it. Input counters
+    /// of the report that require the full dataset (`fingerprints_in`,
     /// `users_in`) are 0; `samples_in` counts the events consumed.
+    ///
+    /// Each closed window is anonymized on a stage thread while this
+    /// thread pulls the next window's events; the iterator and `observer`
+    /// are only used on the calling thread. An epoch reaches
+    /// [`Observer::on_epoch`] after the next consumed event once it is
+    /// published, or during the `flush` phase. Epochs, statistics and work
+    /// counters equal a hand-driven [`crate::stream::StreamEngine::push`]
+    /// loop's. On an event error, every window closed before it is still
+    /// published and observed before the error returns.
     pub fn run_events(
         &self,
         name: &str,
@@ -479,7 +488,7 @@ impl StreamGlove {
         let started = Instant::now();
         let mut phases = Vec::new();
 
-        let (mut engine, prep_s) = phase(engine_id, "prepare", observer, |_| {
+        let (engine, prep_s) = phase(engine_id, "prepare", observer, |_| {
             StreamEngine::with_policy(name.to_string(), self.config, self.policy.clone())
         })?;
         phases.push(PhaseMetric {
@@ -497,10 +506,7 @@ impl StreamGlove {
         let mut residual_fps = 0u64;
         let mut residual_users = 0u64;
         let mut cum = (0u64, 0u64, 0u64); // merges, pairs computed, pruned
-        let mut absorb = |epoch: EpochOutput,
-                          obs: &mut dyn Observer,
-                          epochs: &mut Vec<EpochOutput>,
-                          keep: bool| {
+        let mut absorb = |epoch: EpochOutput, obs: &mut dyn Observer| {
             out_fingerprints += epoch.output.dataset.fingerprints.len();
             out_users += epoch.output.dataset.num_users();
             out_samples += epoch.output.dataset.num_samples();
@@ -512,31 +518,27 @@ impl StreamGlove {
             cum.2 += epoch.output.stats.pairs_pruned;
             obs.on_epoch(&epoch);
             obs.on_progress(cum.0, cum.1, cum.2);
-            if keep {
+            if self.keep_epochs {
                 epochs.push(epoch);
             }
         };
 
-        let ((), run_s) = phase(engine_id, "run", observer, |obs| {
-            for event in &mut *events {
-                if let Some(epoch) = engine.push(event?)? {
-                    absorb(epoch, obs, &mut epochs, self.keep_epochs);
-                }
-            }
-            Ok(())
+        // Each closed window is anonymized on the pipeline's stage thread
+        // while the next one fills; the event pull and the observer stay
+        // on this thread.
+        let (stats, run_s, flush_s) = crate::stream::pipelined(engine, |mut pipeline| {
+            let ((), run_s) = phase(engine_id, "run", observer, |obs| {
+                pipeline.feed(events, &mut |epoch| absorb(epoch, obs))
+            })?;
+            let (stats, flush_s) = phase(engine_id, "flush", observer, |obs| {
+                pipeline.finish(&mut |epoch| absorb(epoch, obs))
+            })?;
+            Ok((stats, run_s, flush_s))
         })?;
         phases.push(PhaseMetric {
             phase: "run".into(),
             elapsed_s: run_s,
         });
-
-        let (stats, flush_s) = phase(engine_id, "flush", observer, |obs| {
-            let (last, stats) = engine.finish()?;
-            if let Some(epoch) = last {
-                absorb(epoch, obs, &mut epochs, self.keep_epochs);
-            }
-            Ok(stats)
-        })?;
         phases.push(PhaseMetric {
             phase: "flush".into(),
             elapsed_s: flush_s,

@@ -14,13 +14,16 @@
 //!    `run` phase (after the shard fan-out completes — per-shard wall clocks
 //!    are in the [`crate::shard::ShardStat`] itself, not in callback
 //!    timing).
-//! 3. **Epoch callbacks fire in emission order**, *incrementally*: an
-//!    epoch is observed before any event of a later window is consumed, so
-//!    a sink may write (and drop) epochs as they close — the
-//!    bounded-memory property of the streaming engine survives the hook.
-//!    Epochs of closed windows arrive inside the `run` phase; the final
-//!    window, which only the end of the stream closes, arrives inside the
-//!    `flush` phase.
+//! 3. **Epoch callbacks fire in emission order**, *incrementally*: a
+//!    closed window is anonymized on a stage thread while the next one
+//!    fills, and its epoch is observed after the next event the run
+//!    consumes once the stage has finished it — before the event pull
+//!    passes the first event of the window after next — or in the `flush`
+//!    phase. A sink may therefore write (and drop) epochs as they close:
+//!    the bounded-memory property of the streaming engine survives the
+//!    hook. Epochs that finish while events still arrive are observed
+//!    inside the `run` phase; the rest, including the final window that
+//!    only the end of the stream closes, inside the `flush` phase.
 //! 4. **Progress counters are cumulative and monotone** across
 //!    [`Observer::on_progress`] calls; the final call carries the same
 //!    totals as the run's [`crate::api::RunReport`].
@@ -55,7 +58,10 @@ pub trait Observer {
         let _ = stat;
     }
 
-    /// A streaming epoch was emitted (emission order, incremental).
+    /// A streaming epoch was emitted (emission order, incremental). It
+    /// arrives after the next consumed event once its window has been
+    /// anonymized, or in the `flush` phase; always on the thread that
+    /// drives the run.
     fn on_epoch(&mut self, epoch: &EpochOutput) {
         let _ = epoch;
     }

@@ -54,6 +54,20 @@
 //! [`StreamStats::peak_resident_samples`] record the high-water marks, so
 //! benches can demonstrate that memory follows the window population, not
 //! the dataset (`crates/bench/benches/stream_e2e.rs`).
+//!
+//! ### Intake and publication
+//!
+//! The engine has two halves. The *intake* half keeps the window clock,
+//! the policy snapshot, the under-k / deferral ledger, the residency marks
+//! and epoch numbering; it closes windows. The *publish* half pre-merges
+//! `Sticky` seeds against the previous epoch's groups, runs GLOVE and
+//! builds the epoch's [`EpochStat`]. [`StreamEngine::push`] runs both
+//! inline. [`run_stream_with_policy`] and the run API's stream engine
+//! pipeline them instead: each closed window is published on one stage
+//! thread while the next window fills, through a rendezvous hand-off, so
+//! one window publishing, one window filling and one event are resident
+//! at most. The residency marks count the filling side, as inline. Epochs
+//! and statistics are those of the inline loop.
 
 use crate::config::{CarryPolicy, GloveConfig, StreamConfig, UnderKPolicy};
 use crate::error::GloveError;
@@ -64,6 +78,8 @@ use crate::model::{Dataset, Fingerprint, Sample, UserId};
 use crate::policy::{EffectivePolicy, KPlan, PolicyPlane, SharedPolicy};
 use crate::suppress::SuppressionLedger;
 use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 /// One logged network event entering the stream: a subscriber observed in a
@@ -230,38 +246,8 @@ pub struct StreamRun {
 /// ```
 #[derive(Debug)]
 pub struct StreamEngine {
-    name: String,
-    config: StreamConfig,
-    /// The policy plane resolved at every window boundary. The uniform
-    /// plane (the default) reproduces `config` for every epoch.
-    policy: SharedPolicy,
-    /// True once the first event has opened a window.
-    window_open: bool,
-    /// Start of the window currently being filled, minutes.
-    window_start: u64,
-    /// Length of the window currently being filled, minutes.
-    window_len: u64,
-    /// Policy snapshot of the filling window, resolved when it opened — a
-    /// plane swapped mid-window takes effect at the next boundary.
-    eff: EffectivePolicy,
-    /// Per-user k plan of the filling window (`None` under uniform k).
-    plan: Option<KPlan>,
-    /// Per-user sample buffers of the current window.
-    buffers: BTreeMap<UserId, Vec<Sample>>,
-    /// Users deferred from under-`k` windows, with their accumulated
-    /// samples.
-    deferred: BTreeMap<UserId, Vec<Sample>>,
-    /// Group memberships of the previous emitted epoch (`Sticky` seeds).
-    prev_groups: Vec<Vec<UserId>>,
-    /// Largest event timestamp seen (order enforcement).
-    last_t: u32,
-    epochs_emitted: u64,
-    resident_samples: usize,
-    /// Users present in `buffers` *and* `deferred` (a deferred user active
-    /// again). Maintained incrementally so the per-event residency note
-    /// stays O(1) instead of scanning the deferred ledger.
-    deferred_active: usize,
-    stats: StreamStats,
+    intake: Intake,
+    publisher: Publisher,
 }
 
 impl StreamEngine {
@@ -283,40 +269,29 @@ impl StreamEngine {
     ) -> Result<Self, GloveError> {
         config.validate()?;
         policy.read().expect("policy lock poisoned").validate()?;
-        let eff = EffectivePolicy::of(&config);
         Ok(Self {
-            name: name.into(),
-            config,
-            policy,
-            window_open: false,
-            window_start: 0,
-            window_len: u64::from(eff.window_min),
-            eff,
-            plan: None,
-            buffers: BTreeMap::new(),
-            deferred: BTreeMap::new(),
-            prev_groups: Vec::new(),
-            last_t: 0,
-            epochs_emitted: 0,
-            resident_samples: 0,
-            deferred_active: 0,
-            stats: StreamStats::default(),
+            publisher: Publisher {
+                name: name.into(),
+                glove: config.glove,
+                prev_groups: Vec::new(),
+            },
+            intake: Intake::new(config, policy),
         })
     }
 
     /// The stream configuration.
     pub fn config(&self) -> &StreamConfig {
-        &self.config
+        &self.intake.config
     }
 
     /// The engine's policy handle (clone it to retune the plane mid-run).
     pub fn policy(&self) -> &SharedPolicy {
-        &self.policy
+        &self.intake.policy
     }
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &StreamStats {
-        &self.stats
+        &self.intake.stats
     }
 
     /// Consumes one event. Returns the epoch output of the window the event
@@ -329,6 +304,106 @@ impl StreamEngine {
     /// already-consumed event; any [`GloveError`] the per-epoch
     /// anonymization produces.
     pub fn push(&mut self, event: StreamEvent) -> Result<Option<EpochOutput>, GloveError> {
+        let closed = self.intake.push(event)?;
+        closed.map(|window| self.publish(window)).transpose()
+    }
+
+    /// Ends the stream: closes the final window (if any) and flushes the
+    /// deferred ledger. Returns the final epoch output (if the last window
+    /// published) and the whole-run statistics.
+    pub fn finish(mut self) -> Result<(Option<EpochOutput>, StreamStats), GloveError> {
+        let last = self.intake.close_window();
+        let last = last.map(|window| self.publish(window)).transpose()?;
+        Ok((last, self.intake.finish()))
+    }
+
+    /// Runs both halves inline on the caller.
+    fn publish(&mut self, window: ClosedWindow) -> Result<EpochOutput, GloveError> {
+        let published = self.publisher.publish(window)?;
+        Ok(self.intake.absorb(published))
+    }
+}
+
+/// A window the intake half closed for publication: every member's
+/// samples (deferred users folded in) and the policy it opened under.
+#[derive(Debug)]
+struct ClosedWindow {
+    epoch: u64,
+    window_start_min: u64,
+    buffers: BTreeMap<UserId, Vec<Sample>>,
+    eff: EffectivePolicy,
+    plan: Option<KPlan>,
+}
+
+/// What the publish half made of one closed window.
+#[derive(Debug)]
+struct Published {
+    epoch: EpochOutput,
+    stat: EpochStat,
+    /// Suppression performed while pre-merging the window's `Sticky` seeds.
+    seed_suppressed: SuppressionLedger,
+}
+
+/// The intake half of the engine: the window clock, the policy snapshot,
+/// the under-k / deferral ledger, the residency marks, epoch numbering,
+/// and the run statistics the published epochs fold into.
+#[derive(Debug)]
+struct Intake {
+    config: StreamConfig,
+    /// The policy plane resolved at every window boundary. The uniform
+    /// plane (the default) reproduces `config` for every epoch.
+    policy: SharedPolicy,
+    /// True once the first event has opened a window.
+    window_open: bool,
+    /// Start of the window currently being filled, minutes.
+    window_start: u64,
+    /// Length of the window currently being filled, minutes.
+    window_len: u64,
+    /// Policy snapshot of the filling window, resolved when it opened — a
+    /// plane swapped mid-window takes effect at the next boundary.
+    eff: EffectivePolicy,
+    /// Per-user k plan of the filling window (`None` under uniform k).
+    plan: Option<KPlan>,
+    /// Per-user sample buffers of the current window.
+    buffers: BTreeMap<UserId, Vec<Sample>>,
+    /// Users deferred from under-`k` windows, with their accumulated
+    /// samples.
+    deferred: BTreeMap<UserId, Vec<Sample>>,
+    /// Largest event timestamp seen (order enforcement).
+    last_t: u32,
+    /// Epoch number of the next window that publishes.
+    next_epoch: u64,
+    resident_samples: usize,
+    /// Users present in `buffers` *and* `deferred` (a deferred user active
+    /// again). Maintained incrementally so the per-event residency note
+    /// stays O(1) instead of scanning the deferred ledger.
+    deferred_active: usize,
+    stats: StreamStats,
+}
+
+impl Intake {
+    fn new(config: StreamConfig, policy: SharedPolicy) -> Self {
+        let eff = EffectivePolicy::of(&config);
+        Self {
+            config,
+            policy,
+            window_open: false,
+            window_start: 0,
+            window_len: u64::from(eff.window_min),
+            eff,
+            plan: None,
+            buffers: BTreeMap::new(),
+            deferred: BTreeMap::new(),
+            last_t: 0,
+            next_epoch: 0,
+            resident_samples: 0,
+            deferred_active: 0,
+            stats: StreamStats::default(),
+        }
+    }
+
+    /// Buffers one event, first closing the window it falls past.
+    fn push(&mut self, event: StreamEvent) -> Result<Option<ClosedWindow>, GloveError> {
         let t = event.sample.t;
         if self.stats.events > 0 && t < self.last_t {
             return Err(GloveError::OutOfOrderEvent(format!(
@@ -339,11 +414,11 @@ impl StreamEngine {
         self.last_t = t;
         let t64 = u64::from(t);
 
-        let mut emitted = None;
+        let mut closed = None;
         if !self.window_open {
             self.open_window(t64, 0);
         } else if t64 >= self.window_start + self.window_len {
-            emitted = self.close_window()?;
+            closed = self.close_window();
             let from = self.window_start + self.window_len;
             self.open_window(t64, from);
         }
@@ -358,21 +433,18 @@ impl StreamEngine {
         buffer.push(event.sample);
         self.resident_samples += 1;
         self.note_residency();
-        Ok(emitted)
+        Ok(closed)
     }
 
-    /// Ends the stream: closes the final window (if any) and flushes the
-    /// deferred ledger. Returns the final epoch output (if the last window
-    /// published) and the whole-run statistics.
-    pub fn finish(mut self) -> Result<(Option<EpochOutput>, StreamStats), GloveError> {
-        let last = self.close_window()?;
-        // Users still deferred never found a publishable window.
-        for (_, samples) in std::mem::take(&mut self.deferred) {
+    /// Ends the intake: users still deferred never found a publishable
+    /// window.
+    fn finish(mut self) -> StreamStats {
+        for samples in self.deferred.values() {
             self.stats.suppressed_users += 1;
             self.stats.suppressed_samples += samples.len() as u64;
         }
         self.stats.ledger.capture_rss();
-        Ok((last, self.stats))
+        self.stats
     }
 
     fn note_residency(&mut self) {
@@ -394,15 +466,15 @@ impl StreamEngine {
     /// otherwise), and snapshots the policy in force for it.
     ///
     /// The policy of a window is resolved once, here, against the epoch
-    /// index it would be emitted as (`epochs_emitted`) — empty windows do
+    /// index it would be emitted as (`next_epoch`) — empty windows do
     /// not advance the epoch clock, so every window skipped in the jump
     /// below would have resolved identically, and the gap can be crossed
     /// in one division. Under the uniform plane this computes exactly
     /// `⌊t / W⌋ · W`, the pre-policy window arithmetic.
     fn open_window(&mut self, t: u64, from: u64) {
         let plane = self.policy.read().expect("policy lock poisoned");
-        self.eff = plane.resolve(self.epochs_emitted, None, &self.config);
-        self.plan = plane.kplan(self.epochs_emitted, &self.config);
+        self.eff = plane.resolve(self.next_epoch, None, &self.config);
+        self.plan = plane.kplan(self.next_epoch, &self.config);
         drop(plane);
         let len = u64::from(self.eff.window_min);
         self.window_len = len;
@@ -410,26 +482,36 @@ impl StreamEngine {
         self.window_open = true;
     }
 
-    /// Closes the currently-filling window: folds deferred users in, applies
-    /// the under-`k` policy, seeds carry-over groups, anonymizes and emits.
-    fn close_window(&mut self) -> Result<Option<EpochOutput>, GloveError> {
+    /// Closes the currently-filling window: applies the under-`k` policy,
+    /// folds deferred users in and numbers the epoch. Returns the window
+    /// when it publishes.
+    fn close_window(&mut self) -> Option<ClosedWindow> {
         if !self.window_open {
-            return Ok(None);
+            return None;
         }
         self.window_open = false;
         if self.buffers.is_empty() && self.deferred.is_empty() {
-            return Ok(None);
+            return None;
         }
 
         // Population of the closing window: this window's users plus any
-        // still-deferred users not active again.
+        // still-deferred users not active again. It must cover the deepest
+        // k any of them requires — a cohort floor can sit above the global
+        // k — which is the rule the epoch's GLOVE run checks.
         let population = self.buffers.len()
             + self
                 .deferred
                 .keys()
                 .filter(|u| !self.buffers.contains_key(u))
                 .count();
-        if population < self.eff.k {
+        let need = self.plan.as_ref().map_or(self.eff.k, |plan| {
+            self.buffers
+                .keys()
+                .chain(self.deferred.keys())
+                .map(|&u| plan.k_of(u))
+                .fold(self.eff.k, usize::max)
+        });
+        if population < need {
             let buffers = std::mem::take(&mut self.buffers);
             // The live buffers drain (suppressed or folded into the
             // deferred ledger), so no user can be in both maps anymore.
@@ -462,32 +544,90 @@ impl StreamEngine {
                     }
                 }
             }
-            return Ok(None);
+            return None;
         }
 
         // Deferred users join the closing window's population.
-        let deferred = std::mem::take(&mut self.deferred);
-        self.deferred_active = 0;
-        for (user, mut samples) in deferred {
-            self.buffers.entry(user).or_default().append(&mut samples);
+        let mut buffers = std::mem::take(&mut self.buffers);
+        for (user, mut samples) in std::mem::take(&mut self.deferred) {
+            buffers.entry(user).or_default().append(&mut samples);
         }
-
-        let (fingerprints, seeded_groups) = self.build_epoch_fingerprints()?;
+        self.deferred_active = 0;
         self.resident_samples = 0;
+        let epoch = self.next_epoch;
+        self.next_epoch += 1;
+        Some(ClosedWindow {
+            epoch,
+            window_start_min: self.window_start,
+            buffers,
+            eff: self.eff,
+            plan: self.plan.take(),
+        })
+    }
+
+    /// Folds a published window into the run statistics and returns its
+    /// epoch.
+    fn absorb(&mut self, published: Published) -> EpochOutput {
+        let Published {
+            epoch,
+            stat,
+            seed_suppressed,
+        } = published;
+        let glove = &epoch.output.stats;
+        let stats = &mut self.stats;
+        stats.epochs += 1;
+        stats.merges += glove.merges;
+        stats.pairs_computed += glove.pairs_computed;
+        stats.pairs_pruned += glove.pairs_pruned;
+        stats.pairs_skipped_tier0 += glove.pairs_skipped_tier0;
+        stats.pairs_skipped_tier1 += glove.pairs_skipped_tier1;
+        stats.pairs_abandoned += glove.pairs_abandoned;
+        stats.seeded_groups += stat.seeded_groups as u64;
+        stats.seed_suppressed.absorb(seed_suppressed);
+        stats.ledger.merge_max(&glove.ledger);
+        stats.elapsed_s += stat.elapsed_s;
+        stats.per_epoch.push(stat);
+        epoch
+    }
+}
+
+/// The publish half of the engine: the `Sticky` seed pre-merge against the
+/// previous epoch's groups, the epoch's GLOVE run and its [`EpochStat`]
+/// row.
+#[derive(Debug)]
+struct Publisher {
+    name: String,
+    glove: GloveConfig,
+    /// Group memberships of the previous emitted epoch (`Sticky` seeds).
+    prev_groups: Vec<Vec<UserId>>,
+}
+
+impl Publisher {
+    fn publish(&mut self, window: ClosedWindow) -> Result<Published, GloveError> {
+        let ClosedWindow {
+            epoch,
+            window_start_min,
+            buffers,
+            eff,
+            plan,
+        } = window;
+        let users_in = buffers.len();
+        let mut seed_suppressed = SuppressionLedger::default();
+        let (fingerprints, seeded_groups) = self.seed(buffers, &eff, &mut seed_suppressed)?;
         let fingerprints_in = fingerprints.len();
         let epoch_ds = Dataset::new(self.name.clone(), fingerprints)?;
 
         // The epoch's GLOVE run inherits the base configuration with the
         // policy-resolved k and suppression in force; the per-user k plan
         // (cohort floors) rides alongside. Under the uniform plane this is
-        // exactly `self.config.glove` with no plan.
+        // exactly the base `GloveConfig` with no plan.
         let glove = GloveConfig {
-            k: self.eff.k,
-            suppression: self.eff.suppression,
-            ..self.config.glove
+            k: eff.k,
+            suppression: eff.suppression,
+            ..self.glove
         };
         let started = Instant::now();
-        let output = anonymize_with_plan(&epoch_ds, &glove, self.plan.as_ref())?;
+        let output = anonymize_with_plan(&epoch_ds, &glove, plan.as_ref())?;
         let elapsed_s = started.elapsed().as_secs_f64();
 
         // Remember group memberships for the next epoch's seeds.
@@ -498,23 +638,11 @@ impl StreamEngine {
             .map(|fp| fp.users().to_vec())
             .collect();
 
-        let epoch = self.epochs_emitted;
-        self.epochs_emitted += 1;
-        self.stats.epochs += 1;
-        self.stats.merges += output.stats.merges;
-        self.stats.pairs_computed += output.stats.pairs_computed;
-        self.stats.pairs_pruned += output.stats.pairs_pruned;
-        self.stats.pairs_skipped_tier0 += output.stats.pairs_skipped_tier0;
-        self.stats.pairs_skipped_tier1 += output.stats.pairs_skipped_tier1;
-        self.stats.pairs_abandoned += output.stats.pairs_abandoned;
-        self.stats.seeded_groups += seeded_groups as u64;
-        self.stats.ledger.merge_max(&output.stats.ledger);
-        self.stats.elapsed_s += elapsed_s;
-        self.stats.per_epoch.push(EpochStat {
+        let stat = EpochStat {
             epoch,
-            window_start_min: self.window_start,
+            window_start_min,
             fingerprints_in,
-            users_in: population,
+            users_in,
             seeded_groups,
             groups_out: output.dataset.fingerprints.len(),
             merges: output.stats.merges,
@@ -523,11 +651,11 @@ impl StreamEngine {
             pairs_skipped_tier0: output.stats.pairs_skipped_tier0,
             pairs_skipped_tier1: output.stats.pairs_skipped_tier1,
             pairs_abandoned: output.stats.pairs_abandoned,
-            policy_k: self.eff.k,
-            policy_window_min: self.eff.window_min,
-            policy_carry: self.eff.carry,
-            policy_under_k: self.eff.under_k,
-            policy_cohort_users: self.plan.as_ref().map_or(0, |p| {
+            policy_k: eff.k,
+            policy_window_min: eff.window_min,
+            policy_carry: eff.carry,
+            policy_under_k: eff.under_k,
+            policy_cohort_users: plan.as_ref().map_or(0, |p| {
                 epoch_ds
                     .fingerprints
                     .iter()
@@ -536,13 +664,16 @@ impl StreamEngine {
                     .count()
             }),
             elapsed_s,
-        });
-
-        Ok(Some(EpochOutput {
-            epoch,
-            window_start_min: self.window_start,
-            output,
-        }))
+        };
+        Ok(Published {
+            epoch: EpochOutput {
+                epoch,
+                window_start_min,
+                output,
+            },
+            stat,
+            seed_suppressed,
+        })
     }
 
     /// Turns the closed window's buffers into epoch fingerprints: singletons
@@ -550,22 +681,25 @@ impl StreamEngine {
     /// Fingerprints are ordered by ascending first user id, which makes the
     /// single-full-window `Fresh` epoch dataset identical to a batch input
     /// ordered by user id.
-    fn build_epoch_fingerprints(&mut self) -> Result<(Vec<Fingerprint>, usize), GloveError> {
-        let buffers = std::mem::take(&mut self.buffers);
+    fn seed(
+        &self,
+        buffers: BTreeMap<UserId, Vec<Sample>>,
+        eff: &EffectivePolicy,
+        suppressed: &mut SuppressionLedger,
+    ) -> Result<(Vec<Fingerprint>, usize), GloveError> {
         let mut singles: BTreeMap<UserId, Fingerprint> = BTreeMap::new();
         for (user, samples) in buffers {
             singles.insert(user, Fingerprint::with_users(vec![user], samples)?);
         }
 
-        if self.eff.carry == CarryPolicy::Fresh || self.prev_groups.is_empty() {
+        if eff.carry == CarryPolicy::Fresh || self.prev_groups.is_empty() {
             return Ok((singles.into_values().collect(), 0));
         }
 
         // Sticky: pre-merge each previous group's members that are active
         // in this window. Merging in ascending user-id order keeps the seed
         // deterministic.
-        let cfg = &self.config.glove.stretch;
-        let thresholds = &self.eff.suppression;
+        let cfg = &self.glove.stretch;
         let mut seeded: Vec<Fingerprint> = Vec::new();
         let mut seeded_groups = 0usize;
         for group in &self.prev_groups {
@@ -577,8 +711,8 @@ impl StreamEngine {
             let mut merged = present.remove(0);
             let premerged = !present.is_empty();
             for fp in present {
-                let outcome = merge_fingerprints(&merged, &fp, cfg, thresholds)?;
-                self.stats.seed_suppressed.absorb(outcome.suppressed);
+                let outcome = merge_fingerprints(&merged, &fp, cfg, &eff.suppression)?;
+                suppressed.absorb(outcome.suppressed);
                 merged = outcome.fingerprint;
             }
             if premerged {
@@ -590,6 +724,167 @@ impl StreamEngine {
         seeded.extend(singles.into_values());
         seeded.sort_by_key(|fp| fp.users()[0]);
         Ok((seeded, seeded_groups))
+    }
+}
+
+/// Drives `engine` as a two-stage pipeline: the caller keeps the intake
+/// half (event pull, window clock, ledgers, the observer) while one scoped
+/// stage thread publishes the window that closed last. `body` feeds events
+/// through [`Pipeline::feed`] and ends the stream with
+/// [`Pipeline::finish`]. Epochs, statistics and work counters are those of
+/// the inline [`StreamEngine::push`] loop; only when the caller sees each
+/// epoch moves.
+pub(crate) fn pipelined<T>(
+    engine: StreamEngine,
+    body: impl FnOnce(Pipeline<'_, '_>) -> Result<T, GloveError>,
+) -> Result<T, GloveError> {
+    let StreamEngine { intake, publisher } = engine;
+    std::thread::scope(|scope| {
+        body(Pipeline {
+            scope,
+            intake,
+            publisher: Some(publisher),
+            stage: None,
+        })
+    })
+}
+
+/// The stream pipeline of [`pipelined`]. A closed window is handed to the
+/// stage over a rendezvous channel, so at most one window publishes while
+/// the next one fills; finished epochs come back in order and reach the
+/// caller after the next consumed event, or in [`Pipeline::finish`].
+pub(crate) struct Pipeline<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    intake: Intake,
+    /// The publish half while no stage thread holds it.
+    publisher: Option<Publisher>,
+    /// The stage thread, spawned when the first window closes.
+    stage: Option<Stage<'scope>>,
+}
+
+/// The running publish stage: windows in, epochs out, in order.
+struct Stage<'scope> {
+    windows: SyncSender<ClosedWindow>,
+    epochs: Receiver<Result<Published, GloveError>>,
+    thread: ScopedJoinHandle<'scope, Publisher>,
+}
+
+impl<'scope> Stage<'scope> {
+    /// Starts the stage thread. It publishes windows in arrival order and
+    /// stops after the first failure, handing the publish half back.
+    fn spawn(scope: &'scope Scope<'scope, '_>, mut publisher: Publisher) -> Self {
+        let (windows, inbox) = sync_channel::<ClosedWindow>(0);
+        let (outbox, epochs) = channel();
+        let thread = scope.spawn(move || {
+            for window in inbox {
+                let published = publisher.publish(window);
+                let failed = published.is_err();
+                if outbox.send(published).is_err() || failed {
+                    break;
+                }
+            }
+            publisher
+        });
+        Self {
+            windows,
+            epochs,
+            thread,
+        }
+    }
+}
+
+impl Pipeline<'_, '_> {
+    /// Consumes `events`, handing every closed window to the stage and
+    /// delivering the epochs it has finished after each consumed event.
+    ///
+    /// # Errors
+    ///
+    /// A failed or out-of-order event ends the feed: every window closed
+    /// before it is still published and delivered, then its error returns.
+    /// A failed publication returns its error in place of later epochs.
+    pub(crate) fn feed(
+        &mut self,
+        events: &mut dyn Iterator<Item = Result<StreamEvent, GloveError>>,
+        deliver: &mut dyn FnMut(EpochOutput),
+    ) -> Result<(), GloveError> {
+        for event in events {
+            match event.and_then(|event| self.intake.push(event)) {
+                Ok(Some(window)) => self.hand_off(window, deliver)?,
+                Ok(None) => {}
+                Err(e) => {
+                    self.drain(deliver)?;
+                    return Err(e);
+                }
+            }
+            if let Some(stage) = &self.stage {
+                while let Ok(published) = stage.epochs.try_recv() {
+                    deliver(self.intake.absorb(published?));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the stream: closes the final window, delivers every epoch
+    /// still in flight and returns the whole-run statistics.
+    pub(crate) fn finish(
+        mut self,
+        deliver: &mut dyn FnMut(EpochOutput),
+    ) -> Result<StreamStats, GloveError> {
+        if let Some(window) = self.intake.close_window() {
+            self.hand_off(window, deliver)?;
+        }
+        self.drain(deliver)?;
+        Ok(self.intake.finish())
+    }
+
+    /// Hands `window` to the stage, spawning it for the first window.
+    /// Blocks while the stage still publishes the previous window.
+    fn hand_off(
+        &mut self,
+        window: ClosedWindow,
+        deliver: &mut dyn FnMut(EpochOutput),
+    ) -> Result<(), GloveError> {
+        let stage = self.stage.get_or_insert_with(|| {
+            let publisher = self
+                .publisher
+                .take()
+                .expect("the publish half is on the caller while no stage runs");
+            Stage::spawn(self.scope, publisher)
+        });
+        if stage.windows.send(window).is_ok() {
+            return Ok(());
+        }
+        // The stage stops early only after a failed publication, so
+        // draining delivers what it finished first and returns that failure.
+        self.drain(deliver)
+    }
+
+    /// Closes the stage's input, delivers every epoch it still finishes
+    /// and takes the publish half back. Returns the stage's failure, if
+    /// any; a panic on the stage resumes here.
+    fn drain(&mut self, deliver: &mut dyn FnMut(EpochOutput)) -> Result<(), GloveError> {
+        let Some(Stage {
+            windows,
+            epochs,
+            thread,
+        }) = self.stage.take()
+        else {
+            return Ok(());
+        };
+        drop(windows);
+        let mut result = Ok(());
+        for published in epochs {
+            match published {
+                Ok(published) => deliver(self.intake.absorb(published)),
+                Err(e) => result = Err(e),
+            }
+        }
+        match thread.join() {
+            Ok(publisher) => self.publisher = Some(publisher),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+        result
     }
 }
 
@@ -610,21 +905,21 @@ pub fn run_stream(
 }
 
 /// [`run_stream`] under a policy plane (see [`StreamEngine::with_policy`]).
+/// Each window is anonymized on a stage thread while the next one fills.
 pub fn run_stream_with_policy(
     name: impl Into<String>,
     events: impl IntoIterator<Item = StreamEvent>,
     config: StreamConfig,
     policy: SharedPolicy,
 ) -> Result<StreamRun, GloveError> {
-    let mut engine = StreamEngine::with_policy(name, config, policy)?;
+    let engine = StreamEngine::with_policy(name, config, policy)?;
     let mut epochs = Vec::new();
-    for event in events {
-        if let Some(epoch) = engine.push(event)? {
-            epochs.push(epoch);
-        }
-    }
-    let (last, stats) = engine.finish()?;
-    epochs.extend(last);
+    let stats = pipelined(engine, |mut pipeline| {
+        pipeline.feed(&mut events.into_iter().map(Ok), &mut |epoch| {
+            epochs.push(epoch)
+        })?;
+        pipeline.finish(&mut |epoch| epochs.push(epoch))
+    })?;
     Ok(StreamRun { epochs, stats })
 }
 
@@ -1137,6 +1432,147 @@ mod tests {
         // Epoch 1 opened after the swap: new policy.
         assert_eq!(stats.per_epoch[1].policy_k, 6);
         assert!(emitted[1].output.dataset.is_k_anonymous(6));
+    }
+
+    /// Windows 0 and 2 hold users 0–5, window 1 only users 0–2, one
+    /// 60-minute window each; user 0 sits in a cohort held at k = 4.
+    fn cohort_floor_run(under_k: UnderKPolicy) -> Result<StreamRun, GloveError> {
+        use crate::policy::{CohortSpec, PolicyOverride, PolicyRule};
+        let plane = PolicyPlane {
+            cohorts: vec![CohortSpec {
+                name: "vip".into(),
+                users: vec![0],
+            }],
+            rules: vec![PolicyRule {
+                from_epoch: 0,
+                to_epoch: None,
+                cohort: Some("vip".into()),
+                set: PolicyOverride {
+                    k: Some(4),
+                    ..PolicyOverride::default()
+                },
+            }],
+        };
+        let mut events = Vec::new();
+        for (start, users) in [(0u32, 6u32), (60, 3), (120, 6)] {
+            for user in 0..users {
+                events.push(StreamEvent {
+                    user,
+                    sample: Sample::point(i64::from(user) * 100, 0, start + 10 + user),
+                });
+            }
+        }
+        let config = StreamConfig {
+            window_min: 60,
+            under_k,
+            ..StreamConfig::default()
+        };
+        run_stream_with_policy("floor", events, config, crate::policy::shared(plane))
+    }
+
+    #[test]
+    fn quiet_window_below_a_cohort_floor_follows_the_under_k_policy() {
+        // Window 1 holds 3 users: enough for the global k = 2, not for
+        // user 0's k = 4. It must be treated as under-k, not abort the run.
+        let suppressed = cohort_floor_run(UnderKPolicy::Suppress).unwrap();
+        let starts: Vec<u64> = suppressed
+            .epochs
+            .iter()
+            .map(|e| e.window_start_min)
+            .collect();
+        assert_eq!(starts, [0, 120]);
+        assert_eq!(suppressed.stats.suppressed_users, 3);
+        assert_eq!(suppressed.stats.suppressed_samples, 3);
+        assert_eq!(suppressed.stats.deferred_users, 0);
+
+        let deferred = cohort_floor_run(UnderKPolicy::Defer).unwrap();
+        let starts: Vec<u64> = deferred.epochs.iter().map(|e| e.window_start_min).collect();
+        assert_eq!(starts, [0, 120]);
+        assert_eq!(deferred.stats.deferred_users, 3);
+        assert_eq!(deferred.stats.deferred_samples, 3);
+        assert_eq!(deferred.stats.suppressed_users, 0);
+        assert!(
+            deferred.epochs[1]
+                .output
+                .dataset
+                .fingerprints
+                .iter()
+                .flat_map(|f| f.samples())
+                .any(|s| s.t < 120),
+            "the deferred samples publish with window 2"
+        );
+
+        for run in [&suppressed, &deferred] {
+            for epoch in &run.epochs {
+                let group = epoch
+                    .output
+                    .dataset
+                    .fingerprints
+                    .iter()
+                    .find(|f| f.users().contains(&0))
+                    .expect("user 0 publishes in every epoch");
+                assert!(group.multiplicity() >= 4, "cohort floor broken");
+            }
+        }
+    }
+
+    /// Runs `body` on its own thread and fails the test if it has not
+    /// returned within 10 s (a deadlock fails instead of hanging).
+    fn within_10s<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the pipeline hung")
+    }
+
+    /// A closed window of `users` co-located users in window 0.
+    fn window_of(epoch: u64, users: u32) -> ClosedWindow {
+        ClosedWindow {
+            epoch,
+            window_start_min: 0,
+            buffers: (0..users)
+                .map(|u| (u, vec![Sample::point(i64::from(u) * 100, 0, 10)]))
+                .collect(),
+            eff: EffectivePolicy::of(&cfg(60)),
+            plan: None,
+        }
+    }
+
+    /// Hands the windows to a pipeline's stage, then finishes; returns the
+    /// outcome and the epochs delivered.
+    fn stage_run(windows: Vec<ClosedWindow>) -> (Result<StreamStats, GloveError>, Vec<u64>) {
+        within_10s(move || {
+            let engine = StreamEngine::new("stage", cfg(60)).unwrap();
+            let mut delivered = Vec::new();
+            let result = pipelined(engine, |mut pipeline| {
+                for window in windows {
+                    pipeline.hand_off(window, &mut |e| delivered.push(e.epoch))?;
+                }
+                pipeline.finish(&mut |e| delivered.push(e.epoch))
+            });
+            (result, delivered)
+        })
+    }
+
+    #[test]
+    fn a_window_the_stage_rejects_returns_its_error_without_a_hang() {
+        // A lone user cannot be 2-anonymous: the stage's GLOVE run fails.
+        let (result, delivered) = stage_run(vec![window_of(0, 1)]);
+        assert!(matches!(result, Err(GloveError::Unsatisfiable(_))));
+        assert!(delivered.is_empty());
+
+        // A finished epoch ahead of the failure is still delivered, and a
+        // hand-off after it surfaces the failure instead of blocking.
+        let (result, delivered) =
+            stage_run(vec![window_of(0, 4), window_of(1, 1), window_of(2, 4)]);
+        assert!(matches!(result, Err(GloveError::Unsatisfiable(_))));
+        assert_eq!(delivered, [0]);
+
+        let (result, delivered) = stage_run(vec![window_of(0, 4), window_of(1, 4)]);
+        assert_eq!(result.unwrap().epochs, 2);
+        assert_eq!(delivered, [0, 1]);
     }
 
     #[test]

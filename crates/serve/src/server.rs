@@ -6,11 +6,15 @@
 //! One thread per connection reads frames and owns at most one open
 //! [`Session`] at a time (sequential sessions on one connection are fine —
 //! `FLUSH` then another `HELLO`). The session's engine worker is a second
-//! thread; `EPOCH` pushes from the worker and replies from the connection
-//! thread share the socket behind one mutex. Tenant names are unique for
-//! the daemon's lifetime: a second `HELLO` for a finished tenant is
-//! `tenant-exists` — its epoch directory is a durable record, never
-//! silently overwritten.
+//! thread, and from the first closed window until the session flushes the
+//! worker's stream pipeline runs a third, its stage thread, which
+//! anonymizes windows while the worker ingests. `EPOCH` pushes from the
+//! worker and replies from the connection thread share the socket behind
+//! one mutex. A connection that ends leaves nothing behind: its registry
+//! entry is removed and its thread is joined at the next accept. Tenant
+//! names are unique for the daemon's lifetime: a second `HELLO` for a
+//! finished tenant is `tenant-exists` — its epoch directory is a durable
+//! record, never silently overwritten.
 //!
 //! ### Graceful shutdown
 //!
@@ -26,7 +30,7 @@ use crate::protocol::{read_frame, write_frame, ErrorCode, Frame};
 use crate::session::{EpochWriteFn, Offer, PushSink, Session, SessionConfig};
 use glove_core::api::RunReport;
 use glove_core::policy::PolicyPlane;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -109,7 +113,9 @@ struct ServerState {
     tenants: Mutex<HashSet<String>>,
     reports: Mutex<Vec<RunReport>>,
     failures: Mutex<Vec<(String, String)>>,
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every open connection's socket, by connection id, so
+    /// shutdown can unblock its reader; removed when the connection ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     shutdown: AtomicBool,
 }
 
@@ -135,7 +141,7 @@ impl ServerState {
     /// Half-closes every registered connection socket so blocked readers
     /// see EOF and finalize their sessions.
     fn nudge_connections(&self) {
-        for conn in self.conns.lock().expect("conn registry").iter() {
+        for conn in self.conns.lock().expect("conn registry").values() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -184,7 +190,7 @@ impl Server {
                 tenants: Mutex::new(HashSet::new()),
                 reports: Mutex::new(Vec::new()),
                 failures: Mutex::new(Vec::new()),
-                conns: Mutex::new(Vec::new()),
+                conns: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
             }),
         })
@@ -198,25 +204,41 @@ impl Server {
     /// Runs the accept loop until a `SHUTDOWN` frame arrives, then drains
     /// every session and returns the lifetime summary.
     pub fn run(self) -> ServerSummary {
-        let mut joins = Vec::new();
-        for incoming in self.listener.incoming() {
+        let mut joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        for (id, incoming) in (0u64..).zip(self.listener.incoming()) {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            // Join the threads of connections that have ended, so their
+            // handles do not pile up over the daemon's lifetime.
+            let (ended, open): (Vec<_>, Vec<_>) =
+                joins.into_iter().partition(|handle| handle.is_finished());
+            for handle in ended {
+                let _ = handle.join();
+            }
+            joins = open;
             let stream = match incoming {
                 Ok(s) => s,
                 Err(_) => continue,
             };
             if let Ok(clone) = stream.try_clone() {
-                self.state.conns.lock().expect("conn registry").push(clone);
+                self.state
+                    .conns
+                    .lock()
+                    .expect("conn registry")
+                    .insert(id, clone);
             }
             let state = Arc::clone(&self.state);
             match std::thread::Builder::new()
                 .name("glove-serve-conn".to_string())
-                .spawn(move || handle_connection(stream, state))
-            {
+                .spawn(move || {
+                    handle_connection(stream, &state);
+                    state.conns.lock().expect("conn registry").remove(&id);
+                }) {
                 Ok(handle) => joins.push(handle),
-                Err(_) => continue,
+                Err(_) => {
+                    self.state.conns.lock().expect("conn registry").remove(&id);
+                }
             }
         }
         for join in joins {
@@ -265,7 +287,7 @@ fn error_frame(code: ErrorCode, message: impl Into<String>) -> Frame {
     }
 }
 
-fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
+fn handle_connection(stream: TcpStream, state: &ServerState) {
     let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
@@ -354,7 +376,7 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
                         reply(&writer, &Frame::Busy { accepted, retry_ms })
                     }
                     Offer::Dead => {
-                        let cause = finalize(&mut session, &state)
+                        let cause = finalize(&mut session, state)
                             .and_then(Result::err)
                             .unwrap_or_else(|| "engine worker died".to_string());
                         reply(&writer, &error_frame(ErrorCode::Engine, cause))
@@ -385,7 +407,7 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
                 Some(open) => {
                     let tenant = open.metrics().tenant().to_string();
                     session = Some(open);
-                    match finalize(&mut session, &state).expect("session present") {
+                    match finalize(&mut session, state).expect("session present") {
                         Ok(report) => reply(
                             &writer,
                             &Frame::Report {
@@ -414,12 +436,12 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
                 },
             },
             Frame::Close => {
-                let _ = finalize(&mut session, &state);
+                let _ = finalize(&mut session, state);
                 let _ = reply(&writer, &Frame::Bye);
                 break;
             }
             Frame::Shutdown => {
-                let _ = finalize(&mut session, &state);
+                let _ = finalize(&mut session, state);
                 state.shutdown.store(true, Ordering::SeqCst);
                 let _ = reply(&writer, &Frame::Bye);
                 state.nudge_connections();
@@ -438,5 +460,5 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
             break; // peer gone; finalize below
         }
     }
-    let _ = finalize(&mut session, &state);
+    let _ = finalize(&mut session, state);
 }
