@@ -39,7 +39,8 @@
 //!   signature → hull → partial → exact, and only while its bound could
 //!   still decide a row minimum. The partial tier is a cutoff-aware,
 //!   early-abandoning Eq. 10 evaluation
-//!   ([`crate::stretch::fingerprint_stretch_cutoff_resume_seq`]).
+//!   ([`crate::stretch::fingerprint_stretch_cutoff_resume_seq`]) whose
+//!   suffix floors read the hulls the arena already keeps.
 //!   [`Pruning::Cascade`] seeds signatures only when fingerprints are long
 //!   enough for the filter to pay for itself (`CASCADE_MIN_MEAN_SAMPLES`)
 //!   and hull bounds otherwise. Every seed is admissible, so the published
@@ -78,7 +79,7 @@ use crate::policy::KPlan;
 use crate::reshape::reshape_suppressed;
 use crate::shard::ShardStat;
 use crate::stretch::{
-    fingerprint_stretch_cutoff_resume_seq, fingerprint_stretch_seq, stretch_lower_bound,
+    fingerprint_stretch_cutoff_resume_hulled, fingerprint_stretch_seq, stretch_lower_bound,
     StretchEval, StretchHull, StretchOperand, StretchProgress,
 };
 use crate::suppress::SuppressionLedger;
@@ -559,7 +560,11 @@ impl Pricer {
             (f64::INFINITY, &mut fresh)
         };
         let (a, b) = self.operands(i, j);
-        match fingerprint_stretch_cutoff_resume_seq(a, b, &self.cfg, cutoff, prog) {
+        // The suffix floors read the hulls the arena keeps, oriented as
+        // `operands` orients the samples.
+        let (r, c) = tri(i, j);
+        let hulls = Some((&self.hulls[r], &self.hulls[c]));
+        match fingerprint_stretch_cutoff_resume_hulled(a, b, hulls, &self.cfg, cutoff, prog) {
             StretchEval::Exact(d) => {
                 if tier == TIER_PARTIAL {
                     counters.exact_from_partial += 1;
@@ -1266,6 +1271,9 @@ pub(crate) fn run_monolithic(
         // merged sample is a bounding box of parent samples, so the merged
         // hull is exactly the union of the parents' hulls — no O(n) rescan.
         // Suppression can shrink the true hull, so those merges refresh.
+        // The partial tier's suffix floors read these hulls, so this
+        // equality is also what keeps every abandonment, and every work
+        // counter, where a freshly built hull would put it.
         let hulls = &arena.pricer.hulls;
         let hull = if merge_dropped == 0 {
             let h = hulls[a].union(&hulls[b], outcome.fingerprint.len());

@@ -12,9 +12,15 @@
 //!   efforts, feeding the tail-weight analysis of Fig. 5.
 //!
 //! The per-pair inner loop is the hottest code in the workspace (it runs
-//! `O(|M|² · n̄²)` times); [`fingerprint_stretch`] therefore uses a
-//! temporal-gap lower bound to prune candidates, which is checked against the
-//! naive scan by property tests.
+//! `O(|M|² · n̄²)` times). Every kernel decodes the shorter operand once per
+//! evaluation into integer lanes and matches each sample of the longer one
+//! against all of them in one branch-free loop. Only when the shorter
+//! fingerprint has at least 128 samples do the kernels switch to a walk
+//! that prunes candidates with a temporal-gap lower bound. Both paths are
+//! checked bit for bit against the naive scan by property tests.
+
+use std::cell::RefCell;
+use std::ops::ControlFlow;
 
 use crate::config::StretchConfig;
 use crate::model::{Fingerprint, Sample};
@@ -198,53 +204,175 @@ pub fn fingerprint_stretch_seq<A: SampleSeq, B: SampleSeq>(
     }
 }
 
-/// Below this many samples in the shorter fingerprint, a branch-light
-/// linear scan of the inner loop beats the pruned two-sided walk (measured
-/// on sparse ~90-sample CDR fingerprints, where pruning eliminates little
-/// and its bookkeeping dominates). Dense fingerprints — the paper's
-/// hundreds-of-samples-per-week regime — go through the pruned path.
+/// From this many samples in the shorter fingerprint on, each outer sample
+/// is matched by the temporal-gap walk of [`min_stretch_to`], which visits
+/// only the candidates whose windows could still beat the best match found.
+/// Shorter operands — every metro and daily-window fingerprint — go through
+/// the lane loop ([`Lanes::min_stretch`]), which visits every candidate but
+/// pays nothing per candidate beyond the Eq. (1) arithmetic. On 5,000-user
+/// metro fingerprints (~42 samples) a threshold of 0 made
+/// [`fingerprint_stretch`] about 3.5x slower than the lane loop (2-vCPU
+/// Intel Xeon host, 5,000 pairs, fastest of 15 runs).
 const PRUNE_MIN_SHORT_LEN: usize = 128;
 
-/// One direction of Eq. (10): match every sample of `long` into `short`.
+/// One candidate of the lane loop: a sample of the shorter operand, decoded
+/// into the `i64` edges and extents Eqs. (4)–(9) read.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    x: i64,
+    x_end: i64,
+    y: i64,
+    y_end: i64,
+    /// `dx + dy`: the spatial extent the candidate's own box already covers.
+    dxy: i64,
+    t: i64,
+    t_end: i64,
+    dt: i64,
+}
+
+impl Lane {
+    #[inline]
+    fn of(q: &Sample) -> Self {
+        Self {
+            x: q.x,
+            x_end: q.x_end(),
+            y: q.y,
+            y_end: q.y_end(),
+            dxy: i64::from(q.dx) + i64::from(q.dy),
+            t: i64::from(q.t),
+            t_end: q.t_end() as i64,
+            dt: i64::from(q.dt),
+        }
+    }
+}
+
+/// The shorter operand of one Eq. (10) evaluation, decoded once into
+/// integer lanes, so the inner loop streams dense `i64` records instead of
+/// decoding every candidate from its page once per outer sample.
 ///
-/// [`directed_resume`] with an infinite cutoff returns bit-identical
-/// values, but this plain kernel stays beside it because it skips the
-/// resume bookkeeping. Over 40,000 pairs (median of 9 repetitions, 2-vCPU
-/// AMD EPYC host), the resumable entry point with an infinite cutoff took
-/// 2.9 ms against 2.3 ms on ~4-sample daily-window pairs (1.2x) and
-/// 0.214 s against 0.208 s on ~44-sample metro pairs (1.03x). The public
-/// [`fingerprint_stretch`], the exact seeds of `Pruning::Off` and the
-/// residual merge run here.
-fn directed_stretch<L: SampleSeq, S: SampleSeq>(
+/// A lane is one 64-byte record per candidate rather than one column per
+/// field: the minimum's compare-and-select chain keeps the loop scalar
+/// across candidates (LLVM pairs the spatial and temporal halves into
+/// two-wide SSE2 operations instead), and a single record pointer leaves
+/// room in the registers that eight column pointers spilled. Against a
+/// loop that calls [`sample_stretch`] on each candidate, on `Vec<Sample>`
+/// metro pairs (2-vCPU Intel Xeon host), records measured 1.26–1.30x and
+/// columns 1.21–1.22x.
+#[derive(Debug, Default)]
+struct Lanes(Vec<Lane>);
+
+impl Lanes {
+    /// Decodes `samples` into the lanes, replacing what they held.
+    fn fill<S: SampleSeq>(&mut self, samples: S) {
+        self.0.clear();
+        self.0
+            .extend((0..samples.len()).map(|j| Lane::of(&samples.get(j))));
+    }
+
+    /// The minimum sample stretch effort from `s` to any candidate in the
+    /// lanes, bit-identical to folding [`sample_stretch`] over them.
+    ///
+    /// `na` and `nb` are the multiplicities of `s`'s and the candidates'
+    /// fingerprints, already replaced by 1 when population weighting is
+    /// off. The covering box of `s` and `q` spans
+    /// `u = (max(x_end) − min(x)) + (max(y_end) − min(y))`, so the growth
+    /// `l_ab + r_ab` of Eqs. (5)–(6) is `u − (dx_s + dy_s)` and `l_ba + r_ba`
+    /// is `u − (dx_q + dy_q)`; time works the same way. These are the exact
+    /// integer sums [`raw_spatial_stretch_m`] and [`raw_temporal_stretch_min`]
+    /// form, and the `f64` operations after them are theirs, in their
+    /// order. No value is NaN (the caps are positive and the multiplicities
+    /// at least 1), so the branch-free selects equal `f64::min` and the
+    /// minimum does not depend on the visiting order.
+    #[inline]
+    fn min_stretch(&self, s: &Sample, na: f64, nb: f64, cfg: &StretchConfig) -> f64 {
+        let s = Lane::of(s);
+        let n = na + nb;
+        let mut best = f64::INFINITY;
+        for q in &self.0 {
+            let u = (s.x_end.max(q.x_end) - s.x.min(q.x)) + (s.y_end.max(q.y_end) - s.y.min(q.y));
+            let raw_s = ((u - s.dxy) as f64 * na + (u - q.dxy) as f64 * nb) / n;
+            let ut = s.t_end.max(q.t_end) - s.t.min(q.t);
+            let raw_t = ((ut - s.dt) as f64 * na + (ut - q.dt) as f64 * nb) / n;
+            let phi_s = raw_s / cfg.phi_max_space_m;
+            let phi_s = if phi_s < 1.0 { phi_s } else { 1.0 };
+            let phi_t = raw_t / cfg.phi_max_time_min;
+            let phi_t = if phi_t < 1.0 { phi_t } else { 1.0 };
+            let d = cfg.w_space * phi_s + cfg.w_time * phi_t;
+            best = if d < best { d } else { best };
+        }
+        best
+    }
+}
+
+/// Per-thread scratch of the Eq. (10) kernels, reused by every evaluation
+/// on the thread, so a daily-window pair pays no allocation.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The shorter operand of the current direction.
+    lanes: Lanes,
+    /// The suffix floors a cutoff-aware direction owes, one per outer
+    /// sample it has yet to visit.
+    floors: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// The one inner loop of Eq. (10): adds the minimum effort of each sample
+/// of `long[first..]` into `short` to `total`, in order. After sample `i`,
+/// `check(i, total)` may stop the scan with its own break value; a scan
+/// that is never stopped returns the final sum. [`directed_stretch`] never
+/// stops it, [`directed_resume`] stops it when the cutoff is proven.
+fn fold_minima<L: SampleSeq, S: SampleSeq, B>(
     long: StretchOperand<L>,
     short: StretchOperand<S>,
+    first: usize,
+    mut total: f64,
+    lanes: &mut Lanes,
     cfg: &StretchConfig,
-) -> f64 {
+    mut check: impl FnMut(usize, f64) -> ControlFlow<B>,
+) -> ControlFlow<B, f64> {
     let n_long = long.multiplicity as f64;
     let n_short = short.multiplicity as f64;
-    let mut total = 0.0;
     if short.samples.len() < PRUNE_MIN_SHORT_LEN {
-        for i in 0..long.samples.len() {
-            let s = long.samples.get(i);
-            let mut best = f64::INFINITY;
-            for j in 0..short.samples.len() {
-                let q = short.samples.get(j);
-                let d = sample_stretch(&s, n_long, &q, n_short, cfg);
-                if d < best {
-                    best = d;
-                }
-            }
-            total += best;
+        let (na, nb) = if cfg.population_weighting {
+            (n_long, n_short)
+        } else {
+            (1.0, 1.0)
+        };
+        lanes.fill(short.samples);
+        for i in first..long.samples.len() {
+            total += lanes.min_stretch(&long.samples.get(i), na, nb, cfg);
+            check(i, total)?;
         }
     } else {
         // Largest window length in the shorter fingerprint, needed to make
         // the temporal pruning bound valid on samples sorted by start time.
         let short_max_dt = seq_max_dt(short.samples);
-        for i in 0..long.samples.len() {
+        for i in first..long.samples.len() {
             let s = long.samples.get(i);
             total += min_stretch_to(&s, n_long, short.samples, n_short, short_max_dt, cfg);
+            check(i, total)?;
         }
     }
+    ControlFlow::Continue(total)
+}
+
+/// One direction of Eq. (10): match every sample of `long` into `short`.
+/// The public [`fingerprint_stretch`], the exact seeds of `Pruning::Off`
+/// and the residual merge run here; it is [`fold_minima`] with no stopping
+/// test, so it returns the bits [`directed_resume`] returns with an
+/// infinite cutoff.
+fn directed_stretch<L: SampleSeq, S: SampleSeq>(
+    long: StretchOperand<L>,
+    short: StretchOperand<S>,
+    cfg: &StretchConfig,
+) -> f64 {
+    let never = |_, _| ControlFlow::<std::convert::Infallible>::Continue(());
+    let ControlFlow::Continue(total) = SCRATCH.with_borrow_mut(|scratch| {
+        fold_minima(long, short, 0, 0.0, &mut scratch.lanes, cfg, never)
+    });
     total / long.samples.len() as f64
 }
 
@@ -374,12 +502,45 @@ pub fn fingerprint_stretch_cutoff_resume_seq<A: SampleSeq, B: SampleSeq>(
     cutoff: f64,
     progress: &mut StretchProgress,
 ) -> StretchEval {
+    // Only a finite cutoff arms the suffix floors that read the hulls.
+    let hulls = cutoff.is_finite().then(|| {
+        (
+            StretchHull::of_seq(a.samples),
+            StretchHull::of_seq(b.samples),
+        )
+    });
+    let hulls = hulls.as_ref().map(|(ha, hb)| (ha, hb));
+    fingerprint_stretch_cutoff_resume_hulled(a, b, hulls, cfg, cutoff, progress)
+}
+
+/// [`fingerprint_stretch_cutoff_resume_seq`] for a caller that already
+/// holds the operands' hulls, `(hull of a, hull of b)`: the arena passes
+/// the ones it maintains instead of rebuilding the shorter operand's hull
+/// on every evaluation.
+///
+/// The hulls only feed the suffix floors, which are armed when `hulls` is
+/// given and `cutoff` is finite. Given [`StretchHull::of_seq`] of each
+/// operand, every result and saved `progress` equals the public entry
+/// point's. A larger hull would only lower the floors, which stay
+/// admissible, so abandonment would stay sound but come later.
+pub(crate) fn fingerprint_stretch_cutoff_resume_hulled<A: SampleSeq, B: SampleSeq>(
+    a: StretchOperand<A>,
+    b: StretchOperand<B>,
+    hulls: Option<(&StretchHull, &StretchHull)>,
+    cfg: &StretchConfig,
+    cutoff: f64,
+    progress: &mut StretchProgress,
+) -> StretchEval {
+    // Suffix floors are pure overhead when the caller never abandons
+    // (`cutoff = ∞`), so only arm them for a finite cutoff.
+    let hulls = hulls.filter(|_| cutoff.is_finite());
+    let (hull_a, hull_b) = (hulls.map(|h| h.0), hulls.map(|h| h.1));
     match a.samples.len().cmp(&b.samples.len()) {
-        std::cmp::Ordering::Greater => directed_resume(a, b, cfg, cutoff, |m| m, progress),
-        std::cmp::Ordering::Less => directed_resume(b, a, cfg, cutoff, |m| m, progress),
+        std::cmp::Ordering::Greater => directed_resume(a, b, hull_b, cfg, cutoff, |m| m, progress),
+        std::cmp::Ordering::Less => directed_resume(b, a, hull_a, cfg, cutoff, |m| m, progress),
         std::cmp::Ordering::Equal => {
             if progress.dir == 0 {
-                match directed_resume(a, b, cfg, cutoff, |m| m / 2.0, progress) {
+                match directed_resume(a, b, hull_b, cfg, cutoff, |m| m / 2.0, progress) {
                     StretchEval::Exact(d1) => {
                         progress.d1 = d1;
                         progress.dir = 1;
@@ -390,7 +551,7 @@ pub fn fingerprint_stretch_cutoff_resume_seq<A: SampleSeq, B: SampleSeq>(
                 }
             }
             let d1 = progress.d1;
-            match directed_resume(b, a, cfg, cutoff, |m| (d1 + m) / 2.0, progress) {
+            match directed_resume(b, a, hull_a, cfg, cutoff, |m| (d1 + m) / 2.0, progress) {
                 StretchEval::Exact(d2) => StretchEval::Exact((d1 + d2) / 2.0),
                 abandoned => abandoned,
             }
@@ -399,7 +560,7 @@ pub fn fingerprint_stretch_cutoff_resume_seq<A: SampleSeq, B: SampleSeq>(
 }
 
 /// Slack conceded by the suffix-strengthened abandonment test of
-/// [`directed_stretch_cutoff`].
+/// [`directed_resume`].
 ///
 /// The per-sample hull floors and their running remainder are rounded
 /// independently of the exact accumulation, so a floor-augmented bound can
@@ -437,29 +598,29 @@ fn sample_hull_floor(s: &Sample, hull: &StretchHull, cfg: &StretchConfig) -> f64
 /// One direction of [`fingerprint_stretch_cutoff_resume`]. `bound_of` maps
 /// the partial mean of *this* direction to a lower bound on the caller's
 /// final result (identity for unequal lengths; the averaging maps for the
-/// equal-length case). Mirrors [`directed_stretch`] exactly on the
-/// non-abandoning path, including the naive/pruned inner-loop split, and
-/// starts from — and on abandonment saves back to — the `total`/`next`
-/// prefix recorded in `progress`.
+/// equal-length case). Runs the same [`fold_minima`] loop as
+/// [`directed_stretch`], starting from — and on abandonment saving back
+/// to — the `total`/`next` prefix recorded in `progress`.
 ///
 /// The plain partial mean books every unvisited sample at zero effort, so
 /// it only proves abandonment near the end of the scan — on dense metro
 /// fingerprints an abandoned evaluation used to cost almost as much as a
-/// full one. A finite cutoff therefore arms a suffix strengthening: each
-/// outer sample owes at least its [`sample_hull_floor`] toward the final
-/// sum, and `owed` carries the floors of the samples not yet visited. The
-/// pre-scan check (prefix plus everything owed) frequently abandons before
-/// a single inner loop runs, in O(|long|) integer gap arithmetic.
+/// full one. `short_hull` (the hull of `short`, given only for a finite
+/// cutoff) therefore arms a suffix strengthening: each outer sample owes
+/// at least its [`sample_hull_floor`] toward the final sum, and `owed`
+/// carries the floors of the samples not yet visited. Each floor is
+/// computed once, by the pre-scan check (prefix plus everything owed),
+/// which frequently abandons in O(|long|) integer gap arithmetic before
+/// the shorter operand is even decoded into its lanes.
 fn directed_resume<L: SampleSeq, S: SampleSeq>(
     long: StretchOperand<L>,
     short: StretchOperand<S>,
+    short_hull: Option<&StretchHull>,
     cfg: &StretchConfig,
     cutoff: f64,
     bound_of: impl Fn(f64) -> f64,
     progress: &mut StretchProgress,
 ) -> StretchEval {
-    let n_long = long.multiplicity as f64;
-    let n_short = short.multiplicity as f64;
     let len = long.samples.len() as f64;
     let first = progress.next as usize;
     if first >= long.samples.len() {
@@ -467,62 +628,41 @@ fn directed_resume<L: SampleSeq, S: SampleSeq>(
         // on the final bound check); its mean is now exact.
         return StretchEval::Exact(progress.total / len);
     }
-    // Suffix floors are pure overhead when the caller never abandons
-    // (`cutoff = ∞`), so only arm them for a finite cutoff.
-    let floors = cutoff
-        .is_finite()
-        .then(|| StretchHull::of_seq(short.samples));
-    let mut owed = 0.0;
-    if let Some(hull) = &floors {
-        for i in first..long.samples.len() {
-            owed += sample_hull_floor(&long.samples.get(i), hull, cfg);
-        }
-        let lb = bound_of((progress.total + owed) / len) - FLOOR_SLACK;
-        if lb > cutoff {
-            return StretchEval::AtLeast(lb);
-        }
-    }
-    let mut total = progress.total;
-    let abandon_at = |i: usize, total: f64, lb: f64, progress: &mut StretchProgress| {
-        progress.total = total;
-        progress.next = (i + 1) as u32;
-        StretchEval::AtLeast(lb)
-    };
-    if short.samples.len() < PRUNE_MIN_SHORT_LEN {
-        for i in first..long.samples.len() {
-            let s = long.samples.get(i);
-            if let Some(hull) = &floors {
-                owed -= sample_hull_floor(&s, hull, cfg);
+    SCRATCH.with_borrow_mut(|Scratch { lanes, floors }| {
+        floors.clear();
+        let mut owed = 0.0;
+        if let Some(hull) = short_hull {
+            for i in first..long.samples.len() {
+                let floor = sample_hull_floor(&long.samples.get(i), hull, cfg);
+                floors.push(floor);
+                owed += floor;
             }
-            let mut best = f64::INFINITY;
-            for j in 0..short.samples.len() {
-                let q = short.samples.get(j);
-                let d = sample_stretch(&s, n_long, &q, n_short, cfg);
-                if d < best {
-                    best = d;
-                }
+            let lb = bound_of((progress.total + owed) / len) - FLOOR_SLACK;
+            if lb > cutoff {
+                return StretchEval::AtLeast(lb);
             }
-            total += best;
+        }
+        let check = |i: usize, total: f64| {
+            // No floors are stored when none are armed.
+            if let Some(floor) = floors.get(i - first) {
+                owed -= floor;
+            }
             let lb = bound_of((total + owed.max(0.0)) / len) - FLOOR_SLACK;
             if lb > cutoff {
-                return abandon_at(i, total, lb, progress);
+                ControlFlow::Break((i, total, lb))
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        match fold_minima(long, short, first, progress.total, lanes, cfg, check) {
+            ControlFlow::Continue(total) => StretchEval::Exact(total / len),
+            ControlFlow::Break((i, total, lb)) => {
+                progress.total = total;
+                progress.next = (i + 1) as u32;
+                StretchEval::AtLeast(lb)
             }
         }
-    } else {
-        let short_max_dt = seq_max_dt(short.samples);
-        for i in first..long.samples.len() {
-            let s = long.samples.get(i);
-            if let Some(hull) = &floors {
-                owed -= sample_hull_floor(&s, hull, cfg);
-            }
-            total += min_stretch_to(&s, n_long, short.samples, n_short, short_max_dt, cfg);
-            let lb = bound_of((total + owed.max(0.0)) / len) - FLOOR_SLACK;
-            if lb > cutoff {
-                return abandon_at(i, total, lb, progress);
-            }
-        }
-    }
-    StretchEval::Exact(total / len)
+    })
 }
 
 /// `Δ_ab` together with the matched per-sample efforts, decomposed into
@@ -827,6 +967,8 @@ pub fn fingerprint_stretch_naive(a: &Fingerprint, b: &Fingerprint, cfg: &Stretch
 mod tests {
     use super::*;
     use crate::model::Fingerprint;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn cfg() -> StretchConfig {
         StretchConfig::default()
@@ -1106,6 +1248,89 @@ mod tests {
         let merged = Fingerprint::with_users(vec![0, 1], samples).unwrap();
         let union = StretchHull::of(&a).union(&StretchHull::of(&b), merged.len());
         assert_eq!(union, StretchHull::of(&merged));
+    }
+
+    /// A fingerprint of 1–160 samples (both sides of the switch to the
+    /// temporal walk) shared by 1–8 subscribers numbered from `user`. Its
+    /// samples cluster around a drawn origin, so two such fingerprints are
+    /// often apart and their suffix floors positive.
+    fn arb_fingerprint(user: u32) -> impl Strategy<Value = Fingerprint> {
+        let sample = (
+            -10_000i64..10_000,
+            -10_000i64..10_000,
+            1u32..5_000,
+            0u32..2_000,
+            1u32..600,
+        );
+        let origin = (0i64..200_000, 0u32..20_000);
+        (origin, vec(sample, 1..=160), 1u32..=8).prop_map(move |((x0, t0), points, n)| {
+            let samples = points
+                .into_iter()
+                .map(|(x, y, d, t, dt)| {
+                    Sample::new(x0 + x, y, d, d, t0 + t, dt).expect("valid extents")
+                })
+                .collect();
+            Fingerprint::with_users((user..user + n).collect(), samples).expect("non-empty")
+        })
+    }
+
+    /// The first `n` samples of `fp`, same subscribers.
+    fn truncated(fp: &Fingerprint, n: usize) -> Fingerprint {
+        Fingerprint::with_users(fp.users().to_vec(), fp.samples()[..n].to_vec()).expect("n >= 1")
+    }
+
+    fn eval_bits(eval: StretchEval) -> (bool, u64) {
+        match eval {
+            StretchEval::Exact(d) => (true, d.to_bits()),
+            StretchEval::AtLeast(lb) => (false, lb.to_bits()),
+        }
+    }
+
+    fn progress_bits(p: &StretchProgress) -> (u64, u64, u32, u8) {
+        (p.d1.to_bits(), p.total.to_bits(), p.next, p.dir)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The entry point the arena calls with its maintained hulls
+        /// returns the public entry point's evaluation and saved progress
+        /// at every step of a resumed sequence of cutoffs.
+        #[test]
+        fn hulled_entry_point_matches_the_public_one_step_for_step(
+            a in arb_fingerprint(0),
+            b in arb_fingerprint(100),
+            shape in 0u8..4,
+            fractions in vec(0.0f64..1.2, 1..=6),
+        ) {
+            let (a, b) = if shape == 0 {
+                let n = a.len().min(b.len());
+                (truncated(&a, n), truncated(&b, n))
+            } else {
+                (a, b)
+            };
+            let cfg = cfg();
+            let exact = fingerprint_stretch(&a, &b, &cfg);
+            let hulls = (StretchHull::of(&a), StretchHull::of(&b));
+            let (mut public, mut hulled) = (StretchProgress::start(), StretchProgress::start());
+            for cutoff in fractions.iter().map(|f| f * exact).chain([f64::INFINITY]) {
+                let want = fingerprint_stretch_cutoff_resume(&a, &b, &cfg, cutoff, &mut public);
+                let got = fingerprint_stretch_cutoff_resume_hulled(
+                    StretchOperand::of(&a),
+                    StretchOperand::of(&b),
+                    Some((&hulls.0, &hulls.1)),
+                    &cfg,
+                    cutoff,
+                    &mut hulled,
+                );
+                prop_assert_eq!(eval_bits(got), eval_bits(want));
+                prop_assert_eq!(progress_bits(&hulled), progress_bits(&public));
+                if let StretchEval::Exact(d) = want {
+                    prop_assert_eq!(d.to_bits(), exact.to_bits());
+                    break;
+                }
+            }
+        }
     }
 
     #[test]
