@@ -11,9 +11,9 @@
 //! through JSON byte-identically (enforced by this module's tests and the
 //! attack property suite).
 
-use glove_core::api::json::JsonValue;
+use glove_core::api::json::{field, field_or, Json, JsonValue};
 use glove_core::api::{RunDetail, RunReport};
-use glove_core::{Dataset, Fingerprint, GloveError};
+use glove_core::{json_struct, Dataset, Fingerprint, GloveError};
 
 /// What the adversary links against: one released dataset, or the
 /// per-epoch outputs of a streaming run (in emission order).
@@ -96,6 +96,12 @@ pub struct CohortBreakdown {
     pub success_rate: f64,
 }
 
+json_struct!(CohortBreakdown {
+    cohort,
+    trials,
+    success_rate,
+});
+
 /// The serializable result of one attack run — the adversary-side
 /// counterpart of [`RunReport`].
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -144,123 +150,6 @@ impl AttackReport {
         self
     }
 
-    /// The report as a JSON tree.
-    pub fn to_value(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("attack", JsonValue::Str(self.attack.clone())),
-            ("dataset", JsonValue::Str(self.dataset.clone())),
-            ("population", JsonValue::Num(self.population as f64)),
-            ("trials", JsonValue::Num(self.trials as f64)),
-            ("success_rate", JsonValue::Num(self.success_rate)),
-            ("mean_anonymity", JsonValue::Num(self.mean_anonymity)),
-            ("min_anonymity", JsonValue::Num(self.min_anonymity as f64)),
-            (
-                "metrics",
-                JsonValue::Arr(
-                    self.metrics
-                        .iter()
-                        .map(|(name, value)| {
-                            JsonValue::obj(vec![
-                                ("name", JsonValue::Str(name.clone())),
-                                ("value", JsonValue::Num(*value)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "cohorts",
-                JsonValue::Arr(
-                    self.cohorts
-                        .iter()
-                        .map(|c| {
-                            JsonValue::obj(vec![
-                                ("cohort", JsonValue::Str(c.cohort.clone())),
-                                ("trials", JsonValue::Num(c.trials as f64)),
-                                ("success_rate", JsonValue::Num(c.success_rate)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Reconstructs a report from its JSON tree.
-    pub fn from_value(v: &JsonValue) -> Result<AttackReport, String> {
-        let field = |key: &str| v.get(key).ok_or_else(|| format!("missing field '{key}'"));
-        let str_field = |key: &str| {
-            field(key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("field '{key}' is not a string"))
-        };
-        let num_field = |key: &str| {
-            field(key)?
-                .as_f64()
-                .ok_or_else(|| format!("field '{key}' is not a number"))
-        };
-        let usize_field = |key: &str| {
-            field(key)?
-                .as_usize()
-                .ok_or_else(|| format!("field '{key}' is not an integer"))
-        };
-        let metrics = field("metrics")?
-            .as_arr()
-            .ok_or("field 'metrics' is not an array")?
-            .iter()
-            .map(|m| {
-                let name = m
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("metric without a name")?;
-                let value = m
-                    .get("value")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or("metric without a value")?;
-                Ok((name.to_string(), value))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        // Lenient on purpose: reports written before the cohort breakdown
-        // existed carry no "cohorts" field and parse as empty.
-        let cohorts = match v.get("cohorts") {
-            None => Vec::new(),
-            Some(arr) => arr
-                .as_arr()
-                .ok_or("field 'cohorts' is not an array")?
-                .iter()
-                .map(|c| {
-                    Ok(CohortBreakdown {
-                        cohort: c
-                            .get("cohort")
-                            .and_then(JsonValue::as_str)
-                            .ok_or("cohort breakdown without a label")?
-                            .to_string(),
-                        trials: c
-                            .get("trials")
-                            .and_then(JsonValue::as_usize)
-                            .ok_or("cohort breakdown without trials")?,
-                        success_rate: c
-                            .get("success_rate")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or("cohort breakdown without a success rate")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-        };
-        Ok(AttackReport {
-            attack: str_field("attack")?,
-            dataset: str_field("dataset")?,
-            population: usize_field("population")?,
-            trials: usize_field("trials")?,
-            success_rate: num_field("success_rate")?,
-            mean_anonymity: num_field("mean_anonymity")?,
-            min_anonymity: usize_field("min_anonymity")?,
-            metrics,
-            cohorts,
-        })
-    }
-
     /// The report as a [`RunDetail`] section, ready to embed in a
     /// [`RunReport`].
     pub fn to_run_detail(&self) -> RunDetail {
@@ -293,6 +182,50 @@ impl AttackReport {
             detail: self.to_run_detail(),
             ..RunReport::default()
         }
+    }
+}
+
+/// `metrics` travels as an array of `{"name", "value"}` objects.
+impl Json for AttackReport {
+    fn to_value(&self) -> JsonValue {
+        let metrics = self
+            .metrics
+            .iter()
+            .map(|(name, value)| {
+                JsonValue::obj(vec![("name", name.to_value()), ("value", value.to_value())])
+            })
+            .collect();
+        JsonValue::obj(vec![
+            ("attack", self.attack.to_value()),
+            ("dataset", self.dataset.to_value()),
+            ("population", self.population.to_value()),
+            ("trials", self.trials.to_value()),
+            ("success_rate", self.success_rate.to_value()),
+            ("mean_anonymity", self.mean_anonymity.to_value()),
+            ("min_anonymity", self.min_anonymity.to_value()),
+            ("metrics", JsonValue::Arr(metrics)),
+            ("cohorts", self.cohorts.to_value()),
+        ])
+    }
+
+    fn from_value(v: &JsonValue) -> Result<Self, String> {
+        let metrics: Vec<JsonValue> = field(v, "metrics")?;
+        Ok(AttackReport {
+            attack: field(v, "attack")?,
+            dataset: field(v, "dataset")?,
+            population: field(v, "population")?,
+            trials: field(v, "trials")?,
+            success_rate: field(v, "success_rate")?,
+            mean_anonymity: field(v, "mean_anonymity")?,
+            min_anonymity: field(v, "min_anonymity")?,
+            metrics: metrics
+                .iter()
+                .map(|m| Ok((field(m, "name")?, field(m, "value")?)))
+                .collect::<Result<_, String>>()?,
+            // Lenient on purpose: reports written before the cohort
+            // breakdown existed carry no "cohorts" key and parse as empty.
+            cohorts: field_or(v, "cohorts", Vec::new())?,
+        })
     }
 }
 
@@ -335,10 +268,29 @@ mod tests {
         let report = sample_report();
         let parsed = AttackReport::from_value(&report.to_value()).unwrap();
         assert_eq!(parsed, report);
+        assert_eq!(
+            report.to_value().render(),
+            concat!(
+                r#"{"attack":"multi-point","dataset":"metro-like","population":600,"#,
+                r#""trials":200,"success_rate":0.125,"mean_anonymity":3.5,"#,
+                r#""min_anonymity":2,"metrics":[{"name":"points","value":3},"#,
+                r#"{"name":"linked_rate","value":0.0625},"#,
+                r#"{"name":"noise_space_m","value":0}],"#,
+                r#""cohorts":[{"cohort":"night-shift","trials":24,"success_rate":0.25},"#,
+                r#"{"cohort":"long-tail","trials":40,"success_rate":0.2}]}"#,
+            )
+        );
         assert_eq!(report.metric("points"), Some(3.0));
         assert_eq!(report.metric("missing"), None);
         assert_eq!(report.cohort("night-shift").map(|c| c.trials), Some(24));
         assert_eq!(report.cohort("typical"), None);
+
+        // Counts take the exact integer path: 2^53 + 1 has no f64.
+        let big = AttackReport {
+            trials: (1 << 53) + 1,
+            ..report
+        };
+        assert_eq!(AttackReport::from_value(&big.to_value()).unwrap(), big);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! [`RunDetail::External`] section as JSON.
 
 use crate::uniform::{generalize_uniform, GeneralizationLevel};
-use crate::w4m::{w4m_lc, W4mConfig, W4mStats};
-use glove_core::api::json::JsonValue;
+use crate::w4m::{w4m_lc, W4mConfig};
+use glove_core::api::json::{Json, JsonValue};
 use glove_core::api::{
     phase, Anonymizer, Observer, PhaseMetric, RunDetail, RunOutcome, RunOutput, RunReport,
 };
@@ -100,9 +100,9 @@ impl Anonymizer for UniformAnonymizer {
             detail: RunDetail::External {
                 engine: engine.to_string(),
                 data: JsonValue::obj(vec![
-                    ("space_m", JsonValue::Num(f64::from(self.level.space_m))),
-                    ("time_min", JsonValue::Num(f64::from(self.level.time_min))),
-                    ("label", JsonValue::Str(self.level.label())),
+                    ("space_m", self.level.space_m.to_value()),
+                    ("time_min", self.level.time_min.to_value()),
+                    ("label", self.level.label().to_value()),
                 ]),
             },
             ..RunReport::default()
@@ -113,36 +113,6 @@ impl Anonymizer for UniformAnonymizer {
             report,
         })
     }
-}
-
-/// Serializes [`W4mStats`] as the external detail payload.
-pub fn w4m_stats_to_value(stats: &W4mStats) -> JsonValue {
-    JsonValue::obj(vec![
-        (
-            "discarded_fingerprints",
-            JsonValue::Num(stats.discarded_fingerprints as f64),
-        ),
-        (
-            "created_samples",
-            JsonValue::Num(stats.created_samples as f64),
-        ),
-        (
-            "deleted_samples",
-            JsonValue::Num(stats.deleted_samples as f64),
-        ),
-        (
-            "published_samples",
-            JsonValue::Num(stats.published_samples as f64),
-        ),
-        (
-            "mean_position_error_m",
-            JsonValue::Num(stats.mean_position_error_m),
-        ),
-        (
-            "mean_time_error_min",
-            JsonValue::Num(stats.mean_time_error_min),
-        ),
-    ])
 }
 
 /// W4M-LC (§7.2, Table 2) behind the run API.
@@ -242,7 +212,7 @@ impl Anonymizer for W4mAnonymizer {
             phases,
             detail: RunDetail::External {
                 engine: engine.to_string(),
-                data: w4m_stats_to_value(stats),
+                data: stats.to_value(),
             },
             ..RunReport::default()
         };
@@ -358,6 +328,14 @@ mod tests {
         let parsed = RunReport::from_json(&outcome.report.to_json()).unwrap();
         assert_eq!(parsed, outcome.report);
         let detail = parsed.detail.as_external().expect("external detail");
+        assert_eq!(
+            detail.render(),
+            concat!(
+                r#"{"discarded_fingerprints":0,"created_samples":0,"deleted_samples":0,"#,
+                r#""published_samples":96,"mean_position_error_m":0,"#,
+                r#""mean_time_error_min":0}"#,
+            )
+        );
         assert!(detail
             .get("mean_position_error_m")
             .and_then(JsonValue::as_f64)

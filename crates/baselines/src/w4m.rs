@@ -35,7 +35,7 @@
 //! large share of the published points and the time synchronization moves
 //! events by hours — exactly the failure mode Table 2 exposes.
 
-use glove_core::{Dataset, Fingerprint, Sample, UserId};
+use glove_core::{json_struct, Dataset, Fingerprint, Sample, UserId};
 
 /// Configuration of a W4M-LC run.
 #[derive(Debug, Clone, Copy)]
@@ -83,6 +83,15 @@ pub struct W4mStats {
     /// member's own timeline, minutes.
     pub mean_time_error_min: f64,
 }
+
+json_struct!(W4mStats {
+    discarded_fingerprints,
+    created_samples,
+    deleted_samples,
+    published_samples,
+    mean_position_error_m,
+    mean_time_error_min,
+});
 
 /// Result of a W4M-LC run.
 #[derive(Debug, Clone)]

@@ -6,9 +6,9 @@
 //! [`glove_core::api::RunReport`].
 
 use crate::io;
-use glove_baselines::{GeneralizationLevel, UniformAnonymizer, W4mAnonymizer, W4mConfig};
+use glove_baselines::{GeneralizationLevel, UniformAnonymizer, W4mAnonymizer, W4mConfig, W4mStats};
 use glove_core::accuracy::{mean_position_accuracy_m, mean_time_accuracy_min};
-use glove_core::api::json::JsonValue;
+use glove_core::api::json::Json;
 use glove_core::api::RunBuilder;
 use glove_core::{GloveConfig, ResidualPolicy, ShardBy, ShardPolicy, SuppressionThresholds};
 use std::error::Error;
@@ -119,11 +119,7 @@ pub fn anonymize_cmd(
         msg.push_str(&format!(
             "\nshards: {} ({})",
             stats.per_shard.len(),
-            match opts.shard_by {
-                ShardBy::Activity => "activity",
-                ShardBy::Spatial => "spatial",
-                ShardBy::TwoLevel => "two-level",
-            }
+            opts.shard_by.as_str()
         ));
         for sh in &stats.per_shard {
             msg.push_str(&format!(
@@ -182,8 +178,7 @@ pub fn w4m_cmd(input: &Path, out: &Path, k: usize, delta_m: f64) -> Result<Strin
         })))
         .run(&ds)?;
     let r = &outcome.report;
-    let detail = r.detail.as_external().expect("w4m external detail");
-    let read = |key: &str| detail.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
+    let detail = W4mStats::from_value(r.detail.as_external().expect("w4m external detail"))?;
     let msg = format!(
         "wrote {}: W4M-LC k = {k}, delta = {delta_m} m\n\
          discarded fingerprints: {}, created samples: {}, deleted samples: {}\n\
@@ -192,8 +187,8 @@ pub fn w4m_cmd(input: &Path, out: &Path, k: usize, delta_m: f64) -> Result<Strin
         r.discarded_fingerprints,
         r.created_samples,
         r.deleted_samples,
-        read("mean_position_error_m"),
-        read("mean_time_error_min"),
+        detail.mean_position_error_m,
+        detail.mean_time_error_min,
     );
     io::write_file(outcome.output.dataset().expect("single-release"), out)?;
     Ok(msg)

@@ -202,14 +202,8 @@ pub fn stream_cmd(
         out_dir.display(),
         opts.k,
         opts.window_min,
-        match opts.carry {
-            CarryPolicy::Fresh => "fresh",
-            CarryPolicy::Sticky => "sticky",
-        },
-        match opts.under_k {
-            UnderKPolicy::Suppress => "suppress",
-            UnderKPolicy::Defer => "defer",
-        },
+        opts.carry.as_str(),
+        opts.under_k.as_str(),
         stats.peak_resident_fingerprints,
         stats.peak_resident_samples,
         stats.merges,

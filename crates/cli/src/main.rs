@@ -207,13 +207,12 @@ fn run() -> Result<String, String> {
             let out = PathBuf::from(required(&flags, "out")?);
             let k: usize = parse_num(required(&flags, "k")?, "k")?;
             let (suppress_space_m, suppress_time_min) = parse_suppression(&flags)?;
-            let residual = match flags.get("residual").map(String::as_str) {
-                None | Some("merge") => ResidualPolicy::MergeIntoNearest,
-                Some("suppress") => ResidualPolicy::Suppress,
-                Some(other) => {
-                    return Err(format!("--residual must be merge|suppress, got '{other}'"))
-                }
-            };
+            let residual = flags
+                .get("residual")
+                .map(|s| s.parse::<ResidualPolicy>())
+                .transpose()
+                .map_err(|e| format!("--residual: {e}"))?
+                .unwrap_or_default();
             let threads = parse_threads(&flags)?;
             let (shards, shard_by) = parse_sharding(&flags)?;
             let opts = AnonymizeOpts {

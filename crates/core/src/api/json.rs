@@ -1,6 +1,6 @@
-//! A minimal JSON tree: enough to serialize a [`super::RunReport`] and
-//! parse it back, with no external dependencies (the build environment has
-//! no crates.io access, so serde is not an option).
+//! A minimal JSON tree, and the one codec every serialized type of the
+//! workspace goes through, with no external dependencies (the build
+//! environment has no crates.io access, so serde is not an option).
 //!
 //! The subset is deliberately small — objects, arrays, strings, finite
 //! numbers, booleans and `null` — but the implementation is a complete
@@ -10,6 +10,11 @@
 //! beyond 2⁵³ (pair counts at metro-1M volumes) never round through an
 //! `f64`; other finite doubles go through Rust's shortest round-trip float
 //! formatting.
+//!
+//! Types travel through the [`Json`] trait. Flat structs implement it with
+//! [`json_struct!`](crate::json_struct) from one field list kept beside
+//! the struct's declaration; irregular shapes implement it by hand on the
+//! shared [`field`] / [`field_or`] readers.
 
 /// One JSON value.
 #[derive(Debug, Clone)]
@@ -415,6 +420,179 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     Ok(JsonValue::Num(value))
 }
 
+/// A type with one JSON shape: [`Json::to_value`] renders it and
+/// [`Json::from_value`] reads back exactly what was rendered.
+///
+/// Unsigned integers always render as [`JsonValue::Int`], so every count is
+/// exact at any magnitude; narrower types read back through `try_from` and
+/// reject values outside their range.
+pub trait Json: Sized {
+    /// The value as a JSON tree.
+    fn to_value(&self) -> JsonValue;
+    /// Reads a value back from a tree written by [`Json::to_value`].
+    fn from_value(v: &JsonValue) -> Result<Self, String>;
+}
+
+macro_rules! unsigned_json {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn to_value(&self) -> JsonValue {
+                // Lossless: every unsigned type up to 64 bits fits an i128.
+                JsonValue::Int(*self as i128)
+            }
+            fn from_value(v: &JsonValue) -> Result<Self, String> {
+                v.as_u64()
+                    .and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| concat!("expected a ", stringify!($t)).to_string())
+            }
+        }
+    )*};
+}
+unsigned_json!(u64, usize, u32);
+
+impl Json for f64 {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Num(*self)
+    }
+    fn from_value(v: &JsonValue) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "expected a number".to_string())
+    }
+}
+
+impl Json for bool {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+    fn from_value(v: &JsonValue) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "expected a bool".to_string())
+    }
+}
+
+impl Json for String {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Str(self.clone())
+    }
+    fn from_value(v: &JsonValue) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".to_string())
+    }
+}
+
+/// A raw tree travels as itself (engine-defined report payloads).
+impl Json for JsonValue {
+    fn to_value(&self) -> JsonValue {
+        self.clone()
+    }
+    fn from_value(v: &JsonValue) -> Result<Self, String> {
+        Ok(v.clone())
+    }
+}
+
+/// `None` renders as `null`.
+impl<T: Json> Json for Option<T> {
+    fn to_value(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, T::to_value)
+    }
+    fn from_value(v: &JsonValue) -> Result<Self, String> {
+        match v {
+            JsonValue::Null => Ok(None),
+            other => T::from_value(other).map(Some),
+        }
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Arr(self.iter().map(T::to_value).collect())
+    }
+    fn from_value(v: &JsonValue) -> Result<Self, String> {
+        v.as_arr()
+            .ok_or_else(|| "expected an array".to_string())?
+            .iter()
+            .map(T::from_value)
+            .collect()
+    }
+}
+
+/// Reads the value under `key` of object `v`; the key must be present.
+pub fn field<T: Json>(v: &JsonValue, key: &str) -> Result<T, String> {
+    let value = v.get(key).ok_or_else(|| format!("missing field '{key}'"))?;
+    T::from_value(value).map_err(|e| format!("field '{key}': {e}"))
+}
+
+/// Reads the value under `key` of object `v`, or `default` when the key is
+/// absent. A key that is present must still hold a valid value.
+pub fn field_or<T: Json>(v: &JsonValue, key: &str, default: T) -> Result<T, String> {
+    match v.get(key) {
+        None => Ok(default),
+        Some(_) => field(v, key),
+    }
+}
+
+/// Implements [`Json`] for a flat struct from one field list, written
+/// beside the struct's declaration in declaration order — the key order of
+/// the rendered object.
+///
+/// * `json_struct!(Name { a, b: "key", c = 0 })`: every key is required,
+///   except that an absent `c` reads as `0`; field `b` travels under the
+///   key `"key"`.
+/// * `json_struct!(Name: Default { a, b } skip { c })`: an absent key takes
+///   its value from `Name::default()`; the fields after `skip` do not travel
+///   and always read back as the default.
+///
+/// Either form builds one struct literal that names every field, so a
+/// field left out of the list is a compile error.
+#[macro_export]
+macro_rules! json_struct {
+    (@key $f:ident) => {
+        stringify!($f)
+    };
+    (@key $f:ident $key:literal) => {
+        $key
+    };
+    (@read $v:ident, $key:expr) => {
+        $crate::api::json::field($v, $key)
+    };
+    (@read $v:ident, $key:expr, $default:expr) => {
+        $crate::api::json::field_or($v, $key, $default)
+    };
+    ($ty:ident { $($f:ident $(: $key:literal)? $(= $default:expr)?),* $(,)? }) => {
+        impl $crate::api::json::Json for $ty {
+            fn to_value(&self) -> $crate::api::json::JsonValue {
+                $crate::api::json::JsonValue::Obj(vec![$((
+                    $crate::json_struct!(@key $f $($key)?).to_string(),
+                    $crate::api::json::Json::to_value(&self.$f),
+                )),*])
+            }
+            fn from_value(v: &$crate::api::json::JsonValue) -> Result<Self, String> {
+                Ok($ty {$(
+                    $f: $crate::json_struct!(
+                        @read v, $crate::json_struct!(@key $f $($key)?) $(, $default)?
+                    )?,
+                )*})
+            }
+        }
+    };
+    ($ty:ident: Default { $($f:ident),* $(,)? } $(skip { $($skip:ident),* $(,)? })?) => {
+        impl $crate::api::json::Json for $ty {
+            fn to_value(&self) -> $crate::api::json::JsonValue {
+                $crate::api::json::JsonValue::Obj(vec![$((
+                    stringify!($f).to_string(),
+                    $crate::api::json::Json::to_value(&self.$f),
+                )),*])
+            }
+            fn from_value(v: &$crate::api::json::JsonValue) -> Result<Self, String> {
+                let d = <$ty as Default>::default();
+                Ok($ty {
+                    $($f: $crate::api::json::field_or(v, stringify!($f), d.$f)?,)*
+                    $($($skip: d.$skip,)*)?
+                })
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,6 +752,26 @@ mod tests {
         // An f64 at or beyond 2¹²⁷ is out of i128 range entirely.
         assert_ne!(JsonValue::Num(2f64.powi(127)), JsonValue::Int(i128::MAX));
         assert_eq!(JsonValue::Num(-(2f64.powi(127))), JsonValue::Int(i128::MIN));
+    }
+
+    #[test]
+    fn codec_integers_are_exact_and_range_checked() {
+        for v in [0, (1u64 << 53) + 1, u64::MAX] {
+            let text = v.to_value().render();
+            assert_eq!(text, v.to_string());
+            assert_eq!(u64::from_value(&JsonValue::parse(&text).unwrap()), Ok(v));
+        }
+        let too_big = JsonValue::Int(1 << 32);
+        assert!(u32::from_value(&too_big).is_err());
+        assert_eq!(u64::from_value(&too_big), Ok(1 << 32));
+        assert!(u64::from_value(&JsonValue::Int(-1)).is_err());
+        assert!(usize::from_value(&JsonValue::Num(0.5)).is_err());
+        // Absent keys take the default; present ones must be valid.
+        let v = JsonValue::parse(r#"{"n":null,"s":"x"}"#).unwrap();
+        assert_eq!(field_or(&v, "missing", 7u32), Ok(7));
+        assert_eq!(field::<Option<u32>>(&v, "n"), Ok(None));
+        assert!(field_or(&v, "s", 7u32).is_err());
+        assert!(field::<String>(&v, "missing").is_err());
     }
 
     #[test]

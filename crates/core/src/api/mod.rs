@@ -758,18 +758,12 @@ impl RunBuilder {
                 }
                 Ok(Box::new(engine))
             }
-            RunMode::Stream(stream) => {
-                let config = StreamConfig {
-                    glove: self.config,
-                    ..stream
-                };
-                config.validate()?;
-                let mut engine = StreamGlove::new(config).keep_epochs(self.keep_epochs);
-                if let Some(policy) = self.policy {
-                    engine = engine.with_policy(policy);
-                }
-                Ok(Box::new(engine))
-            }
+            RunMode::Stream(stream) => Ok(Box::new(stream_engine(
+                self.config,
+                stream,
+                self.keep_epochs,
+                self.policy,
+            )?)),
             RunMode::Custom(engine) => {
                 if self.policy.is_some() {
                     return Err(GloveError::InvalidConfig(
@@ -808,20 +802,10 @@ impl RunBuilder {
         events: &mut dyn Iterator<Item = EventResult>,
         observer: &mut dyn Observer,
     ) -> Result<RunOutcome, GloveError> {
-        let keep = self.keep_epochs;
-        let policy = self.policy;
         match self.mode {
             RunMode::Stream(stream) => {
-                let config = StreamConfig {
-                    glove: self.config,
-                    ..stream
-                };
-                config.validate()?;
-                let mut engine = StreamGlove::new(config).keep_epochs(keep);
-                if let Some(policy) = policy {
-                    engine = engine.with_policy(policy);
-                }
-                engine.run_events(name, events, observer)
+                stream_engine(self.config, stream, self.keep_epochs, self.policy)?
+                    .run_events(name, events, observer)
             }
             other => Err(GloveError::InvalidConfig(format!(
                 "run_events requires stream mode, builder is in {other:?} mode"
@@ -848,6 +832,24 @@ impl RunBuilder {
         };
         Ok((outcome, sink))
     }
+}
+
+/// The stream engine a [`RunBuilder`] in stream mode assembles: `glove`
+/// replaces `stream.glove`, the merged configuration is validated, and the
+/// epoch retention and policy plane are applied.
+fn stream_engine(
+    glove: GloveConfig,
+    stream: StreamConfig,
+    keep_epochs: bool,
+    policy: Option<SharedPolicy>,
+) -> Result<StreamGlove, GloveError> {
+    let config = StreamConfig { glove, ..stream };
+    config.validate()?;
+    let engine = StreamGlove::new(config).keep_epochs(keep_epochs);
+    Ok(match policy {
+        Some(policy) => engine.with_policy(policy),
+        None => engine,
+    })
 }
 
 #[cfg(test)]

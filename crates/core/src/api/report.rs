@@ -12,13 +12,10 @@
 //! the `api_properties` test suite — so they can travel through bench
 //! artifacts, CI trajectories and external tooling without this crate.
 
-use crate::api::json::JsonValue;
-use crate::config::{CarryPolicy, UnderKPolicy};
+use crate::api::json::{field, Json, JsonValue};
 use crate::glove::GloveStats;
-use crate::ledger::MemoryLedger;
-use crate::shard::ShardStat;
-use crate::stream::{EpochStat, StreamStats};
-use crate::suppress::SuppressionLedger;
+use crate::json_struct;
+use crate::stream::StreamStats;
 
 /// Wall-clock duration of one run phase (see the ordering guarantees in
 /// [`crate::api::observer`]).
@@ -29,6 +26,8 @@ pub struct PhaseMetric {
     /// Elapsed wall-clock seconds.
     pub elapsed_s: f64,
 }
+
+json_struct!(PhaseMetric { phase, elapsed_s });
 
 /// Engine-specific detail embedded in a [`RunReport`].
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -72,6 +71,43 @@ impl RunDetail {
         match self {
             RunDetail::External { data, .. } => Some(data),
             _ => None,
+        }
+    }
+}
+
+/// The detail renders as `null` or as an object tagged by its `type`.
+impl Json for RunDetail {
+    fn to_value(&self) -> JsonValue {
+        match self {
+            RunDetail::None => JsonValue::Null,
+            RunDetail::Glove(stats) => JsonValue::obj(vec![
+                ("type", JsonValue::Str("glove".into())),
+                ("stats", stats.to_value()),
+            ]),
+            RunDetail::Stream(stats) => JsonValue::obj(vec![
+                ("type", JsonValue::Str("stream".into())),
+                ("stats", stats.to_value()),
+            ]),
+            RunDetail::External { engine, data } => JsonValue::obj(vec![
+                ("type", JsonValue::Str("external".into())),
+                ("engine", engine.to_value()),
+                ("data", data.clone()),
+            ]),
+        }
+    }
+
+    fn from_value(v: &JsonValue) -> Result<Self, String> {
+        if *v == JsonValue::Null {
+            return Ok(RunDetail::None);
+        }
+        match v.get("type").and_then(JsonValue::as_str) {
+            Some("glove") => Ok(RunDetail::Glove(field(v, "stats")?)),
+            Some("stream") => Ok(RunDetail::Stream(field(v, "stats")?)),
+            Some("external") => Ok(RunDetail::External {
+                engine: field(v, "engine")?,
+                data: field(v, "data")?,
+            }),
+            other => Err(format!("unknown detail type {other:?}")),
         }
     }
 }
@@ -139,6 +175,33 @@ pub struct RunReport {
     pub detail: RunDetail,
 }
 
+json_struct!(RunReport {
+    engine,
+    dataset,
+    k,
+    fingerprints_in,
+    users_in,
+    samples_in,
+    fingerprints_out,
+    users_out,
+    samples_out,
+    merges,
+    pairs_computed,
+    pairs_pruned,
+    pairs_skipped_tier0,
+    pairs_skipped_tier1,
+    pairs_abandoned,
+    suppressed_samples,
+    suppressed_user_samples,
+    created_samples,
+    deleted_samples,
+    discarded_fingerprints,
+    discarded_users,
+    elapsed_s,
+    phases,
+    detail,
+});
+
 impl RunReport {
     /// Fraction of candidate pairs the admissible bound skipped, in
     /// `[0, 1]` (0 when the engine evaluates no pairs).
@@ -160,443 +223,16 @@ impl RunReport {
     pub fn from_json(text: &str) -> Result<RunReport, String> {
         Self::from_value(&JsonValue::parse(text)?)
     }
-
-    /// The report as a JSON tree.
-    pub fn to_value(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("engine", JsonValue::Str(self.engine.clone())),
-            ("dataset", JsonValue::Str(self.dataset.clone())),
-            ("k", uint(self.k as u64)),
-            ("fingerprints_in", uint(self.fingerprints_in as u64)),
-            ("users_in", uint(self.users_in as u64)),
-            ("samples_in", uint(self.samples_in as u64)),
-            ("fingerprints_out", uint(self.fingerprints_out as u64)),
-            ("users_out", uint(self.users_out as u64)),
-            ("samples_out", uint(self.samples_out as u64)),
-            ("merges", uint(self.merges)),
-            ("pairs_computed", uint(self.pairs_computed)),
-            ("pairs_pruned", uint(self.pairs_pruned)),
-            ("pairs_skipped_tier0", uint(self.pairs_skipped_tier0)),
-            ("pairs_skipped_tier1", uint(self.pairs_skipped_tier1)),
-            ("pairs_abandoned", uint(self.pairs_abandoned)),
-            ("suppressed_samples", uint(self.suppressed_samples)),
-            (
-                "suppressed_user_samples",
-                uint(self.suppressed_user_samples),
-            ),
-            ("created_samples", uint(self.created_samples)),
-            ("deleted_samples", uint(self.deleted_samples)),
-            ("discarded_fingerprints", uint(self.discarded_fingerprints)),
-            ("discarded_users", uint(self.discarded_users)),
-            ("elapsed_s", num(self.elapsed_s)),
-            (
-                "phases",
-                JsonValue::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            JsonValue::obj(vec![
-                                ("phase", JsonValue::Str(p.phase.clone())),
-                                ("elapsed_s", num(p.elapsed_s)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("detail", detail_to_value(&self.detail)),
-        ])
-    }
-
-    /// Reconstructs a report from a JSON tree.
-    pub fn from_value(v: &JsonValue) -> Result<RunReport, String> {
-        let phases = v
-            .get("phases")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing phases")?
-            .iter()
-            .map(|p| {
-                Ok(PhaseMetric {
-                    phase: str_field(p, "phase")?,
-                    elapsed_s: f64_field(p, "elapsed_s")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(RunReport {
-            engine: str_field(v, "engine")?,
-            dataset: str_field(v, "dataset")?,
-            k: usize_field(v, "k")?,
-            fingerprints_in: usize_field(v, "fingerprints_in")?,
-            users_in: usize_field(v, "users_in")?,
-            samples_in: usize_field(v, "samples_in")?,
-            fingerprints_out: usize_field(v, "fingerprints_out")?,
-            users_out: usize_field(v, "users_out")?,
-            samples_out: usize_field(v, "samples_out")?,
-            merges: u64_field(v, "merges")?,
-            pairs_computed: u64_field(v, "pairs_computed")?,
-            pairs_pruned: u64_field(v, "pairs_pruned")?,
-            pairs_skipped_tier0: u64_field(v, "pairs_skipped_tier0")?,
-            pairs_skipped_tier1: u64_field(v, "pairs_skipped_tier1")?,
-            pairs_abandoned: u64_field(v, "pairs_abandoned")?,
-            suppressed_samples: u64_field(v, "suppressed_samples")?,
-            suppressed_user_samples: u64_field(v, "suppressed_user_samples")?,
-            created_samples: u64_field(v, "created_samples")?,
-            deleted_samples: u64_field(v, "deleted_samples")?,
-            discarded_fingerprints: u64_field(v, "discarded_fingerprints")?,
-            discarded_users: u64_field(v, "discarded_users")?,
-            elapsed_s: f64_field(v, "elapsed_s")?,
-            phases,
-            detail: detail_from_value(v.get("detail").ok_or("missing detail")?)?,
-        })
-    }
-}
-
-#[inline]
-fn num(v: f64) -> JsonValue {
-    JsonValue::Num(v)
-}
-
-/// The dedicated integer path for counters: `u64` values ride through
-/// [`JsonValue::Int`] and survive at any magnitude, where the old
-/// `as f64` route silently lost precision past 2⁵³.
-#[inline]
-fn uint(v: u64) -> JsonValue {
-    JsonValue::Int(v as i128)
-}
-
-fn str_field(v: &JsonValue, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn f64_field(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
-}
-
-fn usize_field(v: &JsonValue, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(JsonValue::as_usize)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
-}
-
-fn detail_to_value(detail: &RunDetail) -> JsonValue {
-    match detail {
-        RunDetail::None => JsonValue::Null,
-        RunDetail::Glove(stats) => JsonValue::obj(vec![
-            ("type", JsonValue::Str("glove".into())),
-            ("stats", glove_stats_to_value(stats)),
-        ]),
-        RunDetail::Stream(stats) => JsonValue::obj(vec![
-            ("type", JsonValue::Str("stream".into())),
-            ("stats", stream_stats_to_value(stats)),
-        ]),
-        RunDetail::External { engine, data } => JsonValue::obj(vec![
-            ("type", JsonValue::Str("external".into())),
-            ("engine", JsonValue::Str(engine.clone())),
-            ("data", data.clone()),
-        ]),
-    }
-}
-
-fn detail_from_value(v: &JsonValue) -> Result<RunDetail, String> {
-    if *v == JsonValue::Null {
-        return Ok(RunDetail::None);
-    }
-    match v.get("type").and_then(JsonValue::as_str) {
-        Some("glove") => Ok(RunDetail::Glove(glove_stats_from_value(
-            v.get("stats").ok_or("missing glove stats")?,
-        )?)),
-        Some("stream") => Ok(RunDetail::Stream(stream_stats_from_value(
-            v.get("stats").ok_or("missing stream stats")?,
-        )?)),
-        Some("external") => Ok(RunDetail::External {
-            engine: str_field(v, "engine")?,
-            data: v.get("data").cloned().ok_or("missing external data")?,
-        }),
-        other => Err(format!("unknown detail type {other:?}")),
-    }
-}
-
-fn ledger_to_value(ledger: &SuppressionLedger) -> JsonValue {
-    JsonValue::obj(vec![
-        ("samples", num(ledger.samples as f64)),
-        ("user_samples", num(ledger.user_samples as f64)),
-    ])
-}
-
-fn ledger_from_value(v: &JsonValue) -> Result<SuppressionLedger, String> {
-    Ok(SuppressionLedger {
-        samples: u64_field(v, "samples")?,
-        user_samples: u64_field(v, "user_samples")?,
-    })
-}
-
-fn memory_to_value(ledger: &MemoryLedger) -> JsonValue {
-    JsonValue::obj(vec![
-        ("peak_arena_bytes", uint(ledger.peak_arena_bytes)),
-        ("peak_store_bytes", uint(ledger.peak_store_bytes)),
-        ("resident_pages", uint(ledger.resident_pages)),
-        ("peak_rss_bytes", uint(ledger.peak_rss_bytes)),
-    ])
-}
-
-fn memory_from_value(v: &JsonValue) -> Result<MemoryLedger, String> {
-    Ok(MemoryLedger {
-        peak_arena_bytes: u64_field(v, "peak_arena_bytes")?,
-        peak_store_bytes: u64_field(v, "peak_store_bytes")?,
-        resident_pages: u64_field(v, "resident_pages")?,
-        peak_rss_bytes: u64_field(v, "peak_rss_bytes")?,
-    })
-}
-
-fn shard_stat_to_value(stat: &ShardStat) -> JsonValue {
-    JsonValue::obj(vec![
-        ("shard", uint(stat.shard as u64)),
-        ("fingerprints_in", uint(stat.fingerprints_in as u64)),
-        ("users_in", uint(stat.users_in as u64)),
-        ("fingerprints_out", uint(stat.fingerprints_out as u64)),
-        ("merges", uint(stat.merges)),
-        ("pairs_computed", uint(stat.pairs_computed)),
-        ("pairs_pruned", uint(stat.pairs_pruned)),
-        ("pairs_skipped_tier0", uint(stat.pairs_skipped_tier0)),
-        ("pairs_skipped_tier1", uint(stat.pairs_skipped_tier1)),
-        ("pairs_abandoned", uint(stat.pairs_abandoned)),
-        ("memory", memory_to_value(&stat.ledger)),
-        ("elapsed_s", num(stat.elapsed_s)),
-    ])
-}
-
-fn shard_stat_from_value(v: &JsonValue) -> Result<ShardStat, String> {
-    Ok(ShardStat {
-        shard: usize_field(v, "shard")?,
-        fingerprints_in: usize_field(v, "fingerprints_in")?,
-        users_in: usize_field(v, "users_in")?,
-        fingerprints_out: usize_field(v, "fingerprints_out")?,
-        merges: u64_field(v, "merges")?,
-        pairs_computed: u64_field(v, "pairs_computed")?,
-        pairs_pruned: u64_field(v, "pairs_pruned")?,
-        pairs_skipped_tier0: u64_field(v, "pairs_skipped_tier0")?,
-        pairs_skipped_tier1: u64_field(v, "pairs_skipped_tier1")?,
-        pairs_abandoned: u64_field(v, "pairs_abandoned")?,
-        ledger: memory_from_value(v.get("memory").ok_or("missing shard memory")?)?,
-        elapsed_s: f64_field(v, "elapsed_s")?,
-    })
-}
-
-/// Serializes [`GloveStats`] (the batch/sharded detail section).
-pub fn glove_stats_to_value(stats: &GloveStats) -> JsonValue {
-    JsonValue::obj(vec![
-        ("merges", uint(stats.merges)),
-        ("pairs_computed", uint(stats.pairs_computed)),
-        ("pairs_pruned", uint(stats.pairs_pruned)),
-        ("pairs_skipped_tier0", uint(stats.pairs_skipped_tier0)),
-        ("pairs_skipped_tier1", uint(stats.pairs_skipped_tier1)),
-        ("pairs_abandoned", uint(stats.pairs_abandoned)),
-        (
-            "per_shard",
-            JsonValue::Arr(stats.per_shard.iter().map(shard_stat_to_value).collect()),
-        ),
-        ("suppressed", ledger_to_value(&stats.suppressed)),
-        ("reshaped_samples", uint(stats.reshaped_samples)),
-        ("discarded_fingerprints", uint(stats.discarded_fingerprints)),
-        ("discarded_users", uint(stats.discarded_users)),
-        ("memory", memory_to_value(&stats.ledger)),
-        ("elapsed_s", num(stats.elapsed_s)),
-    ])
-}
-
-/// Parses a [`GloveStats`] detail section.
-pub fn glove_stats_from_value(v: &JsonValue) -> Result<GloveStats, String> {
-    Ok(GloveStats {
-        merges: u64_field(v, "merges")?,
-        pairs_computed: u64_field(v, "pairs_computed")?,
-        pairs_pruned: u64_field(v, "pairs_pruned")?,
-        pairs_skipped_tier0: u64_field(v, "pairs_skipped_tier0")?,
-        pairs_skipped_tier1: u64_field(v, "pairs_skipped_tier1")?,
-        pairs_abandoned: u64_field(v, "pairs_abandoned")?,
-        per_shard: v
-            .get("per_shard")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing per_shard")?
-            .iter()
-            .map(shard_stat_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-        suppressed: ledger_from_value(v.get("suppressed").ok_or("missing suppressed")?)?,
-        reshaped_samples: u64_field(v, "reshaped_samples")?,
-        discarded_fingerprints: u64_field(v, "discarded_fingerprints")?,
-        discarded_users: u64_field(v, "discarded_users")?,
-        ledger: memory_from_value(v.get("memory").ok_or("missing memory")?)?,
-        elapsed_s: f64_field(v, "elapsed_s")?,
-    })
-}
-
-fn epoch_stat_to_value(stat: &EpochStat) -> JsonValue {
-    JsonValue::obj(vec![
-        ("epoch", uint(stat.epoch)),
-        ("window_start_min", uint(stat.window_start_min)),
-        ("fingerprints_in", uint(stat.fingerprints_in as u64)),
-        ("users_in", uint(stat.users_in as u64)),
-        ("seeded_groups", uint(stat.seeded_groups as u64)),
-        ("groups_out", uint(stat.groups_out as u64)),
-        ("merges", uint(stat.merges)),
-        ("pairs_computed", uint(stat.pairs_computed)),
-        ("pairs_pruned", uint(stat.pairs_pruned)),
-        ("pairs_skipped_tier0", uint(stat.pairs_skipped_tier0)),
-        ("pairs_skipped_tier1", uint(stat.pairs_skipped_tier1)),
-        ("pairs_abandoned", uint(stat.pairs_abandoned)),
-        (
-            "policy",
-            JsonValue::obj(vec![
-                ("k", uint(stat.policy_k as u64)),
-                ("window_min", uint(u64::from(stat.policy_window_min))),
-                (
-                    "carry",
-                    JsonValue::Str(
-                        match stat.policy_carry {
-                            CarryPolicy::Fresh => "fresh",
-                            CarryPolicy::Sticky => "sticky",
-                        }
-                        .into(),
-                    ),
-                ),
-                (
-                    "under_k",
-                    JsonValue::Str(
-                        match stat.policy_under_k {
-                            UnderKPolicy::Suppress => "suppress",
-                            UnderKPolicy::Defer => "defer",
-                        }
-                        .into(),
-                    ),
-                ),
-                ("cohort_users", uint(stat.policy_cohort_users as u64)),
-            ]),
-        ),
-        ("elapsed_s", num(stat.elapsed_s)),
-    ])
-}
-
-fn epoch_stat_from_value(v: &JsonValue) -> Result<EpochStat, String> {
-    // The per-epoch policy snapshot is parsed leniently: reports written
-    // before the policy plane existed simply read back the zero snapshot.
-    let policy = v.get("policy");
-    let pfield = |key: &str| policy.and_then(|p| p.get(key));
-    Ok(EpochStat {
-        epoch: u64_field(v, "epoch")?,
-        window_start_min: u64_field(v, "window_start_min")?,
-        fingerprints_in: usize_field(v, "fingerprints_in")?,
-        users_in: usize_field(v, "users_in")?,
-        seeded_groups: usize_field(v, "seeded_groups")?,
-        groups_out: usize_field(v, "groups_out")?,
-        merges: u64_field(v, "merges")?,
-        pairs_computed: u64_field(v, "pairs_computed")?,
-        pairs_pruned: u64_field(v, "pairs_pruned")?,
-        pairs_skipped_tier0: u64_field(v, "pairs_skipped_tier0")?,
-        pairs_skipped_tier1: u64_field(v, "pairs_skipped_tier1")?,
-        pairs_abandoned: u64_field(v, "pairs_abandoned")?,
-        policy_k: pfield("k").and_then(JsonValue::as_usize).unwrap_or(0),
-        policy_window_min: pfield("window_min")
-            .and_then(JsonValue::as_u64)
-            .and_then(|w| u32::try_from(w).ok())
-            .unwrap_or(0),
-        policy_carry: match pfield("carry").and_then(JsonValue::as_str) {
-            Some("sticky") => CarryPolicy::Sticky,
-            _ => CarryPolicy::Fresh,
-        },
-        policy_under_k: match pfield("under_k").and_then(JsonValue::as_str) {
-            Some("defer") => UnderKPolicy::Defer,
-            _ => UnderKPolicy::Suppress,
-        },
-        policy_cohort_users: pfield("cohort_users")
-            .and_then(JsonValue::as_usize)
-            .unwrap_or(0),
-        elapsed_s: f64_field(v, "elapsed_s")?,
-    })
-}
-
-/// Serializes [`StreamStats`] (the streaming detail section).
-pub fn stream_stats_to_value(stats: &StreamStats) -> JsonValue {
-    JsonValue::obj(vec![
-        ("events", uint(stats.events)),
-        ("epochs", uint(stats.epochs)),
-        (
-            "peak_resident_fingerprints",
-            uint(stats.peak_resident_fingerprints as u64),
-        ),
-        (
-            "peak_resident_samples",
-            uint(stats.peak_resident_samples as u64),
-        ),
-        ("merges", uint(stats.merges)),
-        ("pairs_computed", uint(stats.pairs_computed)),
-        ("pairs_pruned", uint(stats.pairs_pruned)),
-        ("pairs_skipped_tier0", uint(stats.pairs_skipped_tier0)),
-        ("pairs_skipped_tier1", uint(stats.pairs_skipped_tier1)),
-        ("pairs_abandoned", uint(stats.pairs_abandoned)),
-        ("seeded_groups", uint(stats.seeded_groups)),
-        ("suppressed_users", uint(stats.suppressed_users)),
-        ("suppressed_samples", uint(stats.suppressed_samples)),
-        ("deferred_users", uint(stats.deferred_users)),
-        ("deferred_samples", uint(stats.deferred_samples)),
-        ("seed_suppressed", ledger_to_value(&stats.seed_suppressed)),
-        ("shed_events", uint(stats.shed_events)),
-        (
-            "per_epoch",
-            JsonValue::Arr(stats.per_epoch.iter().map(epoch_stat_to_value).collect()),
-        ),
-        ("memory", memory_to_value(&stats.ledger)),
-        ("elapsed_s", num(stats.elapsed_s)),
-    ])
-}
-
-/// Parses a [`StreamStats`] detail section.
-pub fn stream_stats_from_value(v: &JsonValue) -> Result<StreamStats, String> {
-    Ok(StreamStats {
-        events: u64_field(v, "events")?,
-        epochs: u64_field(v, "epochs")?,
-        peak_resident_fingerprints: usize_field(v, "peak_resident_fingerprints")?,
-        peak_resident_samples: usize_field(v, "peak_resident_samples")?,
-        merges: u64_field(v, "merges")?,
-        pairs_computed: u64_field(v, "pairs_computed")?,
-        pairs_pruned: u64_field(v, "pairs_pruned")?,
-        pairs_skipped_tier0: u64_field(v, "pairs_skipped_tier0")?,
-        pairs_skipped_tier1: u64_field(v, "pairs_skipped_tier1")?,
-        pairs_abandoned: u64_field(v, "pairs_abandoned")?,
-        seeded_groups: u64_field(v, "seeded_groups")?,
-        suppressed_users: u64_field(v, "suppressed_users")?,
-        suppressed_samples: u64_field(v, "suppressed_samples")?,
-        deferred_users: u64_field(v, "deferred_users")?,
-        deferred_samples: u64_field(v, "deferred_samples")?,
-        seed_suppressed: ledger_from_value(v.get("seed_suppressed").ok_or("missing ledger")?)?,
-        // Absent in reports serialized before the shed ledger existed.
-        shed_events: match v.get("shed_events") {
-            Some(_) => u64_field(v, "shed_events")?,
-            None => 0,
-        },
-        per_epoch: v
-            .get("per_epoch")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing per_epoch")?
-            .iter()
-            .map(epoch_stat_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-        ledger: memory_from_value(v.get("memory").ok_or("missing memory")?)?,
-        elapsed_s: f64_field(v, "elapsed_s")?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{CarryPolicy, UnderKPolicy};
+    use crate::ledger::MemoryLedger;
+    use crate::shard::ShardStat;
+    use crate::stream::EpochStat;
+    use crate::suppress::SuppressionLedger;
 
     fn sample_report() -> RunReport {
         RunReport {
@@ -676,11 +312,43 @@ mod tests {
         }
     }
 
+    /// What `sample_report()` renders between its `engine` and `detail`
+    /// keys, in every variant below.
+    const SAMPLE_FIELDS: &str = concat!(
+        r#""dataset":"civ-like","k":2,"fingerprints_in":100,"users_in":100,"#,
+        r#""samples_in":1234,"fingerprints_out":50,"users_out":100,"#,
+        r#""samples_out":900,"merges":50,"pairs_computed":4000,"pairs_pruned":950,"#,
+        r#""pairs_skipped_tier0":600,"pairs_skipped_tier1":300,"#,
+        r#""pairs_abandoned":50,"suppressed_samples":3,"suppressed_user_samples":5,"#,
+        r#""created_samples":0,"deleted_samples":0,"discarded_fingerprints":1,"#,
+        r#""discarded_users":1,"elapsed_s":0.12345,"phases":[{"phase":"prepare","#,
+        r#""elapsed_s":0.0001},{"phase":"run","elapsed_s":0.123}],"#,
+    );
+
+    /// The exact text of a `sample_report()` variant.
+    fn pinned(engine: &str, detail: &str) -> String {
+        format!(r#"{{"engine":"{engine}",{SAMPLE_FIELDS}"detail":{detail}}}"#)
+    }
+
     #[test]
     fn report_json_round_trips() {
         let report = sample_report();
         let parsed = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
+        let detail = concat!(
+            r#"{"type":"glove","stats":{"merges":50,"pairs_computed":4000,"#,
+            r#""pairs_pruned":950,"pairs_skipped_tier0":600,"pairs_skipped_tier1":300,"#,
+            r#""pairs_abandoned":50,"per_shard":[{"shard":0,"fingerprints_in":100,"#,
+            r#""users_in":100,"fingerprints_out":50,"merges":50,"pairs_computed":4000,"#,
+            r#""pairs_pruned":950,"pairs_skipped_tier0":600,"pairs_skipped_tier1":300,"#,
+            r#""pairs_abandoned":50,"memory":{"peak_arena_bytes":1048576,"#,
+            r#""peak_store_bytes":29616,"resident_pages":1,"peak_rss_bytes":67108864},"#,
+            r#""elapsed_s":0.11}],"suppressed":{"samples":3,"user_samples":5},"#,
+            r#""reshaped_samples":7,"discarded_fingerprints":1,"discarded_users":1,"#,
+            r#""memory":{"peak_arena_bytes":1048576,"peak_store_bytes":29616,"#,
+            r#""resident_pages":1,"peak_rss_bytes":67108864},"elapsed_s":0.12}}"#,
+        );
+        assert_eq!(report.to_json(), pinned("glove-sharded", detail));
     }
 
     #[test]
@@ -735,6 +403,23 @@ mod tests {
         });
         let parsed = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
+        let detail = concat!(
+            r#"{"type":"stream","stats":{"events":10000,"epochs":3,"#,
+            r#""peak_resident_fingerprints":42,"peak_resident_samples":321,"merges":77,"#,
+            r#""pairs_computed":5000,"pairs_pruned":123,"pairs_skipped_tier0":70,"#,
+            r#""pairs_skipped_tier1":40,"pairs_abandoned":13,"seeded_groups":4,"#,
+            r#""suppressed_users":2,"suppressed_samples":9,"deferred_users":1,"#,
+            r#""deferred_samples":3,"seed_suppressed":{"samples":0,"user_samples":0},"#,
+            r#""shed_events":6,"per_epoch":[{"epoch":0,"window_start_min":1440,"#,
+            r#""fingerprints_in":40,"users_in":40,"seeded_groups":0,"groups_out":20,"#,
+            r#""merges":20,"pairs_computed":780,"pairs_pruned":12,"#,
+            r#""pairs_skipped_tier0":7,"pairs_skipped_tier1":4,"pairs_abandoned":1,"#,
+            r#""policy":{"k":2,"window_min":1440,"carry":"sticky","under_k":"defer","#,
+            r#""cohort_users":3},"elapsed_s":0.05}],"#,
+            r#""memory":{"peak_arena_bytes":524288,"peak_store_bytes":7704,"#,
+            r#""resident_pages":1,"peak_rss_bytes":50331648},"elapsed_s":0.2}}"#,
+        );
+        assert_eq!(report.to_json(), pinned("glove-stream", detail));
     }
 
     #[test]
@@ -750,6 +435,11 @@ mod tests {
         };
         let parsed = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
+        let detail = concat!(
+            r#"{"type":"external","engine":"w4m-lc","#,
+            r#""data":{"mean_position_error_m":812.5,"mean_time_error_min":44.25}}"#,
+        );
+        assert_eq!(report.to_json(), pinned("w4m-lc", detail));
         assert_eq!(
             parsed
                 .detail
@@ -766,6 +456,7 @@ mod tests {
         report.detail = RunDetail::None;
         let parsed = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
+        assert_eq!(report.to_json(), pinned("glove-sharded", "null"));
     }
 
     #[test]
@@ -796,6 +487,25 @@ mod tests {
         assert_eq!(parsed.pairs_computed, (1u64 << 53) + 1);
         assert_eq!(parsed.pairs_pruned, u64::MAX);
         assert_eq!(parsed.merges, (1u64 << 60) + 7);
+        assert_eq!(parsed, report);
+
+        // The nested suppression ledgers take the same exact path.
+        let exact = SuppressionLedger {
+            samples: (1u64 << 53) + 1,
+            user_samples: u64::MAX,
+        };
+        if let RunDetail::Glove(stats) = &mut report.detail {
+            stats.suppressed = exact;
+        }
+        let parsed = RunReport::from_json(&report.to_json()).unwrap();
+        assert_eq!(parsed.detail.as_glove().unwrap().suppressed, exact);
+        assert_eq!(parsed, report);
+        report.detail = RunDetail::Stream(StreamStats {
+            seed_suppressed: exact,
+            ..StreamStats::default()
+        });
+        let parsed = RunReport::from_json(&report.to_json()).unwrap();
+        assert_eq!(parsed.detail.as_stream().unwrap().seed_suppressed, exact);
         assert_eq!(parsed, report);
     }
 

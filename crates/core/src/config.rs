@@ -1,6 +1,64 @@
 //! Configuration of the stretch-effort algebra and the GLOVE algorithm.
+//!
+//! Every configuration type here has one JSON shape (the [`Json`] impls
+//! beside each declaration), which the `glove serve` `HELLO` frame uses to
+//! inline a tenant's full [`StreamConfig`]. Decoding is *tolerant*: an
+//! absent key takes the library default (the struct's own `Default`, so a
+//! partial `stretch` object keeps the paper's caps), a minimal
+//! `{"glove": {"k": 3}}` is a valid configuration, and unknown keys are
+//! ignored. [`GloveConfig::pruning`] and [`GloveConfig::columnar`] pick test
+//! oracles whose output is byte-identical, so they do not travel: a served
+//! tenant always runs the library defaults, and the keys an older client
+//! still sends (`pruning`, `cascade`, `columnar`) are ignored like any
+//! unknown key. Decoding does not validate; the serve session calls
+//! [`StreamConfig::validate`] so an invalid configuration fails with the
+//! engine's own error text.
 
+use crate::api::json::{Json, JsonValue};
 use crate::error::GloveError;
+use crate::json_struct;
+
+/// One spelling table per config enum, behind `as_str`, `FromStr` and the
+/// [`Json`] impl, so CLI flags and summaries, eval labels, run reports, the
+/// serve wire and the policy plane all spell a variant alike.
+macro_rules! spelled {
+    ($ty:ident, $what:literal, { $v0:ident => $s0:literal $(, $v:ident => $s:literal)* $(,)? }) => {
+        impl $ty {
+            /// The variant's spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $ty::$v0 => $s0,
+                    $($ty::$v => $s,)*
+                }
+            }
+        }
+
+        impl std::str::FromStr for $ty {
+            type Err = String;
+
+            fn from_str(s: &str) -> Result<Self, Self::Err> {
+                match s {
+                    $s0 => Ok($ty::$v0),
+                    $($s => Ok($ty::$v),)*
+                    other => Err(format!(
+                        concat!($what, " must be ", $s0, $("|", $s,)* ", got '{}'"),
+                        other
+                    )),
+                }
+            }
+        }
+
+        impl Json for $ty {
+            fn to_value(&self) -> JsonValue {
+                JsonValue::Str(self.as_str().to_string())
+            }
+
+            fn from_value(v: &JsonValue) -> Result<Self, String> {
+                String::from_value(v)?.parse()
+            }
+        }
+    };
+}
 
 /// Parameters of the sample stretch effort `δ` (paper §4.1, Eqs. 1–3).
 ///
@@ -37,6 +95,14 @@ impl Default for StretchConfig {
         }
     }
 }
+
+json_struct!(StretchConfig: Default {
+    phi_max_space_m,
+    phi_max_time_min,
+    w_space,
+    w_time,
+    population_weighting,
+});
 
 impl StretchConfig {
     /// Validates the configuration: positive caps, non-negative weights
@@ -81,6 +147,11 @@ pub struct SuppressionThresholds {
     pub max_time_min: Option<u32>,
 }
 
+json_struct!(SuppressionThresholds: Default {
+    max_space_m,
+    max_time_min,
+});
+
 impl SuppressionThresholds {
     /// Thresholds used for the paper's Table 2 runs: 15 km and 6 h.
     pub fn table2() -> Self {
@@ -110,6 +181,11 @@ pub enum ResidualPolicy {
     Suppress,
 }
 
+spelled!(ResidualPolicy, "residual policy", {
+    MergeIntoNearest => "merge",
+    Suppress => "suppress",
+});
+
 /// How the sharded engine assigns fingerprints to shards (see
 /// `core::shard` and DESIGN.md "Sharded anonymization").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,20 +210,11 @@ pub enum ShardBy {
     TwoLevel,
 }
 
-impl std::str::FromStr for ShardBy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "activity" => Ok(ShardBy::Activity),
-            "spatial" => Ok(ShardBy::Spatial),
-            "two-level" => Ok(ShardBy::TwoLevel),
-            other => Err(format!(
-                "shard key must be activity|spatial|two-level, got '{other}'"
-            )),
-        }
-    }
-}
+spelled!(ShardBy, "shard key", {
+    Activity => "activity",
+    Spatial => "spatial",
+    TwoLevel => "two-level",
+});
 
 /// Sharding policy: split the dataset into `shards` buckets, anonymize each
 /// independently, and stitch the outputs back together.
@@ -166,6 +233,11 @@ pub struct ShardPolicy {
     /// Shard assignment key.
     pub by: ShardBy,
 }
+
+json_struct!(ShardPolicy {
+    shards,
+    by = ShardBy::default(),
+});
 
 impl ShardPolicy {
     /// An activity-bucketed policy with `shards` shards.
@@ -212,17 +284,10 @@ pub enum CarryPolicy {
     Sticky,
 }
 
-impl std::str::FromStr for CarryPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fresh" => Ok(CarryPolicy::Fresh),
-            "sticky" => Ok(CarryPolicy::Sticky),
-            other => Err(format!("carry policy must be fresh|sticky, got '{other}'")),
-        }
-    }
-}
+spelled!(CarryPolicy, "carry policy", {
+    Fresh => "fresh",
+    Sticky => "sticky",
+});
 
 /// What the streaming engine does with a window whose population is below
 /// `k` (no k-anonymous release is possible for that window at all).
@@ -239,19 +304,10 @@ pub enum UnderKPolicy {
     Defer,
 }
 
-impl std::str::FromStr for UnderKPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "suppress" => Ok(UnderKPolicy::Suppress),
-            "defer" => Ok(UnderKPolicy::Defer),
-            other => Err(format!(
-                "under-k policy must be suppress|defer, got '{other}'"
-            )),
-        }
-    }
-}
+spelled!(UnderKPolicy, "under-k policy", {
+    Suppress => "suppress",
+    Defer => "defer",
+});
 
 /// Configuration of the streaming engine (`core::stream`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -280,6 +336,13 @@ impl Default for StreamConfig {
         }
     }
 }
+
+json_struct!(StreamConfig: Default {
+    window_min,
+    carry,
+    under_k,
+    glove,
+});
 
 impl StreamConfig {
     /// Validates the configuration.
@@ -367,6 +430,19 @@ impl Default for GloveConfig {
         }
     }
 }
+
+json_struct!(GloveConfig: Default {
+    k,
+    stretch,
+    suppression,
+    residual,
+    reshape,
+    threads,
+    shard,
+} skip {
+    pruning,
+    columnar,
+});
 
 impl GloveConfig {
     /// Validates the configuration.
@@ -495,5 +571,113 @@ mod tests {
         assert_eq!("activity".parse::<ShardBy>().unwrap(), ShardBy::Activity);
         assert_eq!("spatial".parse::<ShardBy>().unwrap(), ShardBy::Spatial);
         assert!("geohash".parse::<ShardBy>().is_err());
+    }
+
+    #[test]
+    fn default_round_trips() {
+        let c = StreamConfig::default();
+        let back = StreamConfig::from_value(&c.to_value()).unwrap();
+        assert_eq!(back, c);
+        assert_eq!(
+            c.to_value().render(),
+            concat!(
+                r#"{"window_min":1440,"carry":"fresh","under_k":"suppress","#,
+                r#""glove":{"k":2,"stretch":{"phi_max_space_m":20000,"#,
+                r#""phi_max_time_min":480,"w_space":0.5,"w_time":0.5,"#,
+                r#""population_weighting":true},"#,
+                r#""suppression":{"max_space_m":null,"max_time_min":null},"#,
+                r#""residual":"merge","reshape":true,"threads":0,"shard":null}}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn non_default_round_trips_exactly() {
+        let c = StreamConfig {
+            window_min: 720,
+            carry: CarryPolicy::Sticky,
+            under_k: UnderKPolicy::Defer,
+            glove: GloveConfig {
+                k: 7,
+                stretch: StretchConfig {
+                    phi_max_space_m: 12_345.678,
+                    phi_max_time_min: 90.5,
+                    w_space: 0.3,
+                    w_time: 0.7,
+                    population_weighting: false,
+                },
+                suppression: SuppressionThresholds::table2(),
+                residual: ResidualPolicy::Suppress,
+                reshape: false,
+                threads: 3,
+                shard: Some(ShardPolicy::two_level(9)),
+                ..GloveConfig::default()
+            },
+        };
+        let back = StreamConfig::from_value(&c.to_value()).unwrap();
+        assert_eq!(back, c);
+        assert_eq!(
+            c.to_value().render(),
+            concat!(
+                r#"{"window_min":720,"carry":"sticky","under_k":"defer","#,
+                r#""glove":{"k":7,"stretch":{"phi_max_space_m":12345.678,"#,
+                r#""phi_max_time_min":90.5,"w_space":0.3,"w_time":0.7,"#,
+                r#""population_weighting":false},"#,
+                r#""suppression":{"max_space_m":15000,"max_time_min":360},"#,
+                r#""residual":"suppress","reshape":false,"threads":3,"#,
+                r#""shard":{"shards":9,"by":"two-level"}}}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn minimal_json_takes_defaults() {
+        let v = JsonValue::parse(r#"{"glove": {"k": 3}}"#).unwrap();
+        let c = StreamConfig::from_value(&v).unwrap();
+        assert_eq!(c.glove.k, 3);
+        assert_eq!(c.window_min, StreamConfig::default().window_min);
+        assert_eq!(c.glove.pruning, Pruning::Cascade);
+    }
+
+    #[test]
+    fn a_partial_stretch_object_keeps_the_library_caps() {
+        let v = JsonValue::parse(r#"{"glove":{"stretch":{"w_space":0.3,"w_time":0.7}}}"#).unwrap();
+        let c = StreamConfig::from_value(&v).unwrap();
+        let defaults = StretchConfig::default();
+        assert_eq!(c.glove.stretch.phi_max_space_m, defaults.phi_max_space_m);
+        assert_eq!(c.glove.stretch.phi_max_time_min, defaults.phi_max_time_min);
+        assert_eq!(
+            (c.glove.stretch.w_space, c.glove.stretch.w_time),
+            (0.3, 0.7)
+        );
+    }
+
+    #[test]
+    fn old_clients_oracle_keys_are_ignored() {
+        // An older `glove send` always sends the three oracle switches; the
+        // tenant still runs the library defaults.
+        let v = JsonValue::parse(
+            r#"{"glove": {"k": 3, "pruning": false, "cascade": false, "columnar": false}}"#,
+        )
+        .unwrap();
+        let c = StreamConfig::from_value(&v).unwrap();
+        let defaults = GloveConfig::default();
+        assert_eq!(c.glove.k, 3);
+        assert_eq!(c.glove.pruning, defaults.pruning);
+        assert_eq!(c.glove.columnar, defaults.columnar);
+        assert_eq!(c.glove, GloveConfig { k: 3, ..defaults });
+    }
+
+    #[test]
+    fn bad_fields_are_rejected() {
+        for text in [
+            r#"{"window_min": "day"}"#,
+            r#"{"carry": "warm"}"#,
+            r#"{"glove": {"residual": "drop"}}"#,
+            r#"{"glove": {"shard": {"by": "geohash", "shards": 2}}}"#,
+        ] {
+            let v = JsonValue::parse(text).unwrap();
+            assert!(StreamConfig::from_value(&v).is_err(), "{text}");
+        }
     }
 }

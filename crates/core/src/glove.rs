@@ -71,6 +71,7 @@ use crate::compact::{
 };
 use crate::config::{GloveConfig, Pruning, ResidualPolicy, StretchConfig};
 use crate::error::GloveError;
+use crate::json_struct;
 use crate::ledger::MemoryLedger;
 use crate::merge::merge_fingerprints;
 use crate::model::{Dataset, Fingerprint, UserId};
@@ -141,6 +142,22 @@ pub struct GloveStats {
     /// Wall-clock duration of the run in seconds.
     pub elapsed_s: f64,
 }
+
+json_struct!(GloveStats {
+    merges,
+    pairs_computed,
+    pairs_pruned,
+    pairs_skipped_tier0,
+    pairs_skipped_tier1,
+    pairs_abandoned,
+    per_shard,
+    suppressed,
+    reshaped_samples,
+    discarded_fingerprints,
+    discarded_users,
+    ledger: "memory",
+    elapsed_s,
+});
 
 impl GloveStats {
     /// Total pair decisions made: every candidate pair was either evaluated

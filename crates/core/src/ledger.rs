@@ -12,6 +12,8 @@
 //!
 //! [`SampleStore`]: crate::compact::SampleStore
 
+use crate::json_struct;
+
 /// Peak memory accounting for one run (or one shard of a run).
 ///
 /// All byte figures are *peaks over the run*, not final values: an arena
@@ -34,6 +36,13 @@ pub struct MemoryLedger {
     /// captured at the end of the run; 0 on platforms without procfs.
     pub peak_rss_bytes: u64,
 }
+
+json_struct!(MemoryLedger {
+    peak_arena_bytes,
+    peak_store_bytes,
+    resident_pages,
+    peak_rss_bytes,
+});
 
 impl MemoryLedger {
     /// Records an arena footprint observation, keeping the maximum.

@@ -33,9 +33,10 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
-use crate::api::json::JsonValue;
+use crate::api::json::{field_or, Json, JsonValue};
 use crate::config::{CarryPolicy, StreamConfig, SuppressionThresholds, UnderKPolicy};
 use crate::error::GloveError;
+use crate::json_struct;
 use crate::model::UserId;
 
 /// The policy in force for one `(epoch, cohort)` slice of a run: the
@@ -145,6 +146,60 @@ impl PolicyRule {
     }
 }
 
+/// A rule is one flat object: the overrides sit beside the interval, and
+/// unset options are omitted rather than rendered as `null`. Every key is
+/// optional on decode (`from_epoch` defaults to 0).
+impl Json for PolicyRule {
+    fn to_value(&self) -> JsonValue {
+        let suppression = self.set.suppression.map(|s| {
+            JsonValue::obj(vec![
+                ("space_m", s.max_space_m.to_value()),
+                ("time_min", s.max_time_min.to_value()),
+            ])
+        });
+        let keys = [
+            ("from_epoch", Some(self.from_epoch.to_value())),
+            ("to_epoch", self.to_epoch.as_ref().map(Json::to_value)),
+            ("cohort", self.cohort.as_ref().map(Json::to_value)),
+            ("k", self.set.k.as_ref().map(Json::to_value)),
+            (
+                "window_min",
+                self.set.window_min.as_ref().map(Json::to_value),
+            ),
+            ("carry", self.set.carry.as_ref().map(Json::to_value)),
+            ("under_k", self.set.under_k.as_ref().map(Json::to_value)),
+            ("suppression", suppression),
+        ];
+        JsonValue::Obj(
+            keys.into_iter()
+                .filter_map(|(key, value)| Some((key.to_string(), value?)))
+                .collect(),
+        )
+    }
+
+    fn from_value(v: &JsonValue) -> Result<Self, String> {
+        let suppression = match v.get("suppression") {
+            None => None,
+            Some(s) => Some(SuppressionThresholds {
+                max_space_m: field_or(s, "space_m", None)?,
+                max_time_min: field_or(s, "time_min", None)?,
+            }),
+        };
+        Ok(PolicyRule {
+            from_epoch: field_or(v, "from_epoch", 0)?,
+            to_epoch: field_or(v, "to_epoch", None)?,
+            cohort: field_or(v, "cohort", None)?,
+            set: PolicyOverride {
+                k: field_or(v, "k", None)?,
+                window_min: field_or(v, "window_min", None)?,
+                carry: field_or(v, "carry", None)?,
+                under_k: field_or(v, "under_k", None)?,
+                suppression,
+            },
+        })
+    }
+}
+
 /// A named set of subscribers the plane can scope k-rules to (night-shift
 /// workers, hyper-mobile users, a tenant's premium tier, ...).
 #[derive(Debug, Clone, PartialEq)]
@@ -154,6 +209,11 @@ pub struct CohortSpec {
     /// The members. Order is irrelevant; duplicates are tolerated.
     pub users: Vec<UserId>,
 }
+
+json_struct!(CohortSpec {
+    name,
+    users = Vec::new(),
+});
 
 /// The policy plane: cohort declarations plus an ordered rule list.
 ///
@@ -307,77 +367,9 @@ impl PolicyPlane {
     /// Serializes the plane to the dependency-free JSON tree of
     /// [`crate::api::json`].
     pub fn to_value(&self) -> JsonValue {
-        let cohorts = self
-            .cohorts
-            .iter()
-            .map(|c| {
-                JsonValue::obj(vec![
-                    ("name", JsonValue::Str(c.name.clone())),
-                    (
-                        "users",
-                        JsonValue::Arr(
-                            c.users
-                                .iter()
-                                .map(|&u| JsonValue::Int(i128::from(u)))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let rules = self
-            .rules
-            .iter()
-            .map(|r| {
-                let mut fields = vec![(
-                    "from_epoch".to_string(),
-                    JsonValue::Int(i128::from(r.from_epoch)),
-                )];
-                if let Some(to) = r.to_epoch {
-                    fields.push(("to_epoch".to_string(), JsonValue::Int(i128::from(to))));
-                }
-                if let Some(c) = &r.cohort {
-                    fields.push(("cohort".to_string(), JsonValue::Str(c.clone())));
-                }
-                if let Some(k) = r.set.k {
-                    fields.push(("k".to_string(), JsonValue::Int(k as i128)));
-                }
-                if let Some(w) = r.set.window_min {
-                    fields.push(("window_min".to_string(), JsonValue::Int(i128::from(w))));
-                }
-                if let Some(c) = r.set.carry {
-                    let s = match c {
-                        CarryPolicy::Fresh => "fresh",
-                        CarryPolicy::Sticky => "sticky",
-                    };
-                    fields.push(("carry".to_string(), JsonValue::Str(s.into())));
-                }
-                if let Some(u) = r.set.under_k {
-                    let s = match u {
-                        UnderKPolicy::Suppress => "suppress",
-                        UnderKPolicy::Defer => "defer",
-                    };
-                    fields.push(("under_k".to_string(), JsonValue::Str(s.into())));
-                }
-                if let Some(s) = r.set.suppression {
-                    let opt = |v: Option<u32>| match v {
-                        Some(x) => JsonValue::Int(i128::from(x)),
-                        None => JsonValue::Null,
-                    };
-                    fields.push((
-                        "suppression".to_string(),
-                        JsonValue::obj(vec![
-                            ("space_m", opt(s.max_space_m)),
-                            ("time_min", opt(s.max_time_min)),
-                        ]),
-                    ));
-                }
-                JsonValue::Obj(fields)
-            })
-            .collect();
         JsonValue::obj(vec![
-            ("cohorts", JsonValue::Arr(cohorts)),
-            ("rules", JsonValue::Arr(rules)),
+            ("cohorts", self.cohorts.to_value()),
+            ("rules", self.rules.to_value()),
         ])
     }
 
@@ -386,76 +378,13 @@ impl PolicyPlane {
     /// arrays read as empty). The result is validated before it is
     /// returned.
     pub fn from_value(value: &JsonValue) -> Result<Self, GloveError> {
-        let bad = |msg: &str| GloveError::InvalidConfig(format!("policy plane: {msg}"));
-        let mut plane = PolicyPlane::default();
-        if let Some(cohorts) = value.get("cohorts").and_then(JsonValue::as_arr) {
-            for c in cohorts {
-                let name = c
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| bad("cohort needs a string 'name'"))?
-                    .to_string();
-                let mut users = Vec::new();
-                for u in c
-                    .get("users")
-                    .and_then(JsonValue::as_arr)
-                    .unwrap_or_default()
-                {
-                    let id = u
-                        .as_u64()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or_else(|| bad("cohort user ids must be u32"))?;
-                    users.push(id);
-                }
-                plane.cohorts.push(CohortSpec { name, users });
-            }
-        }
-        if let Some(rules) = value.get("rules").and_then(JsonValue::as_arr) {
-            for r in rules {
-                let from_epoch = r.get("from_epoch").and_then(JsonValue::as_u64).unwrap_or(0);
-                let to_epoch = r.get("to_epoch").and_then(JsonValue::as_u64);
-                let cohort = r
-                    .get("cohort")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string);
-                let mut set = PolicyOverride {
-                    k: r.get("k").and_then(JsonValue::as_usize),
-                    window_min: r
-                        .get("window_min")
-                        .and_then(JsonValue::as_u64)
-                        .and_then(|v| u32::try_from(v).ok()),
-                    ..PolicyOverride::default()
-                };
-                if let Some(s) = r.get("carry").and_then(JsonValue::as_str) {
-                    set.carry = Some(s.parse().map_err(|e: String| bad(&e))?);
-                }
-                if let Some(s) = r.get("under_k").and_then(JsonValue::as_str) {
-                    set.under_k = Some(s.parse().map_err(|e: String| bad(&e))?);
-                }
-                if let Some(s) = r.get("suppression") {
-                    let axis = |key: &str| -> Result<Option<u32>, GloveError> {
-                        match s.get(key) {
-                            None | Some(JsonValue::Null) => Ok(None),
-                            Some(v) => v
-                                .as_u64()
-                                .and_then(|x| u32::try_from(x).ok())
-                                .map(Some)
-                                .ok_or_else(|| bad("suppression bounds must be u32")),
-                        }
-                    };
-                    set.suppression = Some(SuppressionThresholds {
-                        max_space_m: axis("space_m")?,
-                        max_time_min: axis("time_min")?,
-                    });
-                }
-                plane.rules.push(PolicyRule {
-                    from_epoch,
-                    to_epoch,
-                    cohort,
-                    set,
-                });
-            }
-        }
+        let read = || -> Result<Self, String> {
+            Ok(PolicyPlane {
+                cohorts: field_or(value, "cohorts", Vec::new())?,
+                rules: field_or(value, "rules", Vec::new())?,
+            })
+        };
+        let plane = read().map_err(|e| GloveError::InvalidConfig(format!("policy plane: {e}")))?;
         plane.validate()?;
         Ok(plane)
     }
@@ -750,6 +679,16 @@ mod tests {
         let text = plane.to_value().render();
         let back = PolicyPlane::from_json(&text).unwrap();
         assert_eq!(back, plane);
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"cohorts":[{"name":"night-shift","users":[7,11,13]}],"#,
+                r#""rules":[{"from_epoch":0,"to_epoch":3,"k":3,"window_min":720,"#,
+                r#""carry":"sticky","under_k":"defer","#,
+                r#""suppression":{"space_m":15000,"time_min":null}},"#,
+                r#"{"from_epoch":3,"cohort":"night-shift","k":6}]}"#,
+            )
+        );
     }
 
     #[test]

@@ -32,6 +32,7 @@
 use crate::config::{GloveConfig, ShardBy, ShardPolicy};
 use crate::error::GloveError;
 use crate::glove::{run_monolithic, GloveOutput, GloveStats};
+use crate::json_struct;
 use crate::ledger::MemoryLedger;
 use crate::model::{Dataset, Fingerprint};
 use crate::parallel::par_map;
@@ -68,6 +69,21 @@ pub struct ShardStat {
     /// when workers run them concurrently).
     pub elapsed_s: f64,
 }
+
+json_struct!(ShardStat {
+    shard,
+    fingerprints_in,
+    users_in,
+    fingerprints_out,
+    merges,
+    pairs_computed,
+    pairs_pruned,
+    pairs_skipped_tier0,
+    pairs_skipped_tier1,
+    pairs_abandoned,
+    ledger: "memory",
+    elapsed_s,
+});
 
 /// Computes the shard assignment: a list of fingerprint-index buckets, in
 /// stitch order. Every bucket holds at least `k` subscribers — an

@@ -69,9 +69,11 @@
 //! at most. The residency marks count the filling side, as inline. Epochs
 //! and statistics are those of the inline loop.
 
+use crate::api::json::{field, field_or, Json, JsonValue};
 use crate::config::{CarryPolicy, GloveConfig, StreamConfig, UnderKPolicy};
 use crate::error::GloveError;
 use crate::glove::{anonymize_with_plan, GloveOutput};
+use crate::json_struct;
 use crate::ledger::MemoryLedger;
 use crate::merge::merge_fingerprints;
 use crate::model::{Dataset, Fingerprint, Sample, UserId};
@@ -137,6 +139,64 @@ pub struct EpochStat {
     pub elapsed_s: f64,
 }
 
+/// The policy snapshot travels as one nested `policy` object.
+impl Json for EpochStat {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::obj(vec![
+            ("epoch", self.epoch.to_value()),
+            ("window_start_min", self.window_start_min.to_value()),
+            ("fingerprints_in", self.fingerprints_in.to_value()),
+            ("users_in", self.users_in.to_value()),
+            ("seeded_groups", self.seeded_groups.to_value()),
+            ("groups_out", self.groups_out.to_value()),
+            ("merges", self.merges.to_value()),
+            ("pairs_computed", self.pairs_computed.to_value()),
+            ("pairs_pruned", self.pairs_pruned.to_value()),
+            ("pairs_skipped_tier0", self.pairs_skipped_tier0.to_value()),
+            ("pairs_skipped_tier1", self.pairs_skipped_tier1.to_value()),
+            ("pairs_abandoned", self.pairs_abandoned.to_value()),
+            (
+                "policy",
+                JsonValue::obj(vec![
+                    ("k", self.policy_k.to_value()),
+                    ("window_min", self.policy_window_min.to_value()),
+                    ("carry", self.policy_carry.to_value()),
+                    ("under_k", self.policy_under_k.to_value()),
+                    ("cohort_users", self.policy_cohort_users.to_value()),
+                ]),
+            ),
+            ("elapsed_s", self.elapsed_s.to_value()),
+        ])
+    }
+
+    fn from_value(v: &JsonValue) -> Result<Self, String> {
+        // Reports written before the policy plane existed carry no policy
+        // object and read back the zero snapshot.
+        let none = JsonValue::Obj(Vec::new());
+        let policy = v.get("policy").unwrap_or(&none);
+        Ok(EpochStat {
+            epoch: field(v, "epoch")?,
+            window_start_min: field(v, "window_start_min")?,
+            fingerprints_in: field(v, "fingerprints_in")?,
+            users_in: field(v, "users_in")?,
+            seeded_groups: field(v, "seeded_groups")?,
+            groups_out: field(v, "groups_out")?,
+            merges: field(v, "merges")?,
+            pairs_computed: field(v, "pairs_computed")?,
+            pairs_pruned: field(v, "pairs_pruned")?,
+            pairs_skipped_tier0: field(v, "pairs_skipped_tier0")?,
+            pairs_skipped_tier1: field(v, "pairs_skipped_tier1")?,
+            pairs_abandoned: field(v, "pairs_abandoned")?,
+            policy_k: field_or(policy, "k", 0)?,
+            policy_window_min: field_or(policy, "window_min", 0)?,
+            policy_carry: field_or(policy, "carry", CarryPolicy::default())?,
+            policy_under_k: field_or(policy, "under_k", UnderKPolicy::default())?,
+            policy_cohort_users: field_or(policy, "cohort_users", 0)?,
+            elapsed_s: field(v, "elapsed_s")?,
+        })
+    }
+}
+
 /// Statistics of a whole streaming run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamStats {
@@ -192,6 +252,30 @@ pub struct StreamStats {
     /// Total wall-clock seconds spent anonymizing epochs.
     pub elapsed_s: f64,
 }
+
+json_struct!(StreamStats {
+    events,
+    epochs,
+    peak_resident_fingerprints,
+    peak_resident_samples,
+    merges,
+    pairs_computed,
+    pairs_pruned,
+    pairs_skipped_tier0,
+    pairs_skipped_tier1,
+    pairs_abandoned,
+    seeded_groups,
+    suppressed_users,
+    suppressed_samples,
+    deferred_users,
+    deferred_samples,
+    seed_suppressed,
+    // Absent in reports written before the shed ledger existed.
+    shed_events = 0,
+    per_epoch,
+    ledger: "memory",
+    elapsed_s,
+});
 
 impl StreamStats {
     /// User-window slices that entered an emitted epoch (a user active in

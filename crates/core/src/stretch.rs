@@ -401,43 +401,6 @@ pub enum StretchEval {
     AtLeast(f64),
 }
 
-/// Cutoff-aware variant of [`fingerprint_stretch`] — tier 2 of the distance
-/// cascade.
-///
-/// Evaluates `Δ_ab` but abandons as soon as the effort accumulated so far
-/// proves the result *strictly* exceeds `cutoff`, returning the proven
-/// lower bound instead of finishing the scan. With `cutoff =
-/// f64::INFINITY` the function never abandons and
-/// `Exact(fingerprint_stretch(a, b, cfg))` is returned bit-for-bit (the
-/// accumulation order and arithmetic are identical).
-///
-/// Admissibility of the partial mean: Eq. (10) averages per-sample minima,
-/// each ≥ 0, so after `i` of `n` outer samples the final sum is at least
-/// the partial sum (IEEE addition of a non-negative term is monotone and
-/// correctly rounded, so this survives floating point) and the final mean
-/// is at least `partial_total / n`. The unvisited suffix is additionally
-/// booked at its per-sample hull floors rather than at zero (the suffix
-/// strengthening) — each floor is an admissible lower bound
-/// on the matching effort of one outer sample, and the comparison concedes
-/// a rounding slack so the strengthened bound stays below the *computed*
-/// value too. For equal-length fingerprints the canonical `Δ` averages
-/// both directions; the per-direction mappings `m ↦ m/2` (second direction
-/// still unknown, bounded below by 0) and `m ↦ (d₁+m)/2` (first direction
-/// exact) keep the carried value a lower bound on the averaged result.
-///
-/// Abandonment is *strict* (`> cutoff`, never `≥`), so a pair whose true
-/// effort ties the cutoff is always evaluated exactly — callers that use
-/// the running best-pair value as the cutoff keep their tie-breaking
-/// behavior, and hence their output, byte-identical.
-pub fn fingerprint_stretch_cutoff(
-    a: &Fingerprint,
-    b: &Fingerprint,
-    cfg: &StretchConfig,
-    cutoff: f64,
-) -> StretchEval {
-    fingerprint_stretch_cutoff_resume(a, b, cfg, cutoff, &mut StretchProgress::start())
-}
-
 /// Saved position of an abandoned [`fingerprint_stretch_cutoff_resume`]
 /// evaluation of one fixed pair.
 ///
@@ -468,14 +431,42 @@ impl StretchProgress {
     }
 }
 
-/// Resumable form of [`fingerprint_stretch_cutoff`]: picks the evaluation
-/// of this pair up where `progress` says it previously abandoned.
+/// Cutoff-aware, resumable variant of [`fingerprint_stretch`] — tier 2 of
+/// the distance cascade.
 ///
-/// On [`StretchEval::AtLeast`] the updated `progress` records the exact
-/// work already done; passing it back in (for the *same* pair and config)
-/// skips straight to the first unvisited sample. On [`StretchEval::Exact`]
-/// the result is bit-identical to an uninterrupted evaluation — callers
-/// cache it and never evaluate the pair again.
+/// Evaluates `Δ_ab` but abandons as soon as the effort accumulated so far
+/// proves the result *strictly* exceeds `cutoff`, returning the proven
+/// lower bound instead of finishing the scan. With `cutoff =
+/// f64::INFINITY` the function never abandons and
+/// `Exact(fingerprint_stretch(a, b, cfg))` is returned bit-for-bit (the
+/// accumulation order and arithmetic are identical).
+///
+/// Admissibility of the partial mean: Eq. (10) averages per-sample minima,
+/// each ≥ 0, so after `i` of `n` outer samples the final sum is at least
+/// the partial sum (IEEE addition of a non-negative term is monotone and
+/// correctly rounded, so this survives floating point) and the final mean
+/// is at least `partial_total / n`. The unvisited suffix is additionally
+/// booked at its per-sample hull floors rather than at zero (the suffix
+/// strengthening) — each floor is an admissible lower bound
+/// on the matching effort of one outer sample, and the comparison concedes
+/// a rounding slack so the strengthened bound stays below the *computed*
+/// value too. For equal-length fingerprints the canonical `Δ` averages
+/// both directions; the per-direction mappings `m ↦ m/2` (second direction
+/// still unknown, bounded below by 0) and `m ↦ (d₁+m)/2` (first direction
+/// exact) keep the carried value a lower bound on the averaged result.
+///
+/// Abandonment is *strict* (`> cutoff`, never `≥`), so a pair whose true
+/// effort ties the cutoff is always evaluated exactly — callers that use
+/// the running best-pair value as the cutoff keep their tie-breaking
+/// behavior, and hence their output, byte-identical.
+///
+/// The evaluation picks this pair up where `progress` says it previously
+/// abandoned; a fresh one starts from [`StretchProgress::start`]. On
+/// [`StretchEval::AtLeast`] the updated `progress` records the exact work
+/// already done; passing it back in (for the *same* pair and config) skips
+/// straight to the first unvisited sample. On [`StretchEval::Exact`] the
+/// result is bit-identical to an uninterrupted evaluation — callers cache
+/// it and never evaluate the pair again.
 pub fn fingerprint_stretch_cutoff_resume(
     a: &Fingerprint,
     b: &Fingerprint,
@@ -1187,7 +1178,13 @@ mod tests {
         let c = Fingerprint::from_points(2, &[(40, 80, 25), (2_600, -100, 330)]).unwrap();
         for (x, y) in [(&a, &b), (&b, &a), (&b, &c)] {
             let exact = fingerprint_stretch(x, y, &cfg());
-            match fingerprint_stretch_cutoff(x, y, &cfg(), f64::INFINITY) {
+            match fingerprint_stretch_cutoff_resume(
+                x,
+                y,
+                &cfg(),
+                f64::INFINITY,
+                &mut StretchProgress::start(),
+            ) {
                 StretchEval::Exact(d) => {
                     assert_eq!(d.to_bits(), exact.to_bits(), "must be bit-identical")
                 }
@@ -1205,7 +1202,7 @@ mod tests {
         assert!(exact > 0.5);
         // A cutoff below the true effort: abandonment must return a lower
         // bound that is strictly above the cutoff yet never above the truth.
-        match fingerprint_stretch_cutoff(&a, &b, &cfg, 0.1) {
+        match fingerprint_stretch_cutoff_resume(&a, &b, &cfg, 0.1, &mut StretchProgress::start()) {
             StretchEval::AtLeast(lb) => {
                 assert!(lb > 0.1);
                 assert!(lb <= exact + 1e-12);
@@ -1214,7 +1211,8 @@ mod tests {
         }
         // A cutoff that ties the true effort must NOT abandon (strictness
         // preserves tie-breaking downstream).
-        match fingerprint_stretch_cutoff(&a, &b, &cfg, exact) {
+        match fingerprint_stretch_cutoff_resume(&a, &b, &cfg, exact, &mut StretchProgress::start())
+        {
             StretchEval::Exact(d) => assert_eq!(d.to_bits(), exact.to_bits()),
             StretchEval::AtLeast(lb) => {
                 panic!("tie with the cutoff must evaluate exactly, got AtLeast({lb})")
@@ -1229,7 +1227,13 @@ mod tests {
         let b = Fingerprint::from_points(1, &[(70_000, 0, 10), (71_000, 0, 5_000)]).unwrap();
         let exact = fingerprint_stretch(&a, &b, &cfg);
         for cutoff in [0.0, 0.1, 0.24, 0.4] {
-            match fingerprint_stretch_cutoff(&a, &b, &cfg, cutoff) {
+            match fingerprint_stretch_cutoff_resume(
+                &a,
+                &b,
+                &cfg,
+                cutoff,
+                &mut StretchProgress::start(),
+            ) {
                 StretchEval::AtLeast(lb) => {
                     assert!(lb > cutoff, "abandonment must prove the cutoff exceeded");
                     assert!(lb <= exact + 1e-12, "bound {lb} exceeds exact {exact}");

@@ -12,6 +12,7 @@
 //! are formed.
 
 use crate::config::SuppressionThresholds;
+use crate::json_struct;
 use crate::model::Sample;
 
 /// Running counters of suppression activity across merges.
@@ -27,6 +28,11 @@ pub struct SuppressionLedger {
     /// belonged to.
     pub user_samples: u64,
 }
+
+json_struct!(SuppressionLedger {
+    samples,
+    user_samples,
+});
 
 impl SuppressionLedger {
     /// Records the suppression of one sample belonging to a fingerprint

@@ -179,10 +179,8 @@ fn stream_linkage(ctx: &mut EvalContext, report: &mut Report) {
     let attack_cfg = CrossEpochAttack { l: 8, threads };
 
     let mut measured = Vec::new();
-    for (carry, tag) in [
-        (CarryPolicy::Fresh, "fresh"),
-        (CarryPolicy::Sticky, "sticky"),
-    ] {
+    for carry in [CarryPolicy::Fresh, CarryPolicy::Sticky] {
+        let tag = carry.as_str();
         let mut config = StreamConfig {
             window_min: STREAM_WINDOW_MIN,
             carry,

@@ -150,10 +150,8 @@ pub fn frontier(ctx: &mut EvalContext) -> Report {
     const L: usize = 8;
 
     let mut points = Vec::new();
-    for (carry, tag) in [
-        (CarryPolicy::Fresh, "fresh"),
-        (CarryPolicy::Sticky, "sticky"),
-    ] {
+    for carry in [CarryPolicy::Fresh, CarryPolicy::Sticky] {
+        let tag = carry.as_str();
         for k in [2usize, 4, 6] {
             eprintln!("[eval] frontier: static {tag} k={k}…");
             points.push(run_point(
@@ -226,7 +224,7 @@ pub fn frontier(ctx: &mut EvalContext) -> Report {
         PointSpec {
             plane: Some(&adapted.plane),
             policy: "adapted",
-            carry: "sticky",
+            carry: CarryPolicy::Sticky.as_str(),
             k: 2,
             l: L,
         },

@@ -138,17 +138,13 @@ pub fn shard(ctx: &mut EvalContext) -> Report {
 
     let mut rows = vec![run_one(&ds, k, threads, None, "monolithic")];
     for &s in &shard_counts {
-        for (by, tag) in [
-            (ShardBy::Activity, "activity"),
-            (ShardBy::Spatial, "spatial"),
-            (ShardBy::TwoLevel, "two-level"),
-        ] {
+        for by in [ShardBy::Activity, ShardBy::Spatial, ShardBy::TwoLevel] {
             rows.push(run_one(
                 &ds,
                 k,
                 threads,
                 Some(ShardPolicy { shards: s, by }),
-                &format!("{tag}x{s}"),
+                &format!("{}x{s}", by.as_str()),
             ));
         }
     }

@@ -179,11 +179,8 @@ pub fn stream(ctx: &mut EvalContext) -> Report {
     rows.push(row);
 
     for window in [5_760u32, 1_440] {
-        for (carry, tag) in [
-            (CarryPolicy::Fresh, "fresh"),
-            (CarryPolicy::Sticky, "sticky"),
-        ] {
-            let label = format!("{tag}-w{window}");
+        for carry in [CarryPolicy::Fresh, CarryPolicy::Sticky] {
+            let label = format!("{}-w{window}", carry.as_str());
             let (row, _) = run_one(&ds.name, &events, window, carry, threads, &label);
             rows.push(row);
         }

@@ -9,9 +9,9 @@
 
 use crate::context::EvalContext;
 use crate::report::{fmt, pct, Report};
-use glove_baselines::{W4mAnonymizer, W4mConfig};
+use glove_baselines::{W4mAnonymizer, W4mConfig, W4mStats};
 use glove_core::accuracy::{mean_position_accuracy_m, mean_time_accuracy_min};
-use glove_core::api::json::JsonValue;
+use glove_core::api::json::Json;
 use glove_core::api::{Anonymizer, NullObserver};
 use glove_core::{Dataset, SuppressionThresholds};
 use glove_synth::city_subset;
@@ -58,7 +58,7 @@ fn run_w4m(ds: &Dataset, k: usize) -> Cell {
     let outcome = engine.run(ds, &mut NullObserver).expect("W4M succeeds");
     let report = &outcome.report;
     let detail = report.detail.as_external().expect("w4m detail");
-    let err = |key: &str| detail.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
+    let stats = W4mStats::from_value(detail).expect("w4m detail holds W4mStats");
     Cell {
         discarded_fp: report.discarded_fingerprints,
         discarded_fp_frac: report.discarded_fingerprints as f64 / ds.fingerprints.len() as f64,
@@ -66,8 +66,8 @@ fn run_w4m(ds: &Dataset, k: usize) -> Cell {
         created_frac: report.created_samples as f64 / total_samples,
         deleted_samples: report.deleted_samples,
         deleted_frac: report.deleted_samples as f64 / total_samples,
-        mean_pos_err_m: err("mean_position_error_m"),
-        mean_time_err_min: err("mean_time_error_min"),
+        mean_pos_err_m: stats.mean_position_error_m,
+        mean_time_err_min: stats.mean_time_error_min,
     }
 }
 

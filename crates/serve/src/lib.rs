@@ -6,12 +6,13 @@
 //!
 //! - [`protocol`] — the length-prefixed wire format: `[len: u32 LE]`
 //!   `[tag: u8][payload]`, JSON payloads except binary `EVENTS`.
-//! - [`config_wire`] — JSON codec for the full per-tenant
-//!   [`StreamConfig`](glove_core::config::StreamConfig) inlined in `HELLO`.
-//! - [`session`] — one tenant's bounded-queue ingest pipeline: a
-//!   `sync_channel` feeding a dedicated engine worker thread, with
-//!   explicit backpressure (`BUSY`) or load shedding, live
-//!   [`SessionMetrics`], and epoch/report persistence.
+//!   `HELLO` inlines the tenant's full
+//!   [`StreamConfig`](glove_core::config::StreamConfig) through its
+//!   [`Json`](glove_core::api::json::Json) codec.
+//! - [`session`] — one tenant's bounded-queue ingest pipeline: an
+//!   `EventQueue` (one lock around a bounded deque) feeding a dedicated
+//!   engine worker thread, with explicit backpressure (`BUSY`) or load
+//!   shedding, live [`SessionMetrics`], and epoch/report persistence.
 //! - [`server`] — the accept loop, tenant registry, and protocol-driven
 //!   graceful shutdown.
 //! - [`client`] — the blocking reference client (`glove send` and the
@@ -28,7 +29,6 @@
 //! accounted in `StreamStats::shed_events`.
 
 pub mod client;
-pub mod config_wire;
 pub mod protocol;
 pub mod server;
 pub mod session;

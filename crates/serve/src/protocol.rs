@@ -38,15 +38,13 @@
 //! where decoding failed — never a panic. The proptests in
 //! `tests/protocol_properties.rs` pin both directions.
 
-use glove_core::api::json::JsonValue;
+use glove_core::api::json::{field, field_or, Json, JsonValue};
 use glove_core::api::report::RunReport;
 use glove_core::config::StreamConfig;
 use glove_core::policy::PolicyPlane;
 use glove_core::stream::StreamEvent;
 use glove_core::Sample;
 use std::io::{Read, Write};
-
-use crate::config_wire::{stream_config_from_value, stream_config_to_value};
 
 /// Hard cap on `len` (tag + payload bytes) of a single frame: 16 MiB.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
@@ -277,24 +275,14 @@ fn json_payload(v: &JsonValue) -> Vec<u8> {
     v.render().into_bytes()
 }
 
-fn str_field(v: &JsonValue, key: &str) -> Result<String, WireError> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| WireError::new(PAYLOAD_OFFSET, format!("missing string field '{key}'")))
+/// A JSON reader's failure, located at the payload.
+fn at_payload(message: String) -> WireError {
+    WireError::new(PAYLOAD_OFFSET, message)
 }
 
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, WireError> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| WireError::new(PAYLOAD_OFFSET, format!("missing integer field '{key}'")))
-}
-
-fn u32_field(v: &JsonValue, key: &str) -> Result<u32, WireError> {
-    u64_field(v, key).and_then(|n| {
-        u32::try_from(n)
-            .map_err(|_| WireError::new(PAYLOAD_OFFSET, format!("field '{key}' exceeds u32")))
-    })
+/// Reads the required key `key` of a JSON payload.
+fn wire_field<T: Json>(v: &JsonValue, key: &str) -> Result<T, WireError> {
+    field(v, key).map_err(at_payload)
 }
 
 fn parse_json(payload: &[u8], what: &str) -> Result<JsonValue, WireError> {
@@ -312,13 +300,13 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             shed,
             config,
         } => json_payload(&JsonValue::obj(vec![
-            ("tenant", JsonValue::Str(tenant.clone())),
-            ("shed", JsonValue::Bool(*shed)),
-            ("config", stream_config_to_value(config)),
+            ("tenant", tenant.to_value()),
+            ("shed", shed.to_value()),
+            ("config", config.to_value()),
         ])),
         Frame::HelloOk { tenant, queue } => json_payload(&JsonValue::obj(vec![
-            ("tenant", JsonValue::Str(tenant.clone())),
-            ("queue", JsonValue::Int(i128::from(*queue))),
+            ("tenant", tenant.to_value()),
+            ("queue", queue.to_value()),
         ])),
         Frame::Events(events) => {
             let mut out = Vec::with_capacity(4 + events.len() * EVENT_WIRE_BYTES);
@@ -335,12 +323,12 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             out
         }
         Frame::EventsOk { accepted, shed } => json_payload(&JsonValue::obj(vec![
-            ("accepted", JsonValue::Int(i128::from(*accepted))),
-            ("shed", JsonValue::Int(i128::from(*shed))),
+            ("accepted", accepted.to_value()),
+            ("shed", shed.to_value()),
         ])),
         Frame::Busy { accepted, retry_ms } => json_payload(&JsonValue::obj(vec![
-            ("accepted", JsonValue::Int(i128::from(*accepted))),
-            ("retry_ms", JsonValue::Int(i128::from(*retry_ms))),
+            ("accepted", accepted.to_value()),
+            ("retry_ms", retry_ms.to_value()),
         ])),
         Frame::Flush | Frame::Close | Frame::Bye | Frame::Stats | Frame::Shutdown => Vec::new(),
         Frame::Epoch {
@@ -350,29 +338,26 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             groups,
             users,
         } => json_payload(&JsonValue::obj(vec![
-            ("tenant", JsonValue::Str(tenant.clone())),
-            ("epoch", JsonValue::Int(i128::from(*epoch))),
-            (
-                "window_start_min",
-                JsonValue::Int(i128::from(*window_start_min)),
-            ),
-            ("groups", JsonValue::Int(i128::from(*groups))),
-            ("users", JsonValue::Int(i128::from(*users))),
+            ("tenant", tenant.to_value()),
+            ("epoch", epoch.to_value()),
+            ("window_start_min", window_start_min.to_value()),
+            ("groups", groups.to_value()),
+            ("users", users.to_value()),
         ])),
         Frame::Report { tenant, report } => json_payload(&JsonValue::obj(vec![
-            ("tenant", JsonValue::Str(tenant.clone())),
+            ("tenant", tenant.to_value()),
             ("report", report.to_value()),
         ])),
         Frame::Error { code, message } => json_payload(&JsonValue::obj(vec![
             ("code", JsonValue::Str(code.as_str().to_string())),
-            ("message", JsonValue::Str(message.clone())),
+            ("message", message.to_value()),
         ])),
         Frame::Reconfig { plane } => {
             json_payload(&JsonValue::obj(vec![("plane", plane.to_value())]))
         }
         Frame::ReconfigOk { tenant, rules } => json_payload(&JsonValue::obj(vec![
-            ("tenant", JsonValue::Str(tenant.clone())),
-            ("rules", JsonValue::Int(i128::from(*rules))),
+            ("tenant", tenant.to_value()),
+            ("rules", rules.to_value()),
         ])),
     };
     let len = 1 + payload.len();
@@ -444,7 +429,7 @@ fn decode_body(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
     match tag {
         1 => {
             let v = parse_json(payload, "HELLO")?;
-            let tenant = str_field(&v, "tenant")?;
+            let tenant: String = wire_field(&v, "tenant")?;
             if tenant.is_empty()
                 || !tenant
                     .chars()
@@ -455,23 +440,17 @@ fn decode_body(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
                     "tenant names are non-empty [A-Za-z0-9_-]",
                 ));
             }
-            let shed = v.get("shed").and_then(JsonValue::as_bool).unwrap_or(false);
-            let config = stream_config_from_value(
-                v.get("config")
-                    .ok_or_else(|| WireError::new(PAYLOAD_OFFSET, "missing 'config' object"))?,
-            )
-            .map_err(|e| WireError::new(PAYLOAD_OFFSET, format!("bad config: {e}")))?;
             Ok(Frame::Hello {
                 tenant,
-                shed,
-                config,
+                shed: field_or(&v, "shed", false).map_err(at_payload)?,
+                config: wire_field(&v, "config")?,
             })
         }
         2 => {
             let v = parse_json(payload, "HELLO_OK")?;
             Ok(Frame::HelloOk {
-                tenant: str_field(&v, "tenant")?,
-                queue: u32_field(&v, "queue")?,
+                tenant: wire_field(&v, "tenant")?,
+                queue: wire_field(&v, "queue")?,
             })
         }
         3 => {
@@ -537,15 +516,15 @@ fn decode_body(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
         4 => {
             let v = parse_json(payload, "EVENTS_OK")?;
             Ok(Frame::EventsOk {
-                accepted: u32_field(&v, "accepted")?,
-                shed: u32_field(&v, "shed")?,
+                accepted: wire_field(&v, "accepted")?,
+                shed: wire_field(&v, "shed")?,
             })
         }
         5 => {
             let v = parse_json(payload, "BUSY")?;
             Ok(Frame::Busy {
-                accepted: u32_field(&v, "accepted")?,
-                retry_ms: u32_field(&v, "retry_ms")?,
+                accepted: wire_field(&v, "accepted")?,
+                retry_ms: wire_field(&v, "retry_ms")?,
             })
         }
         6 => expect_empty(payload, "FLUSH", Frame::Flush),
@@ -554,37 +533,31 @@ fn decode_body(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
         9 => {
             let v = parse_json(payload, "EPOCH")?;
             Ok(Frame::Epoch {
-                tenant: str_field(&v, "tenant")?,
-                epoch: u64_field(&v, "epoch")?,
-                window_start_min: u64_field(&v, "window_start_min")?,
-                groups: u64_field(&v, "groups")?,
-                users: u64_field(&v, "users")?,
+                tenant: wire_field(&v, "tenant")?,
+                epoch: wire_field(&v, "epoch")?,
+                window_start_min: wire_field(&v, "window_start_min")?,
+                groups: wire_field(&v, "groups")?,
+                users: wire_field(&v, "users")?,
             })
         }
         10 => {
             let v = parse_json(payload, "REPORT")?;
-            let tenant = str_field(&v, "tenant")?;
-            let report = RunReport::from_value(
-                v.get("report")
-                    .ok_or_else(|| WireError::new(PAYLOAD_OFFSET, "missing 'report' object"))?,
-            )
-            .map_err(|e| WireError::new(PAYLOAD_OFFSET, format!("bad report: {e}")))?;
             Ok(Frame::Report {
-                tenant,
-                report: Box::new(report),
+                tenant: wire_field(&v, "tenant")?,
+                report: Box::new(wire_field::<RunReport>(&v, "report")?),
             })
         }
         11 => expect_empty(payload, "STATS", Frame::Stats),
         12 => expect_empty(payload, "SHUTDOWN", Frame::Shutdown),
         13 => {
             let v = parse_json(payload, "ERROR")?;
-            let code_str = str_field(&v, "code")?;
+            let code_str: String = wire_field(&v, "code")?;
             let code = ErrorCode::parse(&code_str).ok_or_else(|| {
                 WireError::new(PAYLOAD_OFFSET, format!("unknown error code '{code_str}'"))
             })?;
             Ok(Frame::Error {
                 code,
-                message: str_field(&v, "message")?,
+                message: wire_field(&v, "message")?,
             })
         }
         14 => {
@@ -601,8 +574,8 @@ fn decode_body(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
         15 => {
             let v = parse_json(payload, "RECONFIG_OK")?;
             Ok(Frame::ReconfigOk {
-                tenant: str_field(&v, "tenant")?,
-                rules: u32_field(&v, "rules")?,
+                tenant: wire_field(&v, "tenant")?,
+                rules: wire_field(&v, "rules")?,
             })
         }
         other => Err(WireError::new(4, format!("unknown frame tag {other}"))),
@@ -664,40 +637,59 @@ mod tests {
 
     #[test]
     fn control_frames_round_trip() {
-        for frame in [
-            Frame::Flush,
-            Frame::Close,
-            Frame::Bye,
-            Frame::Stats,
-            Frame::Shutdown,
-            Frame::HelloOk {
-                tenant: "a".into(),
-                queue: 4096,
-            },
-            Frame::EventsOk {
-                accepted: 7,
-                shed: 3,
-            },
-            Frame::Busy {
-                accepted: 2,
-                retry_ms: 50,
-            },
-            Frame::Epoch {
-                tenant: "metro".into(),
-                epoch: 3,
-                window_start_min: 4320,
-                groups: 12,
-                users: 40,
-            },
-            Frame::Error {
-                code: ErrorCode::NoTenant,
-                message: "say HELLO first".into(),
-            },
+        for (frame, payload) in [
+            (Frame::Flush, ""),
+            (Frame::Close, ""),
+            (Frame::Bye, ""),
+            (Frame::Stats, ""),
+            (Frame::Shutdown, ""),
+            (
+                Frame::HelloOk {
+                    tenant: "a".into(),
+                    queue: 4096,
+                },
+                r#"{"tenant":"a","queue":4096}"#,
+            ),
+            (
+                Frame::EventsOk {
+                    accepted: 7,
+                    shed: 3,
+                },
+                r#"{"accepted":7,"shed":3}"#,
+            ),
+            (
+                Frame::Busy {
+                    accepted: 2,
+                    retry_ms: 50,
+                },
+                r#"{"accepted":2,"retry_ms":50}"#,
+            ),
+            (
+                Frame::Epoch {
+                    tenant: "metro".into(),
+                    epoch: 3,
+                    window_start_min: 4320,
+                    groups: 12,
+                    users: 40,
+                },
+                r#"{"tenant":"metro","epoch":3,"window_start_min":4320,"groups":12,"users":40}"#,
+            ),
+            (
+                Frame::Error {
+                    code: ErrorCode::NoTenant,
+                    message: "say HELLO first".into(),
+                },
+                r#"{"code":"no-tenant","message":"say HELLO first"}"#,
+            ),
         ] {
             let bytes = encode_frame(&frame);
             let (back, used) = decode_frame(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert_eq!(back, frame);
+            assert_eq!(
+                std::str::from_utf8(&bytes[PAYLOAD_OFFSET..]).unwrap(),
+                payload
+            );
         }
     }
 
