@@ -269,13 +269,19 @@ pub(crate) fn anonymize_sharded(
         }
     }
 
-    let outputs = par_map(shard_inputs.len(), config.threads, |s| {
-        run_monolithic(&shard_inputs[s], &inner, plan)
+    // Workers take shards costliest first, so the last shard to start is a
+    // cheap one and the workers finish close together. The outputs are put
+    // back in shard order, so only the wall clock depends on this order.
+    let order = dispatch_order(&shard_inputs);
+    let ranked = par_map(order.len(), config.threads, |r| {
+        run_monolithic(&shard_inputs[order[r]], &inner, plan)
     });
+    let mut outputs: Vec<_> = order.into_iter().zip(ranked).collect();
+    outputs.sort_unstable_by_key(|&(s, _)| s);
 
     let mut stats = GloveStats::default();
     let mut published = Vec::new();
-    for (s, output) in outputs.into_iter().enumerate() {
+    for (s, output) in outputs {
         let output = output?;
         stats.merges += output.stats.merges;
         stats.pairs_computed += output.stats.pairs_computed;
@@ -313,6 +319,14 @@ pub(crate) fn anonymize_sharded(
     Ok(GloveOutput { dataset, stats })
 }
 
+/// The order in which shards are handed to workers: by descending sample
+/// count, the estimate of a shard's cost, with ties in shard order.
+fn dispatch_order(shard_inputs: &[Dataset]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..shard_inputs.len()).collect();
+    order.sort_by_key(|&s| (std::cmp::Reverse(shard_inputs[s].num_samples()), s));
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,6 +350,29 @@ mod tests {
             })
             .collect();
         Dataset::new("clustered", fps).unwrap()
+    }
+
+    #[test]
+    fn shards_are_dispatched_costliest_first_with_ties_in_shard_order() {
+        let input = |first: u32, lens: &[u32]| {
+            let fps = lens
+                .iter()
+                .zip(first..)
+                .map(|(&n, user)| {
+                    let points: Vec<_> = (0..n).map(|t| (0, 0, t)).collect();
+                    Fingerprint::from_points(user, &points).expect("non-empty")
+                })
+                .collect();
+            Dataset::new("shard", fps).expect("valid shard")
+        };
+        // 3, 5, 3 and 5 samples.
+        let inputs = [
+            input(0, &[1, 2]),
+            input(10, &[5]),
+            input(20, &[3]),
+            input(30, &[4, 1]),
+        ];
+        assert_eq!(dispatch_order(&inputs), vec![1, 3, 0, 2]);
     }
 
     #[test]

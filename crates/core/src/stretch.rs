@@ -14,10 +14,13 @@
 //! The per-pair inner loop is the hottest code in the workspace (it runs
 //! `O(|M|² · n̄²)` times). Every kernel decodes the shorter operand once per
 //! evaluation into integer lanes and matches each sample of the longer one
-//! against all of them in one branch-free loop. Only when the shorter
-//! fingerprint has at least 128 samples do the kernels switch to a walk
-//! that prunes candidates with a temporal-gap lower bound. Both paths are
-//! checked bit for bit against the naive scan by property tests.
+//! against them in one branch-free loop. From 24 samples in the shorter
+//! operand on, the lanes are also cut into blocks of 8, each with its box,
+//! and each outer sample folds only the blocks whose floor could still
+//! hold its minimum, walking outward from its own start time; shorter
+//! operands, such as stream windows, fold every lane. Each per-sample
+//! minimum is the same bits either way: property tests check the block walk
+//! against the plain loop, and every kernel against the naive scan.
 
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -204,16 +207,27 @@ pub fn fingerprint_stretch_seq<A: SampleSeq, B: SampleSeq>(
     }
 }
 
-/// From this many samples in the shorter fingerprint on, each outer sample
-/// is matched by the temporal-gap walk of [`min_stretch_to`], which visits
-/// only the candidates whose windows could still beat the best match found.
-/// Shorter operands — every metro and daily-window fingerprint — go through
-/// the lane loop ([`Lanes::min_stretch`]), which visits every candidate but
-/// pays nothing per candidate beyond the Eq. (1) arithmetic. On 5,000-user
-/// metro fingerprints (~42 samples) a threshold of 0 made
-/// [`fingerprint_stretch`] about 3.5x slower than the lane loop (2-vCPU
-/// Intel Xeon host, 5,000 pairs, fastest of 15 runs).
-const PRUNE_MIN_SHORT_LEN: usize = 128;
+/// Lanes per block of the block walk ([`Lanes::min_stretch`]).
+///
+/// Chosen with the length-bucketed microbenchmark
+/// (`cargo bench -p glove-bench --bench stretch_kernel -- --bench`, group
+/// `fingerprint_stretch/len`: 799 pairs of 800 metro subscribers per
+/// bucket, at mean lengths of 27, 40, 99, 213 and 452 samples). Medians of
+/// three runs on a 2-vCPU Intel Xeon host: blocks of 8 were the fastest at
+/// 40 samples, the metro mean; blocks of 16 were 8 % slower there and
+/// 7–31 % faster from 99 samples up; blocks of 4 were 13–72 % slower than
+/// blocks of 8 in every bucket from 40 samples up.
+const BLOCK: usize = 8;
+
+/// From this many samples in the shorter operand on, [`Lanes::fill`] cuts
+/// the lanes into blocks of [`BLOCK`] and each outer sample walks them;
+/// below it, each outer sample runs the plain lane loop over every
+/// candidate. Stream windows (~4 samples) never reach it. On the same
+/// microbenchmark, thresholds of 16, 24, 32 and 48 could not be told apart
+/// in the 27- and 40-sample buckets (runs spread by ~20 %), nor in
+/// single-thread runs of `release-sharded`'s engine at seed 7; 24, the
+/// shortest operand with a block on each side of a middle one, is kept.
+const BLOCK_MIN_LEN: usize = 24;
 
 /// One candidate of the lane loop: a sample of the shorter operand, decoded
 /// into the `i64` edges and extents Eqs. (4)–(9) read.
@@ -244,6 +258,32 @@ impl Lane {
             dt: i64::from(q.dt),
         }
     }
+
+    /// The box of this one lane, as a hull of one sample.
+    #[inline]
+    fn hull(&self) -> StretchHull {
+        StretchHull {
+            x_min: self.x,
+            x_end: self.x_end,
+            y_min: self.y,
+            y_end: self.y_end,
+            t_min: self.t,
+            t_end: self.t_end,
+            len: 1,
+        }
+    }
+}
+
+/// [`BLOCK`] consecutive lanes of the shorter operand, summarized for the
+/// block walk.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// The box of the block's lanes; `len` is their count.
+    hull: StretchHull,
+    /// The largest `t_end` over this block and every earlier one. Windows
+    /// differ in length, so a block's own `t_end` says nothing about the
+    /// blocks before it; this running maximum does.
+    t_end_max: i64,
 }
 
 /// The shorter operand of one Eq. (10) evaluation, decoded once into
@@ -259,14 +299,47 @@ impl Lane {
 /// metro pairs (2-vCPU Intel Xeon host), records measured 1.26–1.30x and
 /// columns 1.21–1.22x.
 #[derive(Debug, Default)]
-struct Lanes(Vec<Lane>);
+struct Lanes {
+    /// One lane per sample, in the operand's order (by start time).
+    lanes: Vec<Lane>,
+    /// The lanes cut into blocks of [`BLOCK`], in the same order; empty
+    /// below [`BLOCK_MIN_LEN`] lanes.
+    blocks: Vec<Block>,
+}
 
 impl Lanes {
-    /// Decodes `samples` into the lanes, replacing what they held.
+    /// Decodes `samples` into the lanes, and from [`BLOCK_MIN_LEN`] samples
+    /// on into blocks, replacing what they held. The samples must be sorted
+    /// by start time, as every fingerprint's are.
     fn fill<S: SampleSeq>(&mut self, samples: S) {
-        self.0.clear();
-        self.0
+        self.lanes.clear();
+        self.lanes
             .extend((0..samples.len()).map(|j| Lane::of(&samples.get(j))));
+        debug_assert!(self.lanes.windows(2).all(|w| w[0].t <= w[1].t));
+        self.blocks.clear();
+        if self.lanes.len() >= BLOCK_MIN_LEN {
+            self.cut_blocks();
+        }
+    }
+
+    /// Cuts the lanes into blocks of [`BLOCK`], each with its box and the
+    /// running `t_end` maximum.
+    ///
+    /// This and [`Lanes::walk`] stay out of line so that what a short
+    /// operand runs — the decode and the plain loop — stays inlined into
+    /// [`fold_minima`]. Inlined, the two made 4-sample pairs (a stream
+    /// window's) 6–14 % slower on [`fingerprint_stretch`] (2-vCPU Intel
+    /// Xeon host, alternating runs).
+    #[inline(never)]
+    fn cut_blocks(&mut self) {
+        let mut t_end_max = i64::MIN;
+        self.blocks.extend(self.lanes.chunks(BLOCK).map(|chunk| {
+            let hull = chunk[1..]
+                .iter()
+                .fold(chunk[0].hull(), |h, q| h.union(&q.hull(), chunk.len()));
+            t_end_max = t_end_max.max(hull.t_end);
+            Block { hull, t_end_max }
+        }));
     }
 
     /// The minimum sample stretch effort from `s` to any candidate in the
@@ -274,34 +347,116 @@ impl Lanes {
     ///
     /// `na` and `nb` are the multiplicities of `s`'s and the candidates'
     /// fingerprints, already replaced by 1 when population weighting is
-    /// off. The covering box of `s` and `q` spans
-    /// `u = (max(x_end) − min(x)) + (max(y_end) − min(y))`, so the growth
-    /// `l_ab + r_ab` of Eqs. (5)–(6) is `u − (dx_s + dy_s)` and `l_ba + r_ba`
-    /// is `u − (dx_q + dy_q)`; time works the same way. These are the exact
-    /// integer sums [`raw_spatial_stretch_m`] and [`raw_temporal_stretch_min`]
-    /// form, and the `f64` operations after them are theirs, in their
-    /// order. No value is NaN (the caps are positive and the multiplicities
-    /// at least 1), so the branch-free selects equal `f64::min` and the
-    /// minimum does not depend on the visiting order.
-    #[inline]
+    /// off. Below [`BLOCK_MIN_LEN`] candidates this is the plain lane loop
+    /// ([`fold_lanes`]) over all of them, from there on the block walk
+    /// ([`Lanes::walk`]).
+    #[inline(always)]
     fn min_stretch(&self, s: &Sample, na: f64, nb: f64, cfg: &StretchConfig) -> f64 {
         let s = Lane::of(s);
-        let n = na + nb;
+        if self.blocks.is_empty() {
+            fold_lanes(&self.lanes, &s, na, nb, cfg, f64::INFINITY)
+        } else {
+            self.walk(&s, na, nb, cfg)
+        }
+    }
+
+    /// The block walk: the minimum of [`Lanes::min_stretch`], folding only
+    /// the blocks that could still hold it.
+    ///
+    /// * It starts at the first block whose start is at or after `s`'s and
+    ///   steps outward, each time on the side whose next block has the
+    ///   smaller time gap to `s`: on the right that block's start (starts
+    ///   only grow rightward), on the left the running `t_end` maximum
+    ///   (which only shrinks leftward);
+    /// * it skips a block whose [`sample_hull_floor`] against the block's
+    ///   box, minus [`FLOOR_SLACK`], exceeds the best effort so far, and
+    ///   folds the others with the plain loop;
+    /// * it stops once the time term of that floor alone, [`time_floor`] of
+    ///   the gap, does: the other side's gap is no smaller and gaps only
+    ///   grow outward, so every block left unvisited is skipped too.
+    ///
+    /// Every effort in a skipped block is at least the block's floor, less
+    /// a few ulps of rounding that the slack covers, so it is strictly above
+    /// the best: it can neither be nor tie the minimum, and the minimum of
+    /// non-NaN values does not depend on the visiting order.
+    #[inline(never)]
+    fn walk(&self, s: &Lane, na: f64, nb: f64, cfg: &StretchConfig) -> f64 {
+        let blocks = &self.blocks;
+        let mut hi = blocks.partition_point(|b| b.hull.t_min < s.t);
+        let mut lo = hi;
         let mut best = f64::INFINITY;
-        for q in &self.0 {
-            let u = (s.x_end.max(q.x_end) - s.x.min(q.x)) + (s.y_end.max(q.y_end) - s.y.min(q.y));
-            let raw_s = ((u - s.dxy) as f64 * na + (u - q.dxy) as f64 * nb) / n;
-            let ut = s.t_end.max(q.t_end) - s.t.min(q.t);
-            let raw_t = ((ut - s.dt) as f64 * na + (ut - q.dt) as f64 * nb) / n;
-            let phi_s = raw_s / cfg.phi_max_space_m;
-            let phi_s = if phi_s < 1.0 { phi_s } else { 1.0 };
-            let phi_t = raw_t / cfg.phi_max_time_min;
-            let phi_t = if phi_t < 1.0 { phi_t } else { 1.0 };
-            let d = cfg.w_space * phi_s + cfg.w_time * phi_t;
-            best = if d < best { d } else { best };
+        loop {
+            let left = match lo.checked_sub(1) {
+                Some(b) => s.t - blocks[b].t_end_max,
+                None => i64::MAX,
+            };
+            let right = match blocks.get(hi) {
+                Some(b) => b.hull.t_min - s.t_end,
+                None => i64::MAX,
+            };
+            let (b, gap) = if left <= right {
+                if lo == 0 {
+                    break; // both sides are exhausted
+                }
+                lo -= 1;
+                (lo, left)
+            } else {
+                hi += 1;
+                (hi - 1, right)
+            };
+            let block = &blocks[b];
+            // The first block visited is never skipped: nothing beats ∞.
+            if best < f64::INFINITY && sample_hull_floor(s, &block.hull, cfg) - FLOOR_SLACK > best {
+                // `gap` is the smaller side's, so its time term bounds the
+                // floor of every block not yet visited on either side.
+                if gap > 0 && time_floor(gap, cfg) - FLOOR_SLACK > best {
+                    break;
+                }
+                continue;
+            }
+            let start = b * BLOCK;
+            let members = &self.lanes[start..start + block.hull.len];
+            best = fold_lanes(members, s, na, nb, cfg, best);
         }
         best
     }
+}
+
+/// The plain lane loop: folds the effort from `s` to every candidate in
+/// `lanes` into `best` with branch-free selects.
+///
+/// The covering box of `s` and `q` spans
+/// `u = (max(x_end) − min(x)) + (max(y_end) − min(y))`, so the growth
+/// `l_ab + r_ab` of Eqs. (5)–(6) is `u − (dx_s + dy_s)` and `l_ba + r_ba`
+/// is `u − (dx_q + dy_q)`; time works the same way. These are the exact
+/// integer sums [`raw_spatial_stretch_m`] and [`raw_temporal_stretch_min`]
+/// form, and the `f64` operations after them are theirs, in their order.
+/// No value is NaN (the caps are positive and the multiplicities at least
+/// 1), so the selects equal `f64::min` and the minimum does not depend on
+/// the visiting order.
+#[inline]
+fn fold_lanes(
+    lanes: &[Lane],
+    s: &Lane,
+    na: f64,
+    nb: f64,
+    cfg: &StretchConfig,
+    mut best: f64,
+) -> f64 {
+    let n = na + nb;
+    for q in lanes {
+        let u = (s.x_end.max(q.x_end) - s.x.min(q.x)) + (s.y_end.max(q.y_end) - s.y.min(q.y));
+        let raw_s = ((u - s.dxy) as f64 * na + (u - q.dxy) as f64 * nb) / n;
+        let ut = s.t_end.max(q.t_end) - s.t.min(q.t);
+        let raw_t = ((ut - s.dt) as f64 * na + (ut - q.dt) as f64 * nb) / n;
+        let phi_s = raw_s / cfg.phi_max_space_m;
+        let phi_s = if phi_s < 1.0 { phi_s } else { 1.0 };
+        let phi_t = raw_t / cfg.phi_max_time_min;
+        let phi_t = if phi_t < 1.0 { phi_t } else { 1.0 };
+        let d = cfg.w_space * phi_s + cfg.w_time * phi_t;
+        best = if d < best { d } else { best };
+    }
+    best
 }
 
 /// Per-thread scratch of the Eq. (10) kernels, reused by every evaluation
@@ -333,28 +488,15 @@ fn fold_minima<L: SampleSeq, S: SampleSeq, B>(
     cfg: &StretchConfig,
     mut check: impl FnMut(usize, f64) -> ControlFlow<B>,
 ) -> ControlFlow<B, f64> {
-    let n_long = long.multiplicity as f64;
-    let n_short = short.multiplicity as f64;
-    if short.samples.len() < PRUNE_MIN_SHORT_LEN {
-        let (na, nb) = if cfg.population_weighting {
-            (n_long, n_short)
-        } else {
-            (1.0, 1.0)
-        };
-        lanes.fill(short.samples);
-        for i in first..long.samples.len() {
-            total += lanes.min_stretch(&long.samples.get(i), na, nb, cfg);
-            check(i, total)?;
-        }
+    let (na, nb) = if cfg.population_weighting {
+        (long.multiplicity as f64, short.multiplicity as f64)
     } else {
-        // Largest window length in the shorter fingerprint, needed to make
-        // the temporal pruning bound valid on samples sorted by start time.
-        let short_max_dt = seq_max_dt(short.samples);
-        for i in first..long.samples.len() {
-            let s = long.samples.get(i);
-            total += min_stretch_to(&s, n_long, short.samples, n_short, short_max_dt, cfg);
-            check(i, total)?;
-        }
+        (1.0, 1.0)
+    };
+    lanes.fill(short.samples);
+    for i in first..long.samples.len() {
+        total += lanes.min_stretch(&long.samples.get(i), na, nb, cfg);
+        check(i, total)?;
     }
     ControlFlow::Continue(total)
 }
@@ -374,15 +516,6 @@ fn directed_stretch<L: SampleSeq, S: SampleSeq>(
         fold_minima(long, short, 0, 0.0, &mut scratch.lanes, cfg, never)
     });
     total / long.samples.len() as f64
-}
-
-/// Largest window length in a sample sequence.
-#[inline]
-fn seq_max_dt<S: SampleSeq>(samples: S) -> u32 {
-    (0..samples.len())
-        .map(|j| samples.get(j).dt)
-        .max()
-        .expect("fingerprints are never empty")
 }
 
 /// Result of a cutoff-aware Eq. (10) evaluation: either the exact stretch
@@ -564,26 +697,42 @@ pub(crate) fn fingerprint_stretch_cutoff_resume_hulled<A: SampleSeq, B: SampleSe
 /// bound. The concession only ever makes abandonment rarer, never unsound.
 const FLOOR_SLACK: f64 = 1e-9;
 
-/// Admissible floor on the matching effort of one outer sample: the
-/// per-sample analog of [`stretch_lower_bound`], against the hull of the
-/// shorter fingerprint.
+/// Admissible floor on the matching effort of one outer sample `s` into
+/// any sample inside `hull`: the per-sample analog of
+/// [`stretch_lower_bound`]. The suffix floors take it against the hull of
+/// the shorter fingerprint, the block walk against the box of one block.
 ///
 /// Every candidate match lies inside `hull`, per-axis interval gaps only
 /// shrink as intervals grow, the raw stretches of Eqs. (4)–(9) dominate the
 /// gaps (the direction weights sum to 1), and the saturation caps are
-/// monotone — so no sample of the hulled fingerprint can be matched from
-/// `s` below this value.
+/// monotone — so no sample inside the hull can be matched from `s` below
+/// this value.
 #[inline]
-fn sample_hull_floor(s: &Sample, hull: &StretchHull, cfg: &StretchConfig) -> f64 {
-    let gx = interval_gap(s.x, s.x_end(), hull.x_min, hull.x_end);
-    let gy = interval_gap(s.y, s.y_end(), hull.y_min, hull.y_end);
-    let gt = interval_gap(i64::from(s.t), s.t_end() as i64, hull.t_min, hull.t_end);
-    if gx == 0 && gy == 0 && gt == 0 {
+fn sample_hull_floor(s: &Lane, hull: &StretchHull, cfg: &StretchConfig) -> f64 {
+    let gx = interval_gap(s.x, s.x_end, hull.x_min, hull.x_end);
+    let gy = interval_gap(s.y, s.y_end, hull.y_min, hull.y_end);
+    let gt = interval_gap(s.t, s.t_end, hull.t_min, hull.t_end);
+    gap_floor(gx + gy, gt, cfg)
+}
+
+/// The floor formula shared by every Eq. (1) bound built from gaps: with
+/// `gxy` the summed spatial gaps and `gt` the temporal gap (both at least
+/// 0), `w_σ·min(gxy/φmax_σ, 1) + w_τ·min(gt/φmax_τ, 1)`. It grows with
+/// either gap.
+#[inline]
+fn gap_floor(gxy: i64, gt: i64, cfg: &StretchConfig) -> f64 {
+    if gxy == 0 && gt == 0 {
         return 0.0;
     }
-    let phi_s = ((gx + gy) as f64 / cfg.phi_max_space_m).min(1.0);
-    let phi_t = (gt as f64 / cfg.phi_max_time_min).min(1.0);
-    cfg.w_space * phi_s + cfg.w_time * phi_t
+    let phi_s = (gxy as f64 / cfg.phi_max_space_m).min(1.0);
+    cfg.w_space * phi_s + time_floor(gt, cfg)
+}
+
+/// The time term of [`gap_floor`], `w_τ·min(gt/φmax_τ, 1)`: a floor of its
+/// own, since the space term is never negative.
+#[inline]
+fn time_floor(gt: i64, cfg: &StretchConfig) -> f64 {
+    cfg.w_time * (gt as f64 / cfg.phi_max_time_min).min(1.0)
 }
 
 /// One direction of [`fingerprint_stretch_cutoff_resume`]. `bound_of` maps
@@ -624,7 +773,7 @@ fn directed_resume<L: SampleSeq, S: SampleSeq>(
         let mut owed = 0.0;
         if let Some(hull) = short_hull {
             for i in first..long.samples.len() {
-                let floor = sample_hull_floor(&long.samples.get(i), hull, cfg);
+                let floor = sample_hull_floor(&Lane::of(&long.samples.get(i)), hull, cfg);
                 floors.push(floor);
                 owed += floor;
             }
@@ -702,103 +851,6 @@ fn directed_decomposed(
         }
         parts.push(best_parts);
     }
-}
-
-/// Minimum sample stretch effort from `s` (of a fingerprint with
-/// multiplicity `ns`) to any sample of `short` (multiplicity `n_short`),
-/// pruned by a temporal-gap lower bound.
-///
-/// `short`'s samples are sorted by start time (a `Fingerprint` invariant),
-/// but their window lengths `dt` vary, so `t_end` is not monotone in the
-/// sort order. The bounds therefore use `short_max_dt`:
-///
-/// * walking left from the pivot, every remaining candidate `q` has
-///   `q.t ≤ samples[lo-1].t`, hence `q.t_end ≤ samples[lo-1].t + max_dt` and
-///   `gap ≥ s.t − samples[lo-1].t − max_dt`;
-/// * walking right, `q.t ≥ samples[hi].t`, hence `gap ≥ samples[hi].t −
-///   s.t_end`.
-///
-/// Since the raw temporal stretch is at least the gap and `δ ≥ w_τ·φ_τ`,
-/// once both bounds exceed the best effort found no better match can exist.
-fn min_stretch_to<S: SampleSeq>(
-    s: &Sample,
-    ns: f64,
-    samples: S,
-    n_short: f64,
-    short_max_dt: u32,
-    cfg: &StretchConfig,
-) -> f64 {
-    let m = samples.len();
-    let max_dt = i64::from(short_max_dt);
-    let s_t = i64::from(s.t);
-    let s_end = s.t_end() as i64;
-    // Start position: first sample with start time >= s.t (a manual
-    // partition_point — the generic sequence has no slice methods).
-    let pivot = {
-        let (mut lo, mut hi) = (0usize, m);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if samples.get(mid).t < s.t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
-    let mut best = f64::INFINITY;
-    // A candidate with window gap >= gap_cutoff cannot beat `best`:
-    // δ >= w_τ·min(gap/φmax_τ, 1). Expressed as a gap so the per-candidate
-    // check is a subtraction and comparison, not a division.
-    let mut gap_cutoff = i64::MAX;
-    let cutoff_of = |best: f64| -> i64 {
-        if best >= cfg.w_time {
-            // Even a saturated temporal stretch cannot prune.
-            i64::MAX
-        } else {
-            (best / cfg.w_time * cfg.phi_max_time_min).ceil() as i64
-        }
-    };
-
-    let mut lo = pivot; // next candidate to the left is lo - 1
-    let mut hi = pivot; // next candidate to the right is hi
-    loop {
-        // Minimum possible gap of the next candidate on each side (and, by
-        // sort order + max_dt, of everything beyond it).
-        let left_gap = if lo > 0 {
-            s_t - i64::from(samples.get(lo - 1).t) - max_dt
-        } else {
-            i64::MAX
-        };
-        let right_gap = if hi < m {
-            i64::from(samples.get(hi).t) - s_end
-        } else {
-            i64::MAX
-        };
-        if left_gap >= gap_cutoff && right_gap >= gap_cutoff {
-            break;
-        }
-        // Visit the side with the smaller gap bound first.
-        if left_gap <= right_gap {
-            let q = samples.get(lo - 1);
-            let d = sample_stretch(s, ns, &q, n_short, cfg);
-            if d < best {
-                best = d;
-                gap_cutoff = cutoff_of(best);
-            }
-            lo -= 1;
-        } else {
-            let q = samples.get(hi);
-            let d = sample_stretch(s, ns, &q, n_short, cfg);
-            if d < best {
-                best = d;
-                gap_cutoff = cutoff_of(best);
-            }
-            hi += 1;
-        }
-    }
-    debug_assert!(best.is_finite(), "fingerprints are never empty");
-    best
 }
 
 /// Per-fingerprint summary powering the admissible *pair* pruning of the
@@ -920,12 +972,7 @@ pub fn stretch_lower_bound(a: &StretchHull, b: &StretchHull, cfg: &StretchConfig
     let gx = interval_gap(a.x_min, a.x_end, b.x_min, b.x_end);
     let gy = interval_gap(a.y_min, a.y_end, b.y_min, b.y_end);
     let gt = interval_gap(a.t_min, a.t_end, b.t_min, b.t_end);
-    if gx == 0 && gy == 0 && gt == 0 {
-        return 0.0;
-    }
-    let phi_s = ((gx + gy) as f64 / cfg.phi_max_space_m).min(1.0);
-    let phi_t = (gt as f64 / cfg.phi_max_time_min).min(1.0);
-    cfg.w_space * phi_s + cfg.w_time * phi_t
+    gap_floor(gx + gy, gt, cfg)
 }
 
 /// Naive reference implementation of Eq. (10) (no pruning). Exposed for
@@ -1255,7 +1302,7 @@ mod tests {
     }
 
     /// A fingerprint of 1–160 samples (both sides of the switch to the
-    /// temporal walk) shared by 1–8 subscribers numbered from `user`. Its
+    /// block walk) shared by 1–8 subscribers numbered from `user`. Its
     /// samples cluster around a drawn origin, so two such fingerprints are
     /// often apart and their suffix floors positive.
     fn arb_fingerprint(user: u32) -> impl Strategy<Value = Fingerprint> {
@@ -1332,6 +1379,150 @@ mod tests {
                 if let StretchEval::Exact(d) = want {
                     prop_assert_eq!(d.to_bits(), exact.to_bits());
                     break;
+                }
+            }
+        }
+    }
+
+    /// A length for the shorter operand of the block tests: just around
+    /// [`BLOCK_MIN_LEN`] or around a multiple of [`BLOCK`] (one less,
+    /// equal, one more), from two blocks to twenty-four.
+    fn arb_block_len() -> impl Strategy<Value = usize> {
+        (0u8..4, 2usize..=24, 0usize..3).prop_map(|(pick, blocks, off)| {
+            let base = if pick == 0 {
+                BLOCK_MIN_LEN
+            } else {
+                blocks * BLOCK
+            };
+            base + off - 1
+        })
+    }
+
+    /// A drawn sample before placement: position and start as fractions of
+    /// the case's reach and span, a box side, and a window that is up to
+    /// 2^20 minutes long in one draw of 16 and below two hours otherwise.
+    type RawSample = (f64, f64, u32, f64, u8, (u32, f64), u32);
+
+    fn arb_raw_sample() -> impl Strategy<Value = RawSample> {
+        (
+            0.0f64..1.0,
+            0.0f64..1.0,
+            1u32..2_000,
+            0.0f64..1.0,
+            0u8..16,
+            (0u32..=20, 0.0f64..1.0),
+            1u32..120,
+        )
+    }
+
+    /// Places a raw sample within `2^reach` metres and `2^span` minutes.
+    fn placed((fx, fy, d, ft, pick, (e, f), dt): RawSample, reach: u32, span: u32) -> Sample {
+        let scale = |e: u32, f: f64| (f * (1u64 << e) as f64) as i64;
+        let dt = if pick == 0 {
+            1 + scale(e, f) as u32
+        } else {
+            dt
+        };
+        Sample::new(
+            scale(reach, fx),
+            scale(reach, fy),
+            d,
+            d,
+            scale(span, ft) as u32,
+            dt,
+        )
+        .expect("extents are at least 1")
+    }
+
+    /// The shorter operand, the outer samples, their multiplicities and
+    /// the configuration of one block test.
+    type BlockCase = (Fingerprint, Vec<Sample>, u32, u32, StretchConfig);
+
+    /// A case of the block tests: a shorter operand whose length is drawn
+    /// by [`arb_block_len`], 1–48 outer samples from the same spread, both
+    /// multiplicities (1–64) and a configuration with caps from a metre to
+    /// a continent and from a minute to two weeks, either weighting and
+    /// any weight split. The spread is drawn per case, from 2^8 to 2^20 m
+    /// and from 2^6 to 2^16 minutes, so time gaps range from far below the
+    /// time cap to far above it.
+    fn arb_block_case() -> impl Strategy<Value = BlockCase> {
+        (
+            (8u32..=20, 6u32..=16),
+            vec(arb_raw_sample(), 24 * BLOCK + 1),
+            arb_block_len(),
+            vec(arb_raw_sample(), 1..=48),
+            (1u32..=64, 1u32..=64),
+            (1.0f64..5e6, 1.0f64..2e4, 0.0f64..=1.0, 0u8..2),
+        )
+            .prop_map(
+                |((reach, span), short, len, outer, (na, nb), (cs, ct, w, weighting))| {
+                    let short = short
+                        .into_iter()
+                        .take(len)
+                        .map(|r| placed(r, reach, span))
+                        .collect();
+                    let short = Fingerprint::with_users((100..100 + nb).collect(), short)
+                        .expect("non-empty");
+                    let outer = outer.into_iter().map(|r| placed(r, reach, span)).collect();
+                    let cfg = StretchConfig {
+                        phi_max_space_m: cs,
+                        phi_max_time_min: ct,
+                        w_space: w,
+                        w_time: 1.0 - w,
+                        population_weighting: weighting == 1,
+                    };
+                    cfg.validate().expect("drawn configs are valid");
+                    (short, outer, na, nb, cfg)
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// For every outer sample, the block walk returns the plain lane
+        /// loop's minimum over every candidate, bit for bit.
+        #[test]
+        fn block_walk_matches_the_plain_lane_loop(
+            (short, outer, na, nb, cfg) in arb_block_case(),
+        ) {
+            let mut lanes = Lanes::default();
+            lanes.fill(short.samples());
+            prop_assert_eq!(lanes.blocks.is_empty(), short.len() < BLOCK_MIN_LEN);
+            let (wa, wb) = if cfg.population_weighting {
+                (f64::from(na), f64::from(nb))
+            } else {
+                (1.0, 1.0)
+            };
+            for s in &outer {
+                let walked = lanes.min_stretch(s, wa, wb, &cfg);
+                let plain = fold_lanes(&lanes.lanes, &Lane::of(s), wa, wb, &cfg, f64::INFINITY);
+                prop_assert_eq!(walked.to_bits(), plain.to_bits(), "outer sample {:?}", s);
+            }
+        }
+
+        /// A block's floor never exceeds the computed effort from any outer
+        /// sample to any member of the block, and each block's running
+        /// `t_end` covers every lane up to its end.
+        #[test]
+        fn block_floor_never_exceeds_a_member_effort(
+            (short, outer, na, nb, cfg) in arb_block_case(),
+        ) {
+            let mut lanes = Lanes::default();
+            lanes.fill(short.samples());
+            for (b, block) in lanes.blocks.iter().enumerate() {
+                let members = &short.samples()[b * BLOCK..b * BLOCK + block.hull.len];
+                let end = short.samples()[..b * BLOCK + block.hull.len]
+                    .iter()
+                    .map(|q| q.t_end() as i64)
+                    .max();
+                prop_assert_eq!(Some(block.t_end_max), end);
+                for s in &outer {
+                    let floor = sample_hull_floor(&Lane::of(s), &block.hull, &cfg);
+                    for q in members {
+                        let d = sample_stretch(s, f64::from(na), q, f64::from(nb), &cfg);
+                        prop_assert!(floor <= d, "block {b} floor {floor} exceeds {d}");
+                    }
                 }
             }
         }

@@ -1,15 +1,17 @@
 //! Bitwise identity of every Eq. (10) kernel with the naive reference.
 //!
 //! The kernels decode the shorter operand into integer lanes and match
-//! against it with branch-free selects; from 128 samples in the shorter
-//! operand they walk candidates in time order instead. Both paths must
+//! against it with branch-free selects; from 24 samples in the shorter
+//! operand they cut the lanes into blocks of 8 and fold only the blocks
+//! that could still hold each outer sample's minimum. Both paths must
 //! return the exact bits of [`fingerprint_stretch_naive`], which folds
 //! [`sample_stretch`](glove_core::stretch::sample_stretch) in the textbook
 //! order — a last-bit drift would reorder tied pairs and move published
-//! bytes. The fingerprints here cover both sides of the 128-sample switch,
-//! equal-length pairs (whose Δ averages two directions), multiplicities up
-//! to 64, weighting on and off, non-default caps and weights (so saturated
-//! and unsaturated terms both occur) and coordinates up to ±2^40 m.
+//! bytes. The fingerprints here cover lengths on both sides of the switch
+//! to blocks and of block boundaries, equal-length pairs (whose Δ averages
+//! two directions), windows up to 2^20 minutes, multiplicities up to 64,
+//! weighting on and off, non-default caps and weights (so saturated and
+//! unsaturated terms both occur) and coordinates up to ±2^40 m.
 //!
 //! CI also runs this file in a release build, where LLVM vectorizes what a
 //! debug build leaves scalar:
@@ -26,7 +28,7 @@ use glove_core::stretch::{
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Largest fingerprint drawn: past the 128-sample switch to the walk.
+/// Largest fingerprint drawn: twenty blocks of 8.
 const MAX_LEN: usize = 160;
 
 /// `f · 2^e`, truncated.
@@ -37,17 +39,20 @@ fn scaled(e: u32, f: f64) -> i64 {
 /// Strategy: a sample placed relative to its pair's origin. One sample in
 /// eight is placed at any scale up to 2^40 m and 2^30 minutes, so its terms
 /// saturate; the rest lie within 2^14 m and 2^12 minutes, where most terms
-/// stay below their caps. Extents reach 2^16 m, windows 2^10 minutes.
+/// stay below their caps. Extents reach 2^16 m; one window in 16 reaches
+/// 2^20 minutes, so an early sample can cover later ones, and the rest
+/// reach 2^10 minutes.
 fn arb_sample() -> impl Strategy<Value = Sample> {
     (
         (0u8..8, 0u32..=40, -1.0f64..1.0, 0u32..=40, -1.0f64..1.0),
         (0u32..=16, 0.0f64..1.0, 0u32..=16, 0.0f64..1.0),
-        (0u32..=30, 0.0f64..1.0, 0u32..=10, 0.0f64..1.0),
+        (0u32..=30, 0.0f64..1.0, 0u32..=20, 0.0f64..1.0, 0u8..16),
     )
         .prop_map(
-            |((pick, ex, fx, ey, fy), (edx, fdx, edy, fdy), (et, ft, edt, fdt))| {
+            |((pick, ex, fx, ey, fy), (edx, fdx, edy, fdy), (et, ft, edt, fdt, long))| {
                 let far = |e: u32, near: u32| if pick == 0 { e } else { e % (near + 1) };
                 let extent = |e, f| 1 + scaled(e, f) as u32;
+                let edt = if long == 0 { edt } else { edt % 11 };
                 Sample::new(
                     scaled(far(ex, 14), fx),
                     scaled(far(ey, 14), fy),
@@ -81,7 +86,9 @@ fn arb_config() -> impl Strategy<Value = StretchConfig> {
 /// multiplicities 1–64, around one origin anywhere within ±2^40 m and 2^30
 /// minutes. One pair in four has equal lengths. In half the pairs neither
 /// side has more than 8 samples: a last-bit drift in one sample's effort
-/// survives into `Δ` mostly when few efforts are summed.
+/// survives into `Δ` mostly when few efforts are summed. In a quarter,
+/// each length lies within one of 24 (where the blocks start) or of a
+/// multiple of 8 (where a block ends); the rest draw any length.
 fn arb_pair() -> impl Strategy<Value = (Fingerprint, Fingerprint)> {
     let span = 1i64 << 40;
     (
@@ -89,12 +96,18 @@ fn arb_pair() -> impl Strategy<Value = (Fingerprint, Fingerprint)> {
         vec(arb_sample(), MAX_LEN),
         vec(arb_sample(), MAX_LEN),
         (1usize..=MAX_LEN, 1usize..=MAX_LEN),
-        (0u8..2, 0u8..4),
+        (0u8..4, 0u8..4),
         (1u32..=64, 1u32..=64),
     )
         .prop_map(
-            |((x0, y0, t0), mut a, mut b, (a_len, b_len), (short, equal), (na, nb))| {
-                let len = |n: usize| if short == 0 { 1 + n % 8 } else { n };
+            |((x0, y0, t0), mut a, mut b, (a_len, b_len), (shape, equal), (na, nb))| {
+                let len = |n: usize| match shape {
+                    0 | 1 => 1 + n % 8,
+                    // 23..=25, or 8·m − 1 ..= 8·m + 1 for m in 2..=19.
+                    2 if n % 2 == 0 => 23 + n % 3,
+                    2 => 8 * (2 + n / 6 % 18) + n / 2 % 3 - 1,
+                    _ => n,
+                };
                 a.truncate(len(a_len));
                 b.truncate(if equal == 0 { a.len() } else { len(b_len) });
                 let fp = |first: u32, n: u32, samples: Vec<Sample>| {

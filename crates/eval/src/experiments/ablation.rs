@@ -1,7 +1,8 @@
 //! Ablations of GLOVE's design choices (DESIGN.md §5):
 //!
-//! * **temporal-gap pruning** in the Eq. 10 inner loop (an implementation
-//!   choice: must not change results, should change speed);
+//! * **pruning** in the Eq. 10 inner loop, which skips the blocks of the
+//!   shorter fingerprint that cannot hold a sample's match (an
+//!   implementation choice: must not change results, should change speed);
 //! * **reshaping** (§6.2: costs spatial granularity, buys disjoint
 //!   timelines);
 //! * **population weighting** in Eqs. 4/7 (the paper's argument: weighting

@@ -74,28 +74,34 @@ pub enum ErrorCode {
     Shutdown,
 }
 
-impl ErrorCode {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::Protocol => "protocol",
-            ErrorCode::TenantExists => "tenant-exists",
-            ErrorCode::NoTenant => "no-tenant",
-            ErrorCode::Engine => "engine",
-            ErrorCode::Shutdown => "shutdown",
-        }
-    }
+/// Spells each [`ErrorCode`] once: `as_str` and `parse` both read this
+/// table, and `as_str`'s `match` fails to compile if a code is missing.
+macro_rules! error_codes {
+    ($($code:ident => $wire:literal),+ $(,)?) => {
+        impl ErrorCode {
+            /// The wire spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(ErrorCode::$code => $wire,)+
+                }
+            }
 
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "protocol" => ErrorCode::Protocol,
-            "tenant-exists" => ErrorCode::TenantExists,
-            "no-tenant" => ErrorCode::NoTenant,
-            "engine" => ErrorCode::Engine,
-            "shutdown" => ErrorCode::Shutdown,
-            _ => return None,
-        })
-    }
+            fn parse(s: &str) -> Option<Self> {
+                match s {
+                    $($wire => Some(ErrorCode::$code),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+error_codes! {
+    Protocol => "protocol",
+    TenantExists => "tenant-exists",
+    NoTenant => "no-tenant",
+    Engine => "engine",
+    Shutdown => "shutdown",
 }
 
 impl std::fmt::Display for ErrorCode {
