@@ -93,13 +93,6 @@ fn main() {
     let casc_pps = casc.stats.pairs_per_second();
     let speedup_vs_hull = casc_pps / hull_pps.max(1e-9);
     let speedup_vs_exact = casc_pps / exact_pps.max(1e-9);
-    if !test_mode {
-        assert!(
-            speedup_vs_hull >= 2.0,
-            "cascade must at least double pre-cascade decision throughput, \
-             got {speedup_vs_hull:.2}x ({hull_pps:.0} -> {casc_pps:.0} pairs/s)"
-        );
-    }
 
     let pct = |n: u64| n as f64 / decisions.max(1) as f64 * 100.0;
     let json = format!(
@@ -115,8 +108,7 @@ fn main() {
          \"pairs_abandoned\":{},\
          \"tier0_pct\":{:.1},\"tier1_pct\":{:.1},\"abandoned_pct\":{:.1},\"exact_pct\":{:.1},\
          \"precascade_computed\":{},\"precascade_pruned\":{},\
-         \"peak_arena_bytes\":{},\"peak_store_bytes\":{},\
-         \"resident_pages\":{},\"peak_rss_bytes\":{}}}",
+         \"peak_arena_bytes\":{},\"peak_store_bytes\":{},\"peak_rss_bytes\":{}}}",
         if test_mode { "test" } else { "bench" },
         casc.stats.pairs_computed,
         casc.stats.pairs_skipped_tier0,
@@ -130,7 +122,6 @@ fn main() {
         hull.stats.pairs_pruned,
         casc.stats.ledger.peak_arena_bytes,
         casc.stats.ledger.peak_store_bytes,
-        casc.stats.ledger.resident_pages,
         casc.stats.ledger.peak_rss_bytes,
     );
     println!("BENCH {json}");
@@ -155,4 +146,12 @@ fn main() {
         pct(casc.stats.pairs_abandoned),
         pct(casc.stats.pairs_computed),
     );
+    // The floor is checked last, so a run below it still leaves its point.
+    if !test_mode {
+        assert!(
+            speedup_vs_hull >= 2.0,
+            "cascade must at least double pre-cascade decision throughput, \
+             got {speedup_vs_hull:.2}x ({hull_pps:.0} -> {casc_pps:.0} pairs/s)"
+        );
+    }
 }

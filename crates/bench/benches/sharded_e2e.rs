@@ -122,8 +122,7 @@ fn main() {
          \"monolithic_pairs\":{},\"sharded_pairs\":{},\
          \"monolithic_pruned\":{},\"sharded_pruned\":{},\
          \"sharded_tier0\":{},\"sharded_tier1\":{},\"sharded_abandoned\":{},\
-         \"peak_arena_bytes\":{},\"peak_store_bytes\":{},\
-         \"resident_pages\":{},\"peak_rss_bytes\":{}}}",
+         \"peak_arena_bytes\":{},\"peak_store_bytes\":{},\"peak_rss_bytes\":{}}}",
         if test_mode { "test" } else { "bench" },
         mono.stats.pairs_computed,
         sharded.stats.pairs_computed,
@@ -134,7 +133,6 @@ fn main() {
         sharded.stats.pairs_abandoned,
         sharded.stats.ledger.peak_arena_bytes,
         sharded.stats.ledger.peak_store_bytes,
-        sharded.stats.ledger.resident_pages,
         sharded.stats.ledger.peak_rss_bytes,
     );
     println!("BENCH {json}");

@@ -158,14 +158,14 @@ fn main() {
         run.stats.peak_resident_fingerprints,
         max_window_users
     );
-    // The columnar store obeys the same bound: its page residency peaks at
-    // one window's samples (plus merge products), never at the dataset —
-    // half the bytes a flat Vec<Sample> copy of the whole dataset would
-    // take is a generous ceiling with daily windows over a 14-day span.
+    // The arenas' slot samples obey the same bound: they peak at one
+    // window's samples (plus merge products), never at the dataset — half
+    // the bytes of the whole dataset's samples is a generous ceiling with
+    // daily windows over a 14-day span.
     let dataset_vec_bytes = samples as u64 * std::mem::size_of::<glove_core::Sample>() as u64;
     assert!(
         run.stats.ledger.peak_store_bytes * 2 < dataset_vec_bytes,
-        "peak store bytes {} not bounded by the window (whole dataset {} bytes)",
+        "peak sample bytes {} not bounded by the window (whole dataset {} bytes)",
         run.stats.ledger.peak_store_bytes,
         dataset_vec_bytes
     );
@@ -181,8 +181,7 @@ fn main() {
          \"peak_resident_samples\":{},\"suppressed_user_slices\":{},\
          \"deferred_user_slices\":{},\
          \"stream_tier0\":{},\"stream_tier1\":{},\"stream_abandoned\":{},\
-         \"peak_arena_bytes\":{},\"peak_store_bytes\":{},\
-         \"resident_pages\":{},\"peak_rss_bytes\":{}}}",
+         \"peak_arena_bytes\":{},\"peak_store_bytes\":{},\"peak_rss_bytes\":{}}}",
         run.stats.events,
         if test_mode { "test" } else { "bench" },
         run.stats.epochs,
@@ -195,7 +194,6 @@ fn main() {
         run.stats.pairs_abandoned,
         run.stats.ledger.peak_arena_bytes,
         run.stats.ledger.peak_store_bytes,
-        run.stats.ledger.resident_pages,
         run.stats.ledger.peak_rss_bytes,
     );
     println!("BENCH {json}");

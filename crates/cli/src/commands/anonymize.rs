@@ -85,7 +85,7 @@ pub fn anonymize_cmd(
          {:.1}% exact\n\
          suppressed samples: {} ({} user-samples), reshaped: {}\n\
          discarded fingerprints: {} ({} subscribers)\n\
-         memory: {:.1} MiB arena peak, {:.1} MiB store peak ({} pages), \
+         memory: {:.1} MiB arena peak, {:.1} MiB sample peak, \
          {:.1} MiB process peak-RSS\n\
          mean accuracy: {:.0} m position, {:.0} min time",
         out.display(),
@@ -110,7 +110,6 @@ pub fn anonymize_cmd(
         r.discarded_users,
         stats.ledger.peak_arena_bytes as f64 / (1 << 20) as f64,
         stats.ledger.peak_store_bytes as f64 / (1 << 20) as f64,
-        stats.ledger.resident_pages,
         stats.ledger.peak_rss_bytes as f64 / (1 << 20) as f64,
         mean_position_accuracy_m(published),
         mean_time_accuracy_min(published),

@@ -289,7 +289,6 @@ mod tests {
                     ledger: MemoryLedger {
                         peak_arena_bytes: 1 << 20,
                         peak_store_bytes: 24 * 1_234,
-                        resident_pages: 1,
                         peak_rss_bytes: 64 << 20,
                     },
                     elapsed_s: 0.11,
@@ -304,7 +303,6 @@ mod tests {
                 ledger: MemoryLedger {
                     peak_arena_bytes: 1 << 20,
                     peak_store_bytes: 24 * 1_234,
-                    resident_pages: 1,
                     peak_rss_bytes: 64 << 20,
                 },
                 elapsed_s: 0.12,
@@ -342,11 +340,11 @@ mod tests {
             r#""users_in":100,"fingerprints_out":50,"merges":50,"pairs_computed":4000,"#,
             r#""pairs_pruned":950,"pairs_skipped_tier0":600,"pairs_skipped_tier1":300,"#,
             r#""pairs_abandoned":50,"memory":{"peak_arena_bytes":1048576,"#,
-            r#""peak_store_bytes":29616,"resident_pages":1,"peak_rss_bytes":67108864},"#,
+            r#""peak_store_bytes":29616,"peak_rss_bytes":67108864},"#,
             r#""elapsed_s":0.11}],"suppressed":{"samples":3,"user_samples":5},"#,
             r#""reshaped_samples":7,"discarded_fingerprints":1,"discarded_users":1,"#,
             r#""memory":{"peak_arena_bytes":1048576,"peak_store_bytes":29616,"#,
-            r#""resident_pages":1,"peak_rss_bytes":67108864},"elapsed_s":0.12}}"#,
+            r#""peak_rss_bytes":67108864},"elapsed_s":0.12}}"#,
         );
         assert_eq!(report.to_json(), pinned("glove-sharded", detail));
     }
@@ -376,7 +374,6 @@ mod tests {
             ledger: MemoryLedger {
                 peak_arena_bytes: 512 << 10,
                 peak_store_bytes: 24 * 321,
-                resident_pages: 1,
                 peak_rss_bytes: 48 << 20,
             },
             per_epoch: vec![EpochStat {
@@ -417,7 +414,7 @@ mod tests {
             r#""policy":{"k":2,"window_min":1440,"carry":"sticky","under_k":"defer","#,
             r#""cohort_users":3},"elapsed_s":0.05}],"#,
             r#""memory":{"peak_arena_bytes":524288,"peak_store_bytes":7704,"#,
-            r#""resident_pages":1,"peak_rss_bytes":50331648},"elapsed_s":0.2}}"#,
+            r#""peak_rss_bytes":50331648},"elapsed_s":0.2}}"#,
         );
         assert_eq!(report.to_json(), pinned("glove-stream", detail));
     }
@@ -516,9 +513,21 @@ mod tests {
         let stats = parsed.detail.as_glove().unwrap();
         assert_eq!(stats.ledger.peak_arena_bytes, 1 << 20);
         assert_eq!(stats.ledger.peak_store_bytes, 24 * 1_234);
-        assert_eq!(stats.ledger.resident_pages, 1);
         assert_eq!(stats.ledger.peak_rss_bytes, 64 << 20);
         assert_eq!(stats.per_shard[0].ledger, stats.ledger);
+    }
+
+    #[test]
+    fn reports_written_with_resident_pages_still_decode() {
+        // A `report.jsonl` written while the ledger still counted columnar
+        // pages carries `"resident_pages"` in every memory object.
+        let report = sample_report();
+        let old = report.to_json().replace(
+            r#""peak_rss_bytes""#,
+            r#""resident_pages":1,"peak_rss_bytes""#,
+        );
+        assert_eq!(old.matches(r#""resident_pages":1"#).count(), 2);
+        assert_eq!(RunReport::from_json(&old).unwrap(), report);
     }
 
     #[test]

@@ -53,8 +53,7 @@
 //! is wasted.
 
 use crate::config::StretchConfig;
-use crate::model::{Fingerprint, Sample};
-use crate::stretch::SampleSeq;
+use crate::model::Fingerprint;
 
 /// 64-bit words per axis bitmap.
 pub const SIG_WORDS: usize = 4;
@@ -166,18 +165,10 @@ pub struct CompactSignature {
 impl CompactSignature {
     /// Builds the signature of a fingerprint on the given bucket geometry.
     pub fn of(fp: &Fingerprint, space: &SignatureSpace) -> Self {
-        Self::of_seq(fp.samples(), space)
-    }
-
-    /// Builds the signature of any sample sequence — the columnar pages of
-    /// a [`SampleStore`] feed this directly, without materializing a
-    /// `Vec<Sample>` first.
-    pub fn of_seq<S: SampleSeq>(samples: S, space: &SignatureSpace) -> Self {
         let mut x = AxisSig::default();
         let mut y = AxisSig::default();
         let mut t = AxisSig::default();
-        for i in 0..samples.len() {
-            let s = samples.get(i);
+        for s in fp.samples() {
             x.mark(s.x, s.x_end(), space.bucket_space_m);
             y.mark(s.y, s.y_end(), space.bucket_space_m);
             t.mark(i64::from(s.t), s.t_end() as i64, space.bucket_time_min);
@@ -241,284 +232,6 @@ pub fn signature_lower_bound(
     let phi_s = ((gx + gy) as f64 / cfg.phi_max_space_m).min(1.0);
     let phi_t = (gt as f64 / cfg.phi_max_time_min).min(1.0);
     cfg.w_space * phi_s + cfg.w_time * phi_t
-}
-
-/// Samples per columnar page. Large enough that page overhead vanishes,
-/// small enough that a page is a cache- and compaction-friendly unit
-/// (~384 KiB of column data at 24 bytes per sample).
-pub const PAGE_SAMPLES: usize = 16 * 1024;
-
-/// Sentinel page id marking a span stored in the wide (plain `Vec<Sample>`)
-/// escape hatch instead of a packed page.
-const WIDE_PAGE: u32 = u32::MAX;
-
-/// Bytes per sample in a packed page: six `u32` columns.
-const PACKED_BYTES_PER_SAMPLE: u64 = 24;
-
-/// Bytes per sample on the wide path: one full [`Sample`].
-const WIDE_BYTES_PER_SAMPLE: u64 = std::mem::size_of::<Sample>() as u64;
-
-/// Handle to one fingerprint's samples inside a [`SampleStore`]: which page,
-/// where in it, and how many samples. Spans never straddle pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SampleSpan {
-    /// Page index, or the wide-path sentinel.
-    page: u32,
-    /// First sample of the span within its page (or within the wide array).
-    start: u32,
-    /// Number of samples.
-    len: u32,
-}
-
-impl SampleSpan {
-    /// Number of samples the span covers.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True when the span covers no samples.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// One struct-of-arrays page: `x`/`y` are stored as `u32` offsets from the
-/// page's base corner, so a sample costs 24 bytes instead of the 32 of
-/// [`Sample`] — and the columns the kernels touch stay densely packed.
-#[derive(Debug, Clone, Default)]
-struct PackedPage {
-    base_x: i64,
-    base_y: i64,
-    x: Vec<u32>,
-    y: Vec<u32>,
-    dx: Vec<u32>,
-    dy: Vec<u32>,
-    t: Vec<u32>,
-    dt: Vec<u32>,
-}
-
-impl PackedPage {
-    fn len(&self) -> usize {
-        self.t.len()
-    }
-
-    /// Decodes sample `i` of the page — exact integer moves, so kernels
-    /// reading through here see bit-identical values to the `Vec<Sample>`
-    /// path.
-    #[inline]
-    fn get(&self, i: usize) -> Sample {
-        Sample {
-            x: self.base_x + i64::from(self.x[i]),
-            y: self.base_y + i64::from(self.y[i]),
-            dx: self.dx[i],
-            dy: self.dy[i],
-            t: self.t[i],
-            dt: self.dt[i],
-        }
-    }
-}
-
-/// Columnar, bit-packed cell-minute sample store — the million-user metro's
-/// replacement for one `Vec<Sample>` per fingerprint.
-///
-/// Samples live in struct-of-arrays [`PAGE_SAMPLES`]-sized pages with
-/// coordinates delta-encoded as `u32` offsets against a per-page base
-/// corner (24 bytes per sample, no per-fingerprint heap allocation). The
-/// Eq. (10) stretch kernels and the tier-0/1/2 cascade read the pages
-/// directly through [`StoreSlice`], which implements
-/// [`SampleSeq`] — the same generic arithmetic as the reference path, so
-/// results are byte-identical.
-///
-/// Fingerprints whose coordinate extent does not fit a `u32` offset window
-/// (continent-scale spans) fall back to a plain `Vec<Sample>` *wide* region;
-/// spans never straddle pages, and a fingerprint larger than one page gets
-/// a dedicated oversized page.
-#[derive(Debug, Clone, Default)]
-pub struct SampleStore {
-    pages: Vec<PackedPage>,
-    wide: Vec<Sample>,
-    bytes: u64,
-}
-
-impl SampleStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one fingerprint's samples, returning the span that addresses
-    /// them. Samples are stored in input order.
-    pub fn push(&mut self, samples: &[Sample]) -> SampleSpan {
-        let n = samples.len();
-        if n == 0 {
-            return SampleSpan {
-                page: WIDE_PAGE,
-                start: self.wide.len() as u32,
-                len: 0,
-            };
-        }
-        let (mut min_x, mut min_y) = (samples[0].x, samples[0].y);
-        let (mut max_x, mut max_y) = (min_x, min_y);
-        for s in &samples[1..] {
-            min_x = min_x.min(s.x);
-            min_y = min_y.min(s.y);
-            max_x = max_x.max(s.x);
-            max_y = max_y.max(s.y);
-        }
-        let window = i64::from(u32::MAX);
-        if max_x - min_x > window || max_y - min_y > window {
-            // Continent-scale fingerprint: offsets cannot fit u32 — store it
-            // uncompressed in the wide region.
-            let start = self.wide.len() as u32;
-            self.wide.extend_from_slice(samples);
-            self.bytes += n as u64 * WIDE_BYTES_PER_SAMPLE;
-            return SampleSpan {
-                page: WIDE_PAGE,
-                start,
-                len: n as u32,
-            };
-        }
-        // Reuse the open (last) page when the span fits its capacity and
-        // its base window; otherwise open a fresh page based at this
-        // fingerprint's min corner. Oversized fingerprints get a dedicated
-        // page longer than PAGE_SAMPLES — spans never straddle pages.
-        let reuse = self.pages.last().is_some_and(|p| {
-            p.len() + n <= PAGE_SAMPLES
-                && min_x >= p.base_x
-                && min_y >= p.base_y
-                && max_x - p.base_x <= window
-                && max_y - p.base_y <= window
-        });
-        if !reuse {
-            self.pages.push(PackedPage {
-                base_x: min_x,
-                base_y: min_y,
-                ..PackedPage::default()
-            });
-        }
-        let page_id = self.pages.len() - 1;
-        let page = &mut self.pages[page_id];
-        let start = page.len() as u32;
-        for s in samples {
-            page.x.push((s.x - page.base_x) as u32);
-            page.y.push((s.y - page.base_y) as u32);
-            page.dx.push(s.dx);
-            page.dy.push(s.dy);
-            page.t.push(s.t);
-            page.dt.push(s.dt);
-        }
-        self.bytes += n as u64 * PACKED_BYTES_PER_SAMPLE;
-        SampleSpan {
-            page: page_id as u32,
-            start,
-            len: n as u32,
-        }
-    }
-
-    /// A borrowed, kernel-readable view of a span.
-    #[inline]
-    pub fn slice(&self, span: SampleSpan) -> StoreSlice<'_> {
-        let (start, len) = (span.start as usize, span.len as usize);
-        if span.page == WIDE_PAGE {
-            StoreSlice {
-                repr: SliceRepr::Wide(&self.wide[start..start + len]),
-            }
-        } else {
-            StoreSlice {
-                repr: SliceRepr::Packed {
-                    page: &self.pages[span.page as usize],
-                    start,
-                    len,
-                },
-            }
-        }
-    }
-
-    /// Decodes a span back into an owned `Vec<Sample>` (bit-identical to
-    /// what was pushed).
-    pub fn materialize(&self, span: SampleSpan) -> Vec<Sample> {
-        let slice = self.slice(span);
-        (0..slice.len()).map(|i| slice.get(i)).collect()
-    }
-
-    /// Rebuilds the store keeping only the given spans (in order),
-    /// returning the compacted store and the corresponding new spans.
-    /// This is the arena-compaction primitive: retired fingerprints'
-    /// samples are dropped and surviving pages are re-packed densely.
-    pub fn rebuilt(&self, live: &[SampleSpan]) -> (SampleStore, Vec<SampleSpan>) {
-        let mut store = SampleStore::new();
-        let mut spans = Vec::with_capacity(live.len());
-        for &span in live {
-            let samples = self.materialize(span);
-            spans.push(store.push(&samples));
-        }
-        (store, spans)
-    }
-
-    /// Bytes currently held by sample data (O(1): maintained on push).
-    #[inline]
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Resident pages: packed pages plus one for the wide region when it
-    /// holds anything.
-    #[inline]
-    pub fn resident_pages(&self) -> u64 {
-        self.pages.len() as u64 + u64::from(!self.wide.is_empty())
-    }
-}
-
-/// A borrowed view of one fingerprint's samples — either a packed-page
-/// window or a plain slice. Implements [`SampleSeq`], so every stretch
-/// kernel and signature builder reads it directly.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreSlice<'a> {
-    repr: SliceRepr<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum SliceRepr<'a> {
-    Packed {
-        page: &'a PackedPage,
-        start: usize,
-        len: usize,
-    },
-    Wide(&'a [Sample]),
-}
-
-impl<'a> StoreSlice<'a> {
-    /// Wraps a plain sample slice, so `Vec<Sample>`-backed fingerprints and
-    /// store-backed spans flow through one concrete operand type.
-    #[inline]
-    pub fn wide(samples: &'a [Sample]) -> Self {
-        Self {
-            repr: SliceRepr::Wide(samples),
-        }
-    }
-}
-
-impl SampleSeq for StoreSlice<'_> {
-    #[inline]
-    fn len(self) -> usize {
-        match self.repr {
-            SliceRepr::Packed { len, .. } => len,
-            SliceRepr::Wide(samples) => samples.len(),
-        }
-    }
-
-    #[inline]
-    fn get(self, i: usize) -> Sample {
-        match self.repr {
-            SliceRepr::Packed { page, start, len } => {
-                debug_assert!(i < len);
-                page.get(start + i)
-            }
-            SliceRepr::Wide(samples) => samples[i],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -638,121 +351,5 @@ mod tests {
         let far = Fingerprint::from_points(1, &[(5_000_000, 0, 0)]).unwrap();
         let lb = signature_lower_bound(&sig(&wide), &sig(&far), &cfg(), &space);
         assert_eq!(lb, 0.0);
-    }
-
-    fn sample(x: i64, y: i64, t: u32) -> Sample {
-        Sample::new(x, y, 100, 100, t, 5).unwrap()
-    }
-
-    #[test]
-    fn store_round_trips_bit_identically() {
-        let mut store = SampleStore::new();
-        let a = vec![sample(-5_000, 3_000, 10), sample(120_000, -40, 500)];
-        let b = vec![sample(7, 7, 0)];
-        let sa = store.push(&a);
-        let sb = store.push(&b);
-        assert_eq!(store.materialize(sa), a);
-        assert_eq!(store.materialize(sb), b);
-        // Both fit one shared page: 24 bytes per sample.
-        assert_eq!(store.resident_pages(), 1);
-        assert_eq!(store.bytes(), 3 * 24);
-        // The slice reads the same values the materialization does.
-        let slice = store.slice(sa);
-        assert_eq!(slice.len(), 2);
-        assert_eq!(slice.get(1), a[1]);
-    }
-
-    #[test]
-    fn store_opens_new_page_when_full() {
-        let mut store = SampleStore::new();
-        let big: Vec<Sample> = (0..PAGE_SAMPLES).map(|i| sample(0, 0, i as u32)).collect();
-        let span_big = store.push(&big);
-        let span_one = store.push(&[sample(1, 1, 1)]);
-        assert_eq!(store.resident_pages(), 2, "full page forces a new one");
-        assert_eq!(store.materialize(span_big), big);
-        assert_eq!(store.materialize(span_one), vec![sample(1, 1, 1)]);
-    }
-
-    #[test]
-    fn oversized_fingerprint_gets_a_dedicated_page() {
-        let mut store = SampleStore::new();
-        store.push(&[sample(0, 0, 0)]);
-        let huge: Vec<Sample> = (0..PAGE_SAMPLES + 7)
-            .map(|i| sample(i as i64, 0, i as u32))
-            .collect();
-        let span = store.push(&huge);
-        assert_eq!(span.len(), PAGE_SAMPLES + 7);
-        assert_eq!(store.materialize(span), huge);
-        assert_eq!(store.resident_pages(), 2);
-    }
-
-    #[test]
-    fn continental_span_takes_the_wide_path() {
-        let mut store = SampleStore::new();
-        // Two samples further apart than a u32 offset window can encode.
-        let far = vec![sample(0, 0, 0), sample(i64::from(u32::MAX) + 10, 0, 9)];
-        let span = store.push(&far);
-        assert_eq!(store.materialize(span), far);
-        assert_eq!(store.bytes(), 2 * 32, "wide samples cost full width");
-        // A later normal fingerprint still packs.
-        let near = vec![sample(5, 5, 5)];
-        let span2 = store.push(&near);
-        assert_eq!(store.materialize(span2), near);
-    }
-
-    #[test]
-    fn rebuilt_keeps_only_live_spans() {
-        let mut store = SampleStore::new();
-        let a = vec![sample(0, 0, 0), sample(10, 10, 10)];
-        let b = vec![sample(999, -999, 77)];
-        let c = vec![sample(-3, 4, 5)];
-        let sa = store.push(&a);
-        let _sb = store.push(&b);
-        let sc = store.push(&c);
-        let (compacted, spans) = store.rebuilt(&[sa, sc]);
-        assert_eq!(spans.len(), 2);
-        assert_eq!(compacted.materialize(spans[0]), a);
-        assert_eq!(compacted.materialize(spans[1]), c);
-        assert_eq!(compacted.bytes(), 3 * 24, "b's samples were dropped");
-    }
-
-    #[test]
-    fn negative_offsets_from_page_base_force_a_new_page() {
-        let mut store = SampleStore::new();
-        let first = store.push(&[sample(1_000, 1_000, 0)]);
-        // Below the open page's base corner: must not be encoded as a
-        // (wrapping) negative offset.
-        let second = store.push(&[sample(-50, 2_000, 1)]);
-        assert_eq!(store.materialize(first), vec![sample(1_000, 1_000, 0)]);
-        assert_eq!(store.materialize(second), vec![sample(-50, 2_000, 1)]);
-        assert_eq!(store.resident_pages(), 2);
-    }
-
-    #[test]
-    fn kernels_read_store_slices_bit_identically() {
-        let cfg = cfg();
-        let a = Fingerprint::from_points(0, &[(0, 0, 480), (5_000, 0, 1_020)]).unwrap();
-        let b = Fingerprint::from_points(1, &[(200, 0, 490), (5_100, 0, 1_050)]).unwrap();
-        let mut store = SampleStore::new();
-        let sa = store.push(a.samples());
-        let sb = store.push(b.samples());
-        let oa = crate::stretch::StretchOperand {
-            samples: store.slice(sa),
-            multiplicity: a.multiplicity(),
-        };
-        let ob = crate::stretch::StretchOperand {
-            samples: store.slice(sb),
-            multiplicity: b.multiplicity(),
-        };
-        let via_store = crate::stretch::fingerprint_stretch_seq(oa, ob, &cfg);
-        let via_vec = fingerprint_stretch(&a, &b, &cfg);
-        assert_eq!(via_store.to_bits(), via_vec.to_bits());
-        // Signatures built from the slice match those built from the
-        // fingerprint.
-        let space = SignatureSpace::of(&cfg);
-        assert_eq!(
-            CompactSignature::of_seq(store.slice(sa), &space),
-            CompactSignature::of(&a, &space)
-        );
     }
 }

@@ -6,13 +6,12 @@
 //! absent key takes the library default (the struct's own `Default`, so a
 //! partial `stretch` object keeps the paper's caps), a minimal
 //! `{"glove": {"k": 3}}` is a valid configuration, and unknown keys are
-//! ignored. [`GloveConfig::pruning`] and [`GloveConfig::columnar`] pick test
-//! oracles whose output is byte-identical, so they do not travel: a served
-//! tenant always runs the library defaults, and the keys an older client
-//! still sends (`pruning`, `cascade`, `columnar`) are ignored like any
-//! unknown key. Decoding does not validate; the serve session calls
-//! [`StreamConfig::validate`] so an invalid configuration fails with the
-//! engine's own error text.
+//! ignored. [`GloveConfig::pruning`] picks test oracles whose output is
+//! byte-identical, so it does not travel: a served tenant always runs the
+//! library default, and the keys an older client still sends (`pruning`,
+//! `cascade`, `columnar`) are ignored like any unknown key. Decoding does
+//! not validate; the serve session calls [`StreamConfig::validate`] so an
+//! invalid configuration fails with the engine's own error text.
 
 use crate::api::json::{Json, JsonValue};
 use crate::error::GloveError;
@@ -403,16 +402,6 @@ pub struct GloveConfig {
     /// (`pairs_computed` and the per-tier skip counters of `GloveStats`).
     /// Default: [`Pruning::Cascade`].
     pub pruning: Pruning,
-    /// Columnar sample storage: keep the arena's samples in the bit-packed
-    /// struct-of-arrays pages of `core::compact::SampleStore` (24 bytes per
-    /// sample, no per-fingerprint heap allocation) instead of one
-    /// `Vec<Sample>` per fingerprint. The stretch kernels read the pages
-    /// directly through the same generic arithmetic as the reference
-    /// layout, so the published output is byte-identical either way; only
-    /// the memory footprint changes (see `GloveStats::ledger`). A test
-    /// oracle, not a deployment setting: the serve wire does not carry it.
-    /// Default: true.
-    pub columnar: bool,
 }
 
 impl Default for GloveConfig {
@@ -426,7 +415,6 @@ impl Default for GloveConfig {
             threads: 0,
             shard: None,
             pruning: Pruning::default(),
-            columnar: true,
         }
     }
 }
@@ -441,7 +429,6 @@ json_struct!(GloveConfig: Default {
     shard,
 } skip {
     pruning,
-    columnar,
 });
 
 impl GloveConfig {
@@ -664,7 +651,6 @@ mod tests {
         let defaults = GloveConfig::default();
         assert_eq!(c.glove.k, 3);
         assert_eq!(c.glove.pruning, defaults.pruning);
-        assert_eq!(c.glove.columnar, defaults.columnar);
         assert_eq!(c.glove, GloveConfig { k: 3, ..defaults });
     }
 

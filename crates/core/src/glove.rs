@@ -24,9 +24,10 @@
 //!   when retired slots dominate, bounding memory at O(active²).
 //! * Each active slot caches its row minimum, so one iteration costs O(A)
 //!   for extraction plus O(A·n̄²) for the new row (A = active slots) — the
-//!   complexity stated in §6.3. The per-round extraction scan itself runs
-//!   as a deterministic parallel min-reduction once the active set is large
-//!   enough (see `global_best`).
+//!   complexity stated in §6.3.
+//! * Slots hold whole fingerprints, one `Vec<Sample>` each, in the layout
+//!   every other Eq. 10 caller uses: the kernels and merges read them in
+//!   place, and compaction and publication move them.
 //! * Matrix construction and row recomputation fan out over
 //!   [`crate::parallel`], the stand-in for the paper's GPU kernel.
 //! * Every pair cell has one life cycle, whatever the mode. It is *seeded*
@@ -39,7 +40,7 @@
 //!   signature → hull → partial → exact, and only while its bound could
 //!   still decide a row minimum. The partial tier is a cutoff-aware,
 //!   early-abandoning Eq. 10 evaluation
-//!   ([`crate::stretch::fingerprint_stretch_cutoff_resume_seq`]) whose
+//!   ([`crate::stretch::fingerprint_stretch_cutoff_resume`]) whose
 //!   suffix floors read the hulls the arena already keeps.
 //!   [`Pruning::Cascade`] seeds signatures only when fingerprints are long
 //!   enough for the filter to pay for itself (`CASCADE_MIN_MEAN_SAMPLES`)
@@ -66,25 +67,22 @@
 //! * [`GloveConfig::shard`] routes the run through [`crate::shard`], which
 //!   partitions the dataset and runs this loop per shard.
 
-use crate::compact::{
-    signature_lower_bound, CompactSignature, SampleSpan, SampleStore, SignatureSpace, StoreSlice,
-};
+use crate::compact::{signature_lower_bound, CompactSignature, SignatureSpace};
 use crate::config::{GloveConfig, Pruning, ResidualPolicy, StretchConfig};
 use crate::error::GloveError;
 use crate::json_struct;
 use crate::ledger::MemoryLedger;
 use crate::merge::merge_fingerprints;
-use crate::model::{Dataset, Fingerprint, UserId};
-use crate::parallel::{effective_threads, par_map};
+use crate::model::{Dataset, Fingerprint, Sample, UserId};
+use crate::parallel::par_map;
 use crate::policy::KPlan;
 use crate::reshape::reshape_suppressed;
 use crate::shard::ShardStat;
 use crate::stretch::{
-    fingerprint_stretch_cutoff_resume_hulled, fingerprint_stretch_seq, stretch_lower_bound,
-    StretchEval, StretchHull, StretchOperand, StretchProgress,
+    fingerprint_stretch, fingerprint_stretch_cutoff_resume_hulled, stretch_lower_bound,
+    StretchEval, StretchHull, StretchProgress,
 };
 use crate::suppress::SuppressionLedger;
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -135,9 +133,9 @@ pub struct GloveStats {
     pub discarded_fingerprints: u64,
     /// Subscribers dropped with those fingerprints.
     pub discarded_users: u64,
-    /// Peak memory accounting of the run: arena bytes, columnar store
-    /// bytes/pages and process peak-RSS (summed across shards for sharded
-    /// runs, RSS excepted — see [`MemoryLedger::absorb`]).
+    /// Peak memory accounting of the run: arena bytes, the bytes of the
+    /// samples its slots hold and process peak-RSS (summed across shards
+    /// for sharded runs, RSS excepted — see [`MemoryLedger::absorb`]).
     pub ledger: MemoryLedger,
     /// Wall-clock duration of the run in seconds.
     pub elapsed_s: f64,
@@ -442,7 +440,9 @@ impl PartialOrd for Cand {
 /// matrix build and every sequential caller run the same code in every
 /// mode.
 struct Pricer {
-    slots: SlotSamples,
+    /// The fingerprint of every slot, retired ones included until the next
+    /// compaction.
+    slots: Vec<Fingerprint>,
     /// Per-slot hull summaries feeding the tier-1 bound, maintained
     /// incrementally on merge.
     hulls: Vec<StretchHull>,
@@ -466,7 +466,7 @@ impl Pricer {
             Vec::new()
         };
         Pricer {
-            slots: SlotSamples::of(dataset, config.columnar),
+            slots: dataset.fingerprints.clone(),
             hulls: dataset.fingerprints.iter().map(StretchHull::of).collect(),
             sigs,
             cfg: config.stretch,
@@ -491,9 +491,16 @@ impl Pricer {
         self.slots.push(fp);
     }
 
-    /// Keeps only `old_ids`, in order — the slot side of arena compaction.
+    /// Keeps only `old_ids`, which ascend — the slot side of arena
+    /// compaction. Fingerprints move; none is copied.
     fn compacted(&mut self, old_ids: &[usize]) {
-        self.slots.compacted(old_ids);
+        let mut keep = old_ids.iter().peekable();
+        let mut i = 0;
+        self.slots.retain(|_| {
+            let kept = keep.next_if_eq(&&i).is_some();
+            i += 1;
+            kept
+        });
         self.hulls = old_ids.iter().map(|&i| self.hulls[i]).collect();
         if self.abandons() {
             self.sigs = old_ids.iter().map(|&i| self.sigs[i]).collect();
@@ -506,9 +513,16 @@ impl Pricer {
     /// directions in the same order regardless of which row triggered it.
     /// The published value is symmetric either way.
     #[inline]
-    fn operands(&self, i: usize, j: usize) -> (Operand<'_>, Operand<'_>) {
+    fn operands(&self, i: usize, j: usize) -> (&Fingerprint, &Fingerprint) {
         let (r, c) = tri(i, j);
-        (self.slots.operand(r), self.slots.operand(c))
+        (&self.slots[r], &self.slots[c])
+    }
+
+    /// Bytes of the samples the slots hold, at `size_of::<Sample>()` each:
+    /// inputs, merged groups and retired slots not yet compacted away.
+    fn sample_bytes(&self) -> u64 {
+        let samples: usize = self.slots.iter().map(Fingerprint::len).sum();
+        (samples * std::mem::size_of::<Sample>()) as u64
     }
 
     /// The seed value of cell `(i, j)` at the run's seed tier. A cell with
@@ -520,7 +534,7 @@ impl Pricer {
         match self.seed {
             TIER_EXACT => {
                 let (a, b) = self.operands(i, j);
-                fingerprint_stretch_seq(a, b, &self.cfg)
+                fingerprint_stretch(a, b, &self.cfg)
             }
             _ if !live => f64::INFINITY,
             TIER_SIG => signature_lower_bound(&self.sigs[i], &self.sigs[j], &self.cfg, &self.space),
@@ -651,226 +665,19 @@ impl Pricer {
 /// an admissible filter, so engagement never changes the published output.
 const CASCADE_MIN_MEAN_SAMPLES: usize = 16;
 
-/// Below this many active slots the per-round best-pair extraction stays
-/// sequential: [`par_map`] spawns OS threads per call, whose setup cost
-/// dwarfs a sub-microsecond scan. Above it, the scan runs as a
-/// deterministic parallel min-reduction.
-const PAR_SCAN_MIN: usize = 8192;
-
-/// The per-round global best-pair extraction over cached row minima.
-///
-/// Deterministic min-reduction (documented in DESIGN.md): the active list —
-/// kept in ascending slot order by construction — is split at fixed chunk
-/// boundaries; each chunk folds locally in slot order under the
-/// `(value, smaller slot)` rule, and the chunk winners fold in chunk order
-/// under the same rule. Because the comparison is a total lexicographic
-/// order on `(value, slot)` and both folds visit candidates in ascending
-/// slot order, the result is the unique minimum — identical to the
-/// sequential scan, bit for bit, for any thread count.
-fn global_best(active: &[usize], row_min: &[RowMin], threads: usize) -> (usize, RowMin) {
-    let init = (NO_PARTNER, RowMin::NONE);
-    let fold = |acc: (usize, RowMin), i: usize| {
+/// The per-round global best-pair extraction over cached row minima: the
+/// active slot with the smallest `(value, slot)`, with its cached row
+/// minimum. The active list ascends by construction, so the fold keeps the
+/// first of equal values.
+fn global_best(active: &[usize], row_min: &[RowMin]) -> (usize, RowMin) {
+    active.iter().fold((NO_PARTNER, RowMin::NONE), |acc, &i| {
         let rm = row_min[i];
         if rm.value < acc.1.value || (rm.value == acc.1.value && i < acc.0) {
             (i, rm)
         } else {
             acc
         }
-    };
-    let workers = effective_threads(threads);
-    if active.len() < PAR_SCAN_MIN || workers <= 1 {
-        return active.iter().fold(init, |acc, &i| fold(acc, i));
-    }
-    let chunks = workers.min(active.len());
-    let chunk_len = active.len().div_ceil(chunks);
-    let winners = par_map(chunks, threads, |c| {
-        let lo = c * chunk_len;
-        let hi = (lo + chunk_len).min(active.len());
-        active[lo..hi].iter().fold(init, |acc, &i| fold(acc, i))
-    });
-    winners.into_iter().fold(init, |acc, w| {
-        if w.1.value < acc.1.value || (w.1.value == acc.1.value && w.0 < acc.0) {
-            w
-        } else {
-            acc
-        }
     })
-}
-
-/// The one kernel operand type of the hot loop, whatever the layout.
-type Operand<'a> = StretchOperand<StoreSlice<'a>>;
-
-/// Backing storage of the arena's fingerprints: either the classic
-/// one-`Vec<Sample>`-per-fingerprint reference layout, or the columnar
-/// [`SampleStore`] whose packed pages the kernels read directly.
-///
-/// Both layouts expose the same [`StretchOperand<StoreSlice>`] operand, so
-/// the hot loop is written once against one concrete type and the published
-/// output is byte-identical across layouts (the generic kernels run the
-/// same arithmetic over both).
-enum SlotSamples {
-    /// Reference layout: whole fingerprints, one heap allocation each.
-    Reference(Vec<Fingerprint>),
-    /// Columnar layout: samples bit-packed in struct-of-arrays pages,
-    /// per-slot spans, and the user lists kept out of the hot data.
-    Columnar {
-        store: SampleStore,
-        spans: Vec<SampleSpan>,
-        users: Vec<Vec<UserId>>,
-    },
-}
-
-impl SlotSamples {
-    fn of(dataset: &Dataset, columnar: bool) -> Self {
-        if columnar {
-            let mut store = SampleStore::new();
-            let mut spans = Vec::with_capacity(dataset.fingerprints.len());
-            let mut users = Vec::with_capacity(dataset.fingerprints.len());
-            for fp in &dataset.fingerprints {
-                spans.push(store.push(fp.samples()));
-                users.push(fp.users().to_vec());
-            }
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            }
-        } else {
-            Self::Reference(dataset.fingerprints.clone())
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Self::Reference(fps) => fps.len(),
-            Self::Columnar { spans, .. } => spans.len(),
-        }
-    }
-
-    fn multiplicity(&self, i: usize) -> usize {
-        match self {
-            Self::Reference(fps) => fps[i].multiplicity(),
-            Self::Columnar { users, .. } => users[i].len(),
-        }
-    }
-
-    /// The kernel operand of slot `i` — one concrete type for both layouts,
-    /// so the hot loop needs no generic dispatch of its own.
-    #[inline]
-    fn operand(&self, i: usize) -> Operand<'_> {
-        match self {
-            Self::Reference(fps) => StretchOperand {
-                samples: StoreSlice::wide(fps[i].samples()),
-                multiplicity: fps[i].multiplicity(),
-            },
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            } => StretchOperand {
-                samples: store.slice(spans[i]),
-                multiplicity: users[i].len(),
-            },
-        }
-    }
-
-    /// Slot `i` as a fingerprint: borrowed on the reference path,
-    /// materialized bit-identically from the pages on the columnar path.
-    fn fingerprint(&self, i: usize) -> Cow<'_, Fingerprint> {
-        match self {
-            Self::Reference(fps) => Cow::Borrowed(&fps[i]),
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            } => Cow::Owned(
-                Fingerprint::with_users(users[i].clone(), store.materialize(spans[i]))
-                    .expect("stored fingerprints preserve the model invariants"),
-            ),
-        }
-    }
-
-    fn push(&mut self, fp: Fingerprint) {
-        match self {
-            Self::Reference(fps) => fps.push(fp),
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            } => {
-                spans.push(store.push(fp.samples()));
-                users.push(fp.users().to_vec());
-            }
-        }
-    }
-
-    fn replace(&mut self, i: usize, fp: Fingerprint) {
-        match self {
-            Self::Reference(fps) => fps[i] = fp,
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            } => {
-                // The old span's samples become garbage in the store; the
-                // next compaction (or run end) drops them.
-                spans[i] = store.push(fp.samples());
-                users[i] = fp.users().to_vec();
-            }
-        }
-    }
-
-    /// Keeps only `old_ids`, in order — the slot side of arena compaction.
-    /// The columnar store is rebuilt densely, dropping retired samples.
-    fn compacted(&mut self, old_ids: &[usize]) {
-        match self {
-            Self::Reference(fps) => {
-                let mut out = Vec::with_capacity(old_ids.len());
-                for &i in old_ids {
-                    out.push(std::mem::replace(
-                        &mut fps[i],
-                        Fingerprint::with_users(
-                            vec![0],
-                            vec![crate::model::Sample::point(0, 0, 0)],
-                        )
-                        .expect("placeholder"),
-                    ));
-                }
-                *fps = out;
-            }
-            Self::Columnar {
-                store,
-                spans,
-                users,
-            } => {
-                let live: Vec<SampleSpan> = old_ids.iter().map(|&i| spans[i]).collect();
-                let (new_store, new_spans) = store.rebuilt(&live);
-                *store = new_store;
-                *spans = new_spans;
-                *users = old_ids
-                    .iter()
-                    .map(|&i| std::mem::take(&mut users[i]))
-                    .collect();
-            }
-        }
-    }
-
-    /// Bytes held by columnar sample pages (0 on the reference layout,
-    /// whose samples are scattered across per-fingerprint allocations).
-    fn store_bytes(&self) -> u64 {
-        match self {
-            Self::Reference(_) => 0,
-            Self::Columnar { store, .. } => store.bytes(),
-        }
-    }
-
-    /// Resident columnar pages (0 on the reference layout).
-    fn resident_pages(&self) -> u64 {
-        match self {
-            Self::Reference(_) => 0,
-            Self::Columnar { store, .. } => store.resident_pages(),
-        }
-    }
 }
 
 struct Arena {
@@ -1029,13 +836,13 @@ impl Arena {
             return Err(GloveError::Unsatisfiable(format!(
                 "no k-anonymous group exists to absorb the residual fingerprint \
                  ({} users < k = {})",
-                slots.multiplicity(r),
+                slots[r].multiplicity(),
                 self.kreq[r]
             )));
         }
         let cfg = &config.stretch;
         let dists = par_map(done.len(), config.threads, |idx| {
-            fingerprint_stretch_seq(slots.operand(r), slots.operand(done[idx]), cfg)
+            fingerprint_stretch(&slots[r], &slots[done[idx]], cfg)
         });
         stats.pairs_computed += done.len() as u64;
         let mut order: Vec<usize> = (0..done.len()).collect();
@@ -1043,12 +850,11 @@ impl Arena {
             let by_dist = dists[x].partial_cmp(&dists[y]);
             by_dist.expect("efforts are finite").then(x.cmp(&y))
         });
-        let mut group = slots.fingerprint(r).into_owned();
+        let mut group = slots[r].clone();
         let mut need = self.kreq[r];
         for &idx in &order {
             let target = done[idx];
-            let outcome =
-                merge_fingerprints(&slots.fingerprint(target), &group, cfg, &config.suppression)?;
+            let outcome = merge_fingerprints(&slots[target], &group, cfg, &config.suppression)?;
             stats.merges += 1;
             stats.suppressed.absorb(outcome.suppressed);
             group = outcome.fingerprint;
@@ -1059,15 +865,15 @@ impl Arena {
             }
         }
         let home = done[order[0]];
-        self.pricer.slots.replace(home, group);
+        self.pricer.slots[home] = group;
         self.states[home] = SlotState::Done;
         self.states[r] = SlotState::Retired;
         Ok(())
     }
 
     /// Current bytes held by the arena's own structures: matrix pages,
-    /// hulls, signatures and cached minima. Sample storage is accounted
-    /// separately by the slot layer.
+    /// hulls, signatures and cached minima. The slots' samples are booked
+    /// separately ([`Pricer::sample_bytes`]).
     fn bytes(&self) -> u64 {
         let mut bytes = 0u64;
         for p in &self.pages {
@@ -1085,13 +891,12 @@ impl Arena {
     }
 
     /// Folds the arena's current footprint into the run ledger. Arena and
-    /// store memory grow monotonically between compactions, so observing at
-    /// build end, just before each compaction, and at loop end captures the
-    /// true peaks without per-round scans.
+    /// slot memory grow monotonically between compactions, so observing at
+    /// build end, just before each compaction, at loop end and before
+    /// publication captures the true peaks without per-round scans.
     fn observe(&self, ledger: &mut MemoryLedger) {
-        let slots = &self.pricer.slots;
         ledger.observe_arena(self.bytes());
-        ledger.observe_store(slots.store_bytes(), slots.resident_pages());
+        ledger.observe_store(self.pricer.sample_bytes());
     }
 }
 
@@ -1257,18 +1062,14 @@ pub(crate) fn run_monolithic(
 
     // ---- Main loop (Alg. 1 lines 4–15) ------------------------------------
     while arena.active.len() >= 2 {
-        // Global minimum over cached row minima (parallel min-reduction for
-        // large active sets; see `global_best`).
-        let (a, best) = global_best(&arena.active, &arena.row_min, threads);
+        // Global minimum over cached row minima.
+        let (a, best) = global_best(&arena.active, &arena.row_min);
         let b = best.partner;
         debug_assert_ne!(b, NO_PARTNER, "active set of >= 2 must yield a pair");
 
         // Merge and retire (lines 5–8).
-        let outcome = {
-            let fa = arena.pricer.slots.fingerprint(a);
-            let fb = arena.pricer.slots.fingerprint(b);
-            merge_fingerprints(&fa, &fb, cfg, &config.suppression)?
-        };
+        let slots = &arena.pricer.slots;
+        let outcome = merge_fingerprints(&slots[a], &slots[b], cfg, &config.suppression)?;
         let merge_dropped = outcome.suppressed.samples;
         stats.merges += 1;
         stats.suppressed.absorb(outcome.suppressed);
@@ -1386,17 +1187,18 @@ pub(crate) fn run_monolithic(
             ResidualPolicy::MergeIntoNearest => arena.merge_residual(r, config, &mut stats)?,
             ResidualPolicy::Suppress => {
                 stats.discarded_fingerprints += 1;
-                stats.discarded_users += arena.pricer.slots.multiplicity(r) as u64;
+                stats.discarded_users += arena.pricer.slots[r].multiplicity() as u64;
                 arena.states[r] = SlotState::Retired;
             }
         }
     }
 
     // ---- Publication -------------------------------------------------------
+    arena.observe(&mut ledger);
+    let slots = std::mem::take(&mut arena.pricer.slots);
     let mut published = Vec::new();
-    for i in 0..arena.states.len() {
-        if arena.states[i] == SlotState::Done {
-            let mut fp = arena.pricer.slots.fingerprint(i).into_owned();
+    for (mut fp, &state) in slots.into_iter().zip(&arena.states) {
+        if state == SlotState::Done {
             if config.reshape {
                 stats.reshaped_samples +=
                     reshape_suppressed(&mut fp, &config.suppression, &mut stats.suppressed)? as u64;
@@ -1414,7 +1216,6 @@ pub(crate) fn run_monolithic(
     stats.pairs_abandoned = arena.counters.abandoned();
     stats.pairs_pruned =
         stats.pairs_skipped_tier0 + stats.pairs_skipped_tier1 + stats.pairs_abandoned;
-    arena.observe(&mut ledger);
     ledger.capture_rss();
     stats.ledger = ledger;
     stats.elapsed_s = started.elapsed().as_secs_f64();
@@ -1779,6 +1580,27 @@ mod tests {
         assert_eq!(
             out.stats.pairs_computed + out.stats.pairs_pruned,
             unpruned.stats.pairs_computed
+        );
+    }
+
+    #[test]
+    fn sample_ledger_books_every_slot_sample_at_full_width() {
+        // Every fingerprint already hides k = 2 subscribers, so nothing
+        // merges and the slots hold exactly the input samples.
+        let fps = toy_dataset(12)
+            .fingerprints
+            .iter()
+            .map(|f| {
+                let u = f.users()[0];
+                Fingerprint::with_users(vec![2 * u, 2 * u + 1], f.samples().to_vec()).unwrap()
+            })
+            .collect();
+        let ds = Dataset::new("hidden", fps).unwrap();
+        let out = anonymize(&ds, &GloveConfig::default()).unwrap();
+        assert_eq!(out.stats.merges, 0);
+        assert_eq!(
+            out.stats.ledger.peak_store_bytes,
+            (ds.num_samples() * std::mem::size_of::<Sample>()) as u64
         );
     }
 

@@ -1,16 +1,14 @@
-//! Memory-audit ledger: peak arena bytes, resident columnar pages and
-//! process peak-RSS, threaded through every engine's statistics.
+//! Memory-audit ledger: peak arena bytes, peak sample bytes and process
+//! peak-RSS, threaded through every engine's statistics.
 //!
 //! The ROADMAP north star is a million-user metro on one box; at that scale
 //! "how much memory did this run actually need" is a first-class result,
 //! not a profiler afterthought. Every engine therefore records a
 //! [`MemoryLedger`] alongside its counters: the greedy core tracks the peak
-//! footprint of its pair arena and columnar [`SampleStore`] pages, the
+//! footprint of its pair arena and of the samples its slots hold, the
 //! sharded engine sums the per-shard peaks (a sound bound — shards run
 //! concurrently), and everything captures the kernel's own high-water mark
 //! (`VmHWM`) at the end of the run.
-//!
-//! [`SampleStore`]: crate::compact::SampleStore
 
 use crate::json_struct;
 
@@ -26,12 +24,10 @@ pub struct MemoryLedger {
     /// Peak bytes held by the pairwise-distance arena (pages, hulls,
     /// signatures, row minima) over the run.
     pub peak_arena_bytes: u64,
-    /// Peak bytes held by the columnar sample store's pages over the run
-    /// (zero when the engine runs on the `Vec<Sample>` reference path).
+    /// Peak bytes of the samples held by the arena's slots over the run, at
+    /// `size_of::<Sample>()` (32) bytes per sample: input fingerprints,
+    /// merged ones, and retired ones until the arena compacts them away.
     pub peak_store_bytes: u64,
-    /// Columnar pages resident when the store peaked (zero on the
-    /// reference path).
-    pub resident_pages: u64,
     /// Process peak resident-set size (`VmHWM` from `/proc/self/status`)
     /// captured at the end of the run; 0 on platforms without procfs.
     pub peak_rss_bytes: u64,
@@ -40,7 +36,6 @@ pub struct MemoryLedger {
 json_struct!(MemoryLedger {
     peak_arena_bytes,
     peak_store_bytes,
-    resident_pages,
     peak_rss_bytes,
 });
 
@@ -50,13 +45,9 @@ impl MemoryLedger {
         self.peak_arena_bytes = self.peak_arena_bytes.max(bytes);
     }
 
-    /// Records a columnar-store footprint observation, keeping the byte
-    /// maximum and the page count at that maximum.
-    pub fn observe_store(&mut self, bytes: u64, pages: u64) {
-        if bytes >= self.peak_store_bytes {
-            self.peak_store_bytes = bytes;
-            self.resident_pages = self.resident_pages.max(pages);
-        }
+    /// Records a sample-bytes observation, keeping the maximum.
+    pub fn observe_store(&mut self, bytes: u64) {
+        self.peak_store_bytes = self.peak_store_bytes.max(bytes);
     }
 
     /// Captures the process high-water mark into `peak_rss_bytes`.
@@ -64,14 +55,12 @@ impl MemoryLedger {
         self.peak_rss_bytes = self.peak_rss_bytes.max(process_peak_rss_bytes());
     }
 
-    /// Folds another ledger into this one: arena/store peaks and page
-    /// counts add (shards run concurrently, so the sum bounds the true
-    /// simultaneous footprint), process RSS takes the max (it is already
-    /// process-wide).
+    /// Folds another ledger into this one: arena and sample peaks add
+    /// (shards run concurrently, so the sum bounds the true simultaneous
+    /// footprint), process RSS takes the max (it is already process-wide).
     pub fn absorb(&mut self, other: &MemoryLedger) {
         self.peak_arena_bytes += other.peak_arena_bytes;
         self.peak_store_bytes += other.peak_store_bytes;
-        self.resident_pages += other.resident_pages;
         self.peak_rss_bytes = self.peak_rss_bytes.max(other.peak_rss_bytes);
     }
 
@@ -83,7 +72,6 @@ impl MemoryLedger {
     pub fn merge_max(&mut self, other: &MemoryLedger) {
         self.peak_arena_bytes = self.peak_arena_bytes.max(other.peak_arena_bytes);
         self.peak_store_bytes = self.peak_store_bytes.max(other.peak_store_bytes);
-        self.resident_pages = self.resident_pages.max(other.resident_pages);
         self.peak_rss_bytes = self.peak_rss_bytes.max(other.peak_rss_bytes);
     }
 }
@@ -125,11 +113,10 @@ mod tests {
         let mut ledger = MemoryLedger::default();
         ledger.observe_arena(100);
         ledger.observe_arena(50);
-        ledger.observe_store(1_000, 2);
-        ledger.observe_store(500, 9);
+        ledger.observe_store(1_000);
+        ledger.observe_store(500);
         assert_eq!(ledger.peak_arena_bytes, 100);
         assert_eq!(ledger.peak_store_bytes, 1_000);
-        assert_eq!(ledger.resident_pages, 2);
     }
 
     #[test]
@@ -137,19 +124,16 @@ mod tests {
         let mut a = MemoryLedger {
             peak_arena_bytes: 10,
             peak_store_bytes: 20,
-            resident_pages: 1,
             peak_rss_bytes: 5_000,
         };
         let b = MemoryLedger {
             peak_arena_bytes: 7,
             peak_store_bytes: 3,
-            resident_pages: 2,
             peak_rss_bytes: 9_000,
         };
         a.absorb(&b);
         assert_eq!(a.peak_arena_bytes, 17);
         assert_eq!(a.peak_store_bytes, 23);
-        assert_eq!(a.resident_pages, 3);
         assert_eq!(a.peak_rss_bytes, 9_000);
     }
 

@@ -36,8 +36,8 @@
 //! * [`stream`] — the streaming engine: windowed online GLOVE over
 //!   time-ordered events with carry-over groups and bounded resident
 //!   memory;
-//! * [`ledger`] — the memory-audit ledger: peak arena bytes, resident
-//!   columnar pages and process peak-RSS recorded with every run;
+//! * [`ledger`] — the memory-audit ledger: peak arena bytes, peak sample
+//!   bytes and process peak-RSS recorded with every run;
 //! * [`accuracy`] — spatiotemporal accuracy metrics of anonymized output;
 //! * [`parallel`] — the data-parallel kernel that stands in for the paper's
 //!   GPU implementation (§6.3);

@@ -28,57 +28,6 @@ use std::ops::ControlFlow;
 use crate::config::StretchConfig;
 use crate::model::{Fingerprint, Sample};
 
-/// Read-only, random-access sequence of samples — the storage abstraction
-/// the Eq. (10) kernels are generic over, so one set of arithmetic (and
-/// therefore bit-identical results) serves both `Vec<Sample>`-backed
-/// fingerprints and the columnar pages of
-/// [`SampleStore`](crate::compact::SampleStore).
-pub trait SampleSeq: Copy {
-    /// Number of samples in the sequence.
-    fn len(self) -> usize;
-    /// The `i`-th sample, assembled by value (columnar backends decode it
-    /// from their column arrays, slice backends copy it out — both are
-    /// exact integer moves, so downstream arithmetic is identical).
-    fn get(self, i: usize) -> Sample;
-    /// True when the sequence holds no samples (never, for fingerprints).
-    fn is_empty(self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl SampleSeq for &[Sample] {
-    #[inline]
-    fn len(self) -> usize {
-        <[Sample]>::len(self)
-    }
-
-    #[inline]
-    fn get(self, i: usize) -> Sample {
-        self[i]
-    }
-}
-
-/// One side of a generic Eq. (10) evaluation: a sample sequence plus the
-/// multiplicity that weights it (Eqs. 4 and 7).
-#[derive(Debug, Clone, Copy)]
-pub struct StretchOperand<S: SampleSeq> {
-    /// The samples.
-    pub samples: S,
-    /// Subscribers behind the sequence (`n_a` in the paper's weighting).
-    pub multiplicity: usize,
-}
-
-impl<'a> StretchOperand<&'a [Sample]> {
-    /// The operand view of a fingerprint.
-    #[inline]
-    pub fn of(fp: &'a Fingerprint) -> Self {
-        Self {
-            samples: fp.samples(),
-            multiplicity: fp.multiplicity(),
-        }
-    }
-}
-
 /// The spatial covering stretch of Eqs. (4)–(6), *before* capping and
 /// normalization: the population-weighted sum of how far `a`'s box must grow
 /// to cover `b`'s and vice versa, in meters.
@@ -183,18 +132,7 @@ pub fn time_gap_min(a: &Sample, b: &Sample) -> f64 {
 /// assert_eq!(d, fingerprint_stretch(&b, &a, &cfg), "Δ is symmetric");
 /// ```
 pub fn fingerprint_stretch(a: &Fingerprint, b: &Fingerprint, cfg: &StretchConfig) -> f64 {
-    fingerprint_stretch_seq(StretchOperand::of(a), StretchOperand::of(b), cfg)
-}
-
-/// Storage-generic form of [`fingerprint_stretch`]: the same Eq. (10)
-/// arithmetic over any [`SampleSeq`] backing, so columnar-store slices and
-/// `Vec<Sample>` fingerprints produce bit-identical efforts.
-pub fn fingerprint_stretch_seq<A: SampleSeq, B: SampleSeq>(
-    a: StretchOperand<A>,
-    b: StretchOperand<B>,
-    cfg: &StretchConfig,
-) -> f64 {
-    match a.samples.len().cmp(&b.samples.len()) {
+    match a.len().cmp(&b.len()) {
         std::cmp::Ordering::Greater => directed_stretch(a, b, cfg),
         std::cmp::Ordering::Less => directed_stretch(b, a, cfg),
         // Eq. (10) leaves the orientation ambiguous for equal lengths (the
@@ -288,7 +226,7 @@ struct Block {
 
 /// The shorter operand of one Eq. (10) evaluation, decoded once into
 /// integer lanes, so the inner loop streams dense `i64` records instead of
-/// decoding every candidate from its page once per outer sample.
+/// widening every candidate's edges and extents once per outer sample.
 ///
 /// A lane is one 64-byte record per candidate rather than one column per
 /// field: the minimum's compare-and-select chain keeps the loop scalar
@@ -311,10 +249,9 @@ impl Lanes {
     /// Decodes `samples` into the lanes, and from [`BLOCK_MIN_LEN`] samples
     /// on into blocks, replacing what they held. The samples must be sorted
     /// by start time, as every fingerprint's are.
-    fn fill<S: SampleSeq>(&mut self, samples: S) {
+    fn fill(&mut self, samples: &[Sample]) {
         self.lanes.clear();
-        self.lanes
-            .extend((0..samples.len()).map(|j| Lane::of(&samples.get(j))));
+        self.lanes.extend(samples.iter().map(Lane::of));
         debug_assert!(self.lanes.windows(2).all(|w| w[0].t <= w[1].t));
         self.blocks.clear();
         if self.lanes.len() >= BLOCK_MIN_LEN {
@@ -479,9 +416,9 @@ thread_local! {
 /// `check(i, total)` may stop the scan with its own break value; a scan
 /// that is never stopped returns the final sum. [`directed_stretch`] never
 /// stops it, [`directed_resume`] stops it when the cutoff is proven.
-fn fold_minima<L: SampleSeq, S: SampleSeq, B>(
-    long: StretchOperand<L>,
-    short: StretchOperand<S>,
+fn fold_minima<B>(
+    long: &Fingerprint,
+    short: &Fingerprint,
     first: usize,
     mut total: f64,
     lanes: &mut Lanes,
@@ -489,13 +426,13 @@ fn fold_minima<L: SampleSeq, S: SampleSeq, B>(
     mut check: impl FnMut(usize, f64) -> ControlFlow<B>,
 ) -> ControlFlow<B, f64> {
     let (na, nb) = if cfg.population_weighting {
-        (long.multiplicity as f64, short.multiplicity as f64)
+        (long.multiplicity() as f64, short.multiplicity() as f64)
     } else {
         (1.0, 1.0)
     };
-    lanes.fill(short.samples);
-    for i in first..long.samples.len() {
-        total += lanes.min_stretch(&long.samples.get(i), na, nb, cfg);
+    lanes.fill(short.samples());
+    for (i, s) in long.samples().iter().enumerate().skip(first) {
+        total += lanes.min_stretch(s, na, nb, cfg);
         check(i, total)?;
     }
     ControlFlow::Continue(total)
@@ -506,16 +443,12 @@ fn fold_minima<L: SampleSeq, S: SampleSeq, B>(
 /// and the residual merge run here; it is [`fold_minima`] with no stopping
 /// test, so it returns the bits [`directed_resume`] returns with an
 /// infinite cutoff.
-fn directed_stretch<L: SampleSeq, S: SampleSeq>(
-    long: StretchOperand<L>,
-    short: StretchOperand<S>,
-    cfg: &StretchConfig,
-) -> f64 {
+fn directed_stretch(long: &Fingerprint, short: &Fingerprint, cfg: &StretchConfig) -> f64 {
     let never = |_, _| ControlFlow::<std::convert::Infallible>::Continue(());
     let ControlFlow::Continue(total) = SCRATCH.with_borrow_mut(|scratch| {
         fold_minima(long, short, 0, 0.0, &mut scratch.lanes, cfg, never)
     });
-    total / long.samples.len() as f64
+    total / long.len() as f64
 }
 
 /// Result of a cutoff-aware Eq. (10) evaluation: either the exact stretch
@@ -607,49 +540,27 @@ pub fn fingerprint_stretch_cutoff_resume(
     cutoff: f64,
     progress: &mut StretchProgress,
 ) -> StretchEval {
-    fingerprint_stretch_cutoff_resume_seq(
-        StretchOperand::of(a),
-        StretchOperand::of(b),
-        cfg,
-        cutoff,
-        progress,
-    )
-}
-
-/// Storage-generic form of [`fingerprint_stretch_cutoff_resume`]: the tier-2
-/// cascade evaluation over any [`SampleSeq`] backing. Bit-identical to the
-/// fingerprint entry point for the same samples, cutoff and progress.
-pub fn fingerprint_stretch_cutoff_resume_seq<A: SampleSeq, B: SampleSeq>(
-    a: StretchOperand<A>,
-    b: StretchOperand<B>,
-    cfg: &StretchConfig,
-    cutoff: f64,
-    progress: &mut StretchProgress,
-) -> StretchEval {
     // Only a finite cutoff arms the suffix floors that read the hulls.
-    let hulls = cutoff.is_finite().then(|| {
-        (
-            StretchHull::of_seq(a.samples),
-            StretchHull::of_seq(b.samples),
-        )
-    });
+    let hulls = cutoff
+        .is_finite()
+        .then(|| (StretchHull::of(a), StretchHull::of(b)));
     let hulls = hulls.as_ref().map(|(ha, hb)| (ha, hb));
     fingerprint_stretch_cutoff_resume_hulled(a, b, hulls, cfg, cutoff, progress)
 }
 
-/// [`fingerprint_stretch_cutoff_resume_seq`] for a caller that already
-/// holds the operands' hulls, `(hull of a, hull of b)`: the arena passes
+/// [`fingerprint_stretch_cutoff_resume`] for a caller that already holds
+/// the operands' hulls, `(hull of a, hull of b)`: the arena passes
 /// the ones it maintains instead of rebuilding the shorter operand's hull
 /// on every evaluation.
 ///
 /// The hulls only feed the suffix floors, which are armed when `hulls` is
-/// given and `cutoff` is finite. Given [`StretchHull::of_seq`] of each
+/// given and `cutoff` is finite. Given [`StretchHull::of`] of each
 /// operand, every result and saved `progress` equals the public entry
 /// point's. A larger hull would only lower the floors, which stay
 /// admissible, so abandonment would stay sound but come later.
-pub(crate) fn fingerprint_stretch_cutoff_resume_hulled<A: SampleSeq, B: SampleSeq>(
-    a: StretchOperand<A>,
-    b: StretchOperand<B>,
+pub(crate) fn fingerprint_stretch_cutoff_resume_hulled(
+    a: &Fingerprint,
+    b: &Fingerprint,
     hulls: Option<(&StretchHull, &StretchHull)>,
     cfg: &StretchConfig,
     cutoff: f64,
@@ -659,7 +570,7 @@ pub(crate) fn fingerprint_stretch_cutoff_resume_hulled<A: SampleSeq, B: SampleSe
     // (`cutoff = ∞`), so only arm them for a finite cutoff.
     let hulls = hulls.filter(|_| cutoff.is_finite());
     let (hull_a, hull_b) = (hulls.map(|h| h.0), hulls.map(|h| h.1));
-    match a.samples.len().cmp(&b.samples.len()) {
+    match a.len().cmp(&b.len()) {
         std::cmp::Ordering::Greater => directed_resume(a, b, hull_b, cfg, cutoff, |m| m, progress),
         std::cmp::Ordering::Less => directed_resume(b, a, hull_a, cfg, cutoff, |m| m, progress),
         std::cmp::Ordering::Equal => {
@@ -752,18 +663,18 @@ fn time_floor(gt: i64, cfg: &StretchConfig) -> f64 {
 /// computed once, by the pre-scan check (prefix plus everything owed),
 /// which frequently abandons in O(|long|) integer gap arithmetic before
 /// the shorter operand is even decoded into its lanes.
-fn directed_resume<L: SampleSeq, S: SampleSeq>(
-    long: StretchOperand<L>,
-    short: StretchOperand<S>,
+fn directed_resume(
+    long: &Fingerprint,
+    short: &Fingerprint,
     short_hull: Option<&StretchHull>,
     cfg: &StretchConfig,
     cutoff: f64,
     bound_of: impl Fn(f64) -> f64,
     progress: &mut StretchProgress,
 ) -> StretchEval {
-    let len = long.samples.len() as f64;
+    let len = long.len() as f64;
     let first = progress.next as usize;
-    if first >= long.samples.len() {
+    if first >= long.len() {
         // The whole direction is already folded (the previous call abandoned
         // on the final bound check); its mean is now exact.
         return StretchEval::Exact(progress.total / len);
@@ -772,8 +683,8 @@ fn directed_resume<L: SampleSeq, S: SampleSeq>(
         floors.clear();
         let mut owed = 0.0;
         if let Some(hull) = short_hull {
-            for i in first..long.samples.len() {
-                let floor = sample_hull_floor(&Lane::of(&long.samples.get(i)), hull, cfg);
+            for s in &long.samples()[first..] {
+                let floor = sample_hull_floor(&Lane::of(s), hull, cfg);
                 floors.push(floor);
                 owed += floor;
             }
@@ -881,12 +792,8 @@ pub struct StretchHull {
 impl StretchHull {
     /// Computes the hull of a fingerprint.
     pub fn of(fp: &Fingerprint) -> Self {
-        Self::of_seq(fp.samples())
-    }
-
-    /// Computes the hull of any non-empty sample sequence.
-    pub fn of_seq<S: SampleSeq>(samples: S) -> Self {
-        let first = samples.get(0);
+        let samples = fp.samples();
+        let first = samples[0];
         let mut hull = Self {
             x_min: first.x,
             x_end: first.x_end(),
@@ -896,8 +803,7 @@ impl StretchHull {
             t_end: first.t_end() as i64,
             len: samples.len(),
         };
-        for i in 1..samples.len() {
-            let s = samples.get(i);
+        for s in &samples[1..] {
             hull.x_min = hull.x_min.min(s.x);
             hull.x_end = hull.x_end.max(s.x_end());
             hull.y_min = hull.y_min.min(s.y);
@@ -1367,8 +1273,8 @@ mod tests {
             for cutoff in fractions.iter().map(|f| f * exact).chain([f64::INFINITY]) {
                 let want = fingerprint_stretch_cutoff_resume(&a, &b, &cfg, cutoff, &mut public);
                 let got = fingerprint_stretch_cutoff_resume_hulled(
-                    StretchOperand::of(&a),
-                    StretchOperand::of(&b),
+                    &a,
+                    &b,
                     Some((&hulls.0, &hulls.1)),
                     &cfg,
                     cutoff,

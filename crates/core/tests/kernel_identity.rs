@@ -17,12 +17,10 @@
 //! debug build leaves scalar:
 //! `cargo test -q --release -p glove-core --test kernel_identity`.
 
-use glove_core::compact::SampleStore;
 use glove_core::config::StretchConfig;
 use glove_core::model::{Fingerprint, Sample};
 use glove_core::stretch::{
-    fingerprint_stretch, fingerprint_stretch_cutoff_resume, fingerprint_stretch_cutoff_resume_seq,
-    fingerprint_stretch_naive, fingerprint_stretch_seq, StretchEval, StretchOperand,
+    fingerprint_stretch, fingerprint_stretch_cutoff_resume, fingerprint_stretch_naive, StretchEval,
     StretchProgress,
 };
 use proptest::collection::vec;
@@ -136,8 +134,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// The plain kernel and the cutoff-aware one at an infinite cutoff
-    /// return the naive value bit for bit, in both argument orders and over
-    /// both storage layouts.
+    /// return the naive value bit for bit, in both argument orders.
     #[test]
     fn every_kernel_returns_the_naive_bits((a, b) in arb_pair(), cfg in arb_config()) {
         let naive = fingerprint_stretch_naive(&a, &b, &cfg);
@@ -146,23 +143,6 @@ proptest! {
 
         let mut progress = StretchProgress::start();
         let eval = fingerprint_stretch_cutoff_resume(&a, &b, &cfg, f64::INFINITY, &mut progress);
-        prop_assert_eq!(bits(eval), (true, naive.to_bits()));
-
-        let mut store = SampleStore::new();
-        let spans = [store.push(a.samples()), store.push(b.samples())];
-        let op = |i: usize, fp: &Fingerprint| StretchOperand {
-            samples: store.slice(spans[i]),
-            multiplicity: fp.multiplicity(),
-        };
-        let columnar = fingerprint_stretch_seq(op(0, &a), op(1, &b), &cfg);
-        prop_assert_eq!(columnar.to_bits(), naive.to_bits());
-        let eval = fingerprint_stretch_cutoff_resume_seq(
-            op(0, &a),
-            op(1, &b),
-            &cfg,
-            f64::INFINITY,
-            &mut StretchProgress::start(),
-        );
         prop_assert_eq!(bits(eval), (true, naive.to_bits()));
     }
 

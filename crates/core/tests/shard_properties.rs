@@ -11,9 +11,14 @@
 //!   signatures never exceeds the exact Eq. (10) stretch (no false prunes),
 //!   and resumable cutoff evaluations stay admissible at every abandon and
 //!   complete to a value bit-identical to the direct exact computation.
+//! * **Two-level stitch determinism** — the two-level partition is a pure
+//!   function of dataset and policy, so repeated sharded runs (and runs
+//!   at different worker counts) publish identical datasets in identical
+//!   stitch order.
 
 use glove_core::compact::{signature_lower_bound, CompactSignature, SignatureSpace};
 use glove_core::glove::anonymize;
+use glove_core::shard::partition;
 use glove_core::stretch::{
     fingerprint_stretch, fingerprint_stretch_cutoff_resume, StretchEval, StretchProgress,
 };
@@ -245,5 +250,45 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The two-level partition is a pure function of dataset and policy:
+    /// identical bucket lists on repeated calls, buckets conserve every
+    /// index exactly once, and the stitched run output does not depend on
+    /// the worker-thread count.
+    #[test]
+    fn two_level_stitch_is_deterministic(
+        ds in arb_dataset(8..=16),
+        shards in 2usize..=5,
+    ) {
+        let policy = ShardPolicy::two_level(shards);
+        let config = GloveConfig::default();
+        let a = partition(&ds, &policy, &config);
+        let b = partition(&ds, &policy, &config);
+        prop_assert_eq!(&a, &b, "two-level partition is not deterministic");
+        let mut seen: Vec<usize> = a.iter().flatten().copied().collect();
+        seen.sort_unstable();
+        prop_assert_eq!(
+            seen,
+            (0..ds.fingerprints.len()).collect::<Vec<_>>(),
+            "two-level partition lost or duplicated fingerprints"
+        );
+
+        let run = |threads| {
+            let cfg = GloveConfig {
+                shard: Some(policy),
+                threads,
+                ..GloveConfig::default()
+            };
+            anonymize(&ds, &cfg).expect("two-level run succeeds")
+        };
+        let serial = run(1);
+        let parallel = run(4);
+        prop_assert_eq!(
+            serialize(&serial.dataset),
+            serialize(&parallel.dataset),
+            "two-level stitch order depends on the worker count"
+        );
+        prop_assert_eq!(serial.stats.merges, parallel.stats.merges);
     }
 }
