@@ -24,10 +24,18 @@
 //!   when retired slots dominate, bounding memory at O(active²).
 //! * Each active slot caches its row minimum, so one iteration costs O(A)
 //!   for extraction plus O(A·n̄²) for the new row (A = active slots) — the
-//!   complexity stated in §6.3.
+//!   complexity stated in §6.3. Keeping the minima up reads only the cells
+//!   that can decide them: after the parallel build, one row-major sweep
+//!   over the triangle adds each row's column cells (`j > i`), the only
+//!   ones its build walk could not see; after a merge, a stale row first
+//!   consults its candidate list (`RowList`: the partners of its smallest
+//!   cells at its last full scan, and the smallest value it left out) and
+//!   scans the whole active set only when the list cannot decide.
 //! * Slots hold whole fingerprints, one `Vec<Sample>` each, in the layout
 //!   every other Eq. 10 caller uses: the kernels and merges read them in
-//!   place, and compaction and publication move them.
+//!   place. An input slot borrows the caller's fingerprint; only merged
+//!   groups are owned. Publication moves them and copies only the inputs
+//!   it publishes unmerged.
 //! * Matrix construction and row recomputation fan out over
 //!   [`crate::parallel`], the stand-in for the paper's GPU kernel.
 //! * Every pair cell has one life cycle, whatever the mode. It is *seeded*
@@ -48,12 +56,13 @@
 //!   output is byte-identical across modes.
 //! * Every walk over a row's bound cells (`cascade_walk`) visits them in
 //!   ascending `(bound, partner)` order and stops at the first bound above
-//!   the best exact value, so it pays only for what it visits: candidates
-//!   come off a binary heap rather than a full sort, and a row-minimum
-//!   rescan drops the cells its exact cells already rule out before
-//!   ordering the rest. Cells keep a saved evaluation prefix (24 bytes
-//!   beside the 9-byte value and tier) only in signature-seeded runs, the
-//!   one mode in which an evaluation can stop part way.
+//!   the best exact value, so it pays only for what it visits: a walk with
+//!   no exact value yet takes its first candidate by a linear argmin, and
+//!   only the candidates whose bound is at most the best exact value are
+//!   heapified and popped, never fully sorted. Cells keep a saved
+//!   evaluation prefix (24 bytes beside the 9-byte value and tier) only in
+//!   signature-seeded runs, the one mode in which an evaluation can stop
+//!   part way.
 //! * Hull summaries are maintained *incrementally*: a merge that suppresses
 //!   no samples unions the parents' hulls in O(1) instead of rescanning the
 //!   merged fingerprint ([`StretchHull::union`]); suppressing merges fall
@@ -83,6 +92,7 @@ use crate::stretch::{
     StretchEval, StretchHull, StretchProgress,
 };
 use crate::suppress::SuppressionLedger;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -134,7 +144,7 @@ pub struct GloveStats {
     /// Subscribers dropped with those fingerprints.
     pub discarded_users: u64,
     /// Peak memory accounting of the run: arena bytes, the bytes of the
-    /// samples its slots hold and process peak-RSS (summed across shards
+    /// samples its slots refer to and process peak-RSS (summed across shards
     /// for sharded runs, RSS excepted — see [`MemoryLedger::absorb`]).
     pub ledger: MemoryLedger,
     /// Wall-clock duration of the run in seconds.
@@ -404,6 +414,129 @@ impl CellRow for TriRow<'_> {
     }
 }
 
+/// Partners a row's list keeps for its stale rescans (see [`RowList`]).
+/// Chosen on `serve-backfill` at seed 7 (~1,500 active rows per window):
+/// 32 partners answered 62 % of its 20,461 stale rescans without a full
+/// scan and 64 answered 82 %, but selecting twice the cells in the sweep
+/// and in every full scan cost what the extra hits saved (in four
+/// alternating traced pairs each length won two), so the shorter list, at
+/// half the bytes, stays.
+const LIST_LEN: usize = 32;
+
+/// The partners of a row's [`LIST_LEN`] smallest cells at its last full
+/// scan, and `floor`, the smallest value it left out. Stored values only
+/// rise, a merged slot whose cell enters below `floor` is appended, and
+/// compaction remaps the partners, so every active cell the list does not
+/// name stays at or above `floor`. A stale row whose smallest listed
+/// active exact cell lies strictly below `floor` therefore has its minimum
+/// and its whole walk inside the list.
+#[derive(Clone, Debug)]
+struct RowList {
+    partners: Vec<u32>,
+    floor: f64,
+}
+
+impl RowList {
+    /// The list of a row with no full scan yet: it names nothing and takes
+    /// no appends, so it never decides a minimum.
+    const NONE: RowList = RowList {
+        partners: Vec::new(),
+        floor: f64::NEG_INFINITY,
+    };
+}
+
+/// Every how many of a row's cells [`ListBuilder::estimating`] samples.
+const LIST_SAMPLE: usize = 16;
+
+/// The smallest values of a sample of a row's cells, for
+/// [`ListBuilder::estimating`].
+#[derive(Clone, Copy)]
+struct Estimate([f64; Estimate::RANK]);
+
+impl Estimate {
+    const RANK: usize = (3 * LIST_LEN).div_ceil(2 * LIST_SAMPLE);
+    const NONE: Estimate = Estimate([f64::INFINITY; Estimate::RANK]);
+
+    #[inline]
+    fn add(&mut self, v: f64) {
+        let low = &mut self.0;
+        if v < low[Self::RANK - 1] {
+            low[Self::RANK - 1] = v;
+            low.sort_unstable_by(f64::total_cmp);
+        }
+    }
+
+    fn builder(&self) -> ListBuilder {
+        ListBuilder {
+            cells: Vec::new(),
+            floor: self.0[Self::RANK - 1],
+        }
+    }
+}
+
+/// Selects a row's [`LIST_LEN`] smallest cells from a stream of offers:
+/// offers at or above the running floor are dropped, and a full buffer of
+/// `2 · LIST_LEN` keeps its smaller half. Every dropped value lies at or
+/// above the floor.
+struct ListBuilder {
+    cells: Vec<(f64, u32)>,
+    floor: f64,
+}
+
+impl ListBuilder {
+    /// A builder whose first floor is estimated from a sample of every
+    /// [`LIST_SAMPLE`]-th cell of the row: the sample value of rank
+    /// `1.5 · LIST_LEN / LIST_SAMPLE`, below which about one and a half
+    /// lists' worth of cells are expected. Most offers then cost one
+    /// comparison. The estimate only decides how much is buffered; a low
+    /// one leaves a shorter list, never a wrong one.
+    fn estimating(sample: impl Iterator<Item = f64>) -> Self {
+        let mut low = Estimate::NONE;
+        sample.for_each(|v| low.add(v));
+        low.builder()
+    }
+
+    /// A builder offered every cell of a row, given as candidates.
+    fn of(cand: &[Cand]) -> Self {
+        let sample = cand.iter().step_by(LIST_SAMPLE).map(|c| c.bound);
+        let mut list = ListBuilder::estimating(sample);
+        for c in cand {
+            list.offer(c.bound, c.j);
+        }
+        list
+    }
+
+    #[inline]
+    fn offer(&mut self, value: f64, partner: usize) {
+        if value < self.floor {
+            self.cells.push((value, partner as u32));
+            if self.cells.len() == 2 * LIST_LEN {
+                self.cut();
+            }
+        }
+    }
+
+    /// Keeps the `LIST_LEN` smallest cells; the smallest one left out
+    /// becomes the floor (every earlier drop lay above it).
+    #[cold]
+    fn cut(&mut self) {
+        if self.cells.len() > LIST_LEN {
+            self.cells
+                .select_nth_unstable_by(LIST_LEN, |x, y| x.0.total_cmp(&y.0));
+            self.floor = self.cells[LIST_LEN].0;
+            self.cells.truncate(LIST_LEN);
+        }
+    }
+
+    fn finish(&mut self) -> RowList {
+        self.cut();
+        RowList {
+            partners: self.cells.iter().map(|&(_, j)| j).collect(),
+            floor: self.floor,
+        }
+    }
+}
+
 /// A walk candidate: a cell's stored bound and the partner slot it pairs
 /// with. Candidates are visited in ascending `(bound, j)` order under
 /// `partial_cmp` on the bound — not `f64::total_cmp`, which orders `-0.0`
@@ -439,10 +572,11 @@ impl PartialOrd for Cand {
 /// tier. Seeding, escalation and the walk live here, so the parallel
 /// matrix build and every sequential caller run the same code in every
 /// mode.
-struct Pricer {
+struct Pricer<'a> {
     /// The fingerprint of every slot, retired ones included until the next
-    /// compaction.
-    slots: Vec<Fingerprint>,
+    /// compaction. An input slot borrows the caller's fingerprint; only
+    /// merged groups are owned.
+    slots: Vec<Cow<'a, Fingerprint>>,
     /// Per-slot hull summaries feeding the tier-1 bound, maintained
     /// incrementally on merge.
     hulls: Vec<StretchHull>,
@@ -456,8 +590,8 @@ struct Pricer {
     seed: u8,
 }
 
-impl Pricer {
-    fn new(dataset: &Dataset, config: &GloveConfig, seed: u8) -> Self {
+impl<'a> Pricer<'a> {
+    fn new(dataset: &'a Dataset, config: &GloveConfig, seed: u8) -> Self {
         let space = SignatureSpace::of(&config.stretch);
         let sigs = if seed == TIER_SIG {
             let sig = |f: &Fingerprint| CompactSignature::of(f, &space);
@@ -466,7 +600,7 @@ impl Pricer {
             Vec::new()
         };
         Pricer {
-            slots: dataset.fingerprints.clone(),
+            slots: dataset.fingerprints.iter().map(Cow::Borrowed).collect(),
             hulls: dataset.fingerprints.iter().map(StretchHull::of).collect(),
             sigs,
             cfg: config.stretch,
@@ -488,7 +622,7 @@ impl Pricer {
             self.sigs.push(CompactSignature::of(&fp, &self.space));
         }
         self.hulls.push(hull);
-        self.slots.push(fp);
+        self.slots.push(Cow::Owned(fp));
     }
 
     /// Keeps only `old_ids`, which ascend — the slot side of arena
@@ -518,10 +652,11 @@ impl Pricer {
         (&self.slots[r], &self.slots[c])
     }
 
-    /// Bytes of the samples the slots hold, at `size_of::<Sample>()` each:
-    /// inputs, merged groups and retired slots not yet compacted away.
+    /// Bytes of the samples the slots refer to, at `size_of::<Sample>()`
+    /// each: borrowed inputs, merged groups and retired slots not yet
+    /// compacted away.
     fn sample_bytes(&self) -> u64 {
-        let samples: usize = self.slots.iter().map(Fingerprint::len).sum();
+        let samples: usize = self.slots.iter().map(|f| f.len()).sum();
         (samples * std::mem::size_of::<Sample>()) as u64
     }
 
@@ -624,21 +759,37 @@ impl Pricer {
     /// Stops at the first stored bound strictly above the current best
     /// value: every remaining candidate's exact effort is ≥ that bound, so
     /// it can neither win nor tie. Most walks stop long before the end of
-    /// their list, so the order is produced lazily: the list is heapified in
-    /// O(n) and popped one candidate at a time, O(n + w log n) for `w`
-    /// visited candidates instead of sorting all `n` up front. The visit
-    /// sequence is the sorted one, candidate for candidate. A candidate
-    /// whose exact effort equals the final minimum always survives every
-    /// tier and is evaluated in full — which keeps tie-breaking, and hence
-    /// the published output, byte-identical to the full-matrix kernel.
+    /// their list, so the order is produced lazily. While `best` is still
+    /// infinite the next candidate is a linear argmin (an infinite cutoff
+    /// never abandons, so this is normally one); once it is finite only the
+    /// candidates whose bound is at most `best.value` can still be visited,
+    /// so only they are heapified and popped, O(n + w log n) for `w`
+    /// visited candidates. The visit sequence is the sorted one, candidate
+    /// for candidate. A candidate whose exact effort equals the final
+    /// minimum always survives every tier and is evaluated in full — which
+    /// keeps tie-breaking, and hence the published output, byte-identical
+    /// to the full-matrix kernel.
     fn cascade_walk<R: CellRow>(
         &self,
         i: usize,
-        cand: Vec<Cand>,
+        mut cand: Vec<Cand>,
         best: &mut RowMin,
         row: &mut R,
         counters: &mut CascadeCounters,
     ) {
+        while best.value == f64::INFINITY {
+            // `Cand` orders in reverse, so its maximum is the smallest
+            // `(bound, j)`.
+            let Some((k, _)) = cand.iter().enumerate().max_by(|x, y| x.1.cmp(y.1)) else {
+                return;
+            };
+            let Cand { j, .. } = cand.swap_remove(k);
+            let limit = f64::INFINITY;
+            if let Some(d) = self.escalate(row, i, j, limit, |v| v > limit, counters) {
+                best.offer(d, j);
+            }
+        }
+        cand.retain(|c| c.bound <= best.value);
         let mut heap = BinaryHeap::from(cand);
         while let Some(Cand { bound, j }) = heap.pop() {
             let limit = best.value;
@@ -680,8 +831,8 @@ fn global_best(active: &[usize], row_min: &[RowMin]) -> (usize, RowMin) {
     })
 }
 
-struct Arena {
-    pricer: Pricer,
+struct Arena<'a> {
+    pricer: Pricer<'a>,
     states: Vec<SlotState>,
     /// Per-slot k requirement: the maximum policy k over the slot's member
     /// users. Uniform runs hold `config.k` everywhere; merged slots take
@@ -691,34 +842,152 @@ struct Arena {
     /// `pages[i]` holds columns `0..i`.
     pages: Vec<PairPage>,
     row_min: Vec<RowMin>,
+    /// Per-slot candidate lists for stale rescans; [`RowList::NONE`] for
+    /// slots that are not active, and for every slot of an exact-seeded
+    /// run, so that the full-matrix oracle checks the lists.
+    lists: Vec<RowList>,
     active: Vec<usize>,
     retired_count: usize,
     counters: CascadeCounters,
 }
 
-impl Arena {
+impl Arena<'_> {
     #[inline]
     fn cell(&self, i: usize, j: usize) -> (f64, u8) {
         let (r, c) = tri(i, j);
         self.pages[r].get(c)
     }
 
-    /// Recomputes the cached row minimum of slot `i` by scanning the active
-    /// set, escalating non-exact cells through the cascade in
-    /// ascending-bound order until the stored bounds alone rule the
-    /// remainder out.
-    ///
-    /// The result is the exact minimum by `(value, partner)`: every cell
-    /// whose exact effort could equal the final minimum survives every tier
-    /// and is evaluated before the walk stops, so ties break on the same
-    /// partner the full-matrix scan would pick.
-    ///
-    /// Deferred cells whose stored bound already exceeds the best exact
-    /// cell never reach the walk. The walk breaks at the first bound above
-    /// `best.value`, and that value only falls, so such a cell would be
-    /// reached only to be the one the walk stops at. Dropping them leaves
-    /// the visited sequence unchanged and spares ordering them.
+    /// Whether rows keep candidate lists: every run but the exact-seeded
+    /// oracle, whose full scans the lists must reproduce.
+    fn keeps_lists(&self) -> bool {
+        self.pricer.seed != TIER_EXACT
+    }
+
+    /// The row minima after the matrix build. The parallel build walked
+    /// each row's own cells (`j < i`) and left `build[i]`, the exact
+    /// minimum among them: every cell there that is not exact lies above
+    /// it, and a later walk only raises or settles such a cell. A row's
+    /// minimum can therefore only move through its column cells (`j > i`),
+    /// and no other row's walk touches those. So one row-major pass over
+    /// the triangle folds every active row's column cells, still in their
+    /// build state, into its minimum and its candidates, and offers every
+    /// active cell to both rows' lists; then each row walks its own
+    /// candidates. The walks visit what the row-by-row rescans visited,
+    /// cell for cell.
+    fn settle_build(&mut self, build: Vec<RowMin>) {
+        /// What the sweep gathers for one active row.
+        struct Settle {
+            best: RowMin,
+            cands: Vec<Cand>,
+            list: ListBuilder,
+        }
+        let keeps_lists = self.keeps_lists();
+        let active = &self.active;
+        // Every row samples one cell in `LIST_SAMPLE` for its list's first
+        // floor, on the diagonals where the active positions sum to a
+        // multiple of it.
+        let mut low = vec![Estimate::NONE; active.len()];
+        for (pos, &r) in active.iter().enumerate().filter(|_| keeps_lists) {
+            let page = &self.pages[r];
+            let first = (LIST_SAMPLE - pos % LIST_SAMPLE) % LIST_SAMPLE;
+            for q in (first..pos).step_by(LIST_SAMPLE) {
+                let val = page.val[active[q]];
+                low[pos].add(val);
+                low[q].add(val);
+            }
+        }
+        let mut rows: Vec<Settle> = active
+            .iter()
+            .zip(&low)
+            .map(|(&i, low)| Settle {
+                best: build[i],
+                cands: Vec::new(),
+                list: low.builder(),
+            })
+            .collect();
+        // Rows are indexed by active position, so each cell's two rows are
+        // a prefix element and the element that ends the prefix.
+        for (pos, &r) in active.iter().enumerate() {
+            let page = &self.pages[r];
+            let (cols, rest) = rows.split_at_mut(pos);
+            let own = &mut rest[0].list;
+            for (&c, row) in active[..pos].iter().zip(cols) {
+                let (val, tier) = page.get(c);
+                if tier == TIER_EXACT {
+                    row.best.offer(val, r);
+                } else if val <= row.best.value {
+                    row.cands.push(Cand { bound: val, j: r });
+                }
+                if keeps_lists {
+                    own.offer(val, c);
+                    row.list.offer(val, r);
+                }
+            }
+        }
+        let Arena {
+            ref pricer,
+            ref mut pages,
+            ref mut counters,
+            ref mut lists,
+            ref mut row_min,
+            ref active,
+            ..
+        } = *self;
+        *row_min = build;
+        for (&i, mut row) in active.iter().zip(rows) {
+            pricer.cascade_walk(
+                i,
+                row.cands,
+                &mut row.best,
+                &mut TriRow { pages, i },
+                counters,
+            );
+            row_min[i] = row.best;
+            if keeps_lists {
+                lists[i] = row.list.finish();
+            }
+        }
+    }
+
+    /// Recomputes the cached minimum of stale row `i`: from its list when
+    /// the list decides it, from a full scan of the active set (which
+    /// rebuilds the list) otherwise. Either way the row then walks the
+    /// cells that could still beat its best exact cell.
     fn rescan_row_min(&mut self, i: usize) {
+        let (mut best, deferred) = match self.list_scan(i) {
+            Some(hit) => hit,
+            None if self.keeps_lists() => {
+                let sample = self.active.iter().step_by(LIST_SAMPLE).filter(|&&j| j != i);
+                let mut list = ListBuilder::estimating(sample.map(|&j| self.cell(i, j).0));
+                let scan = self.scan(i, |val, j| list.offer(val, j));
+                self.lists[i] = list.finish();
+                scan
+            }
+            None => self.scan(i, |_, _| {}),
+        };
+        let Arena {
+            ref pricer,
+            ref mut pages,
+            ref mut counters,
+            ..
+        } = *self;
+        pricer.cascade_walk(i, deferred, &mut best, &mut TriRow { pages, i }, counters);
+        self.row_min[i] = best;
+    }
+
+    /// The full scan of row `i` over the active set: its exact minimum by
+    /// `(value, partner)` and the cells whose stored bound could still
+    /// produce — or tie — it. `each` sees every active cell's value.
+    ///
+    /// Every cell whose exact effort could equal the final minimum has a
+    /// bound at most that minimum, so the walk evaluates it and ties break
+    /// on the partner the full-matrix scan picks. A cell whose bound
+    /// already exceeds the best exact cell is dropped before the walk
+    /// orders anything: the walk breaks at the first bound above
+    /// `best.value`, which only falls, so that cell could only have been
+    /// the one it stopped at.
+    fn scan(&self, i: usize, mut each: impl FnMut(f64, usize)) -> (RowMin, Vec<Cand>) {
         let mut best = RowMin::NONE;
         let mut deferred: Vec<Cand> = Vec::new();
         for &j in &self.active {
@@ -726,6 +995,7 @@ impl Arena {
                 continue;
             }
             let (val, tier) = self.cell(i, j);
+            each(val, j);
             if tier == TIER_EXACT {
                 best.offer(val, j);
             } else if val <= best.value {
@@ -735,14 +1005,47 @@ impl Arena {
         // Cells pushed before `best` reached its final value may be ruled
         // out by it as well.
         deferred.retain(|c| c.bound <= best.value);
-        let Arena {
-            ref pricer,
-            ref mut pages,
-            ref mut counters,
-            ..
-        } = *self;
-        pricer.cascade_walk(i, deferred, &mut best, &mut TriRow { pages, i }, counters);
-        self.row_min[i] = best;
+        (best, deferred)
+    }
+
+    /// The minimum and candidates of row `i` read from its list alone, or
+    /// `None` when the list cannot decide them: no listed active exact cell
+    /// lies strictly below the list's floor. When one does, the full scan's
+    /// minimum is the listed one (every unlisted cell is at or above the
+    /// floor) and so is every cell the full scan would walk.
+    fn list_scan(&self, i: usize) -> Option<(RowMin, Vec<Cand>)> {
+        let list = &self.lists[i];
+        let listed = list
+            .partners
+            .iter()
+            .map(|&j| j as usize)
+            .filter(|&j| self.states[j] == SlotState::Active);
+        let mut best = RowMin::NONE;
+        for j in listed.clone() {
+            let (val, tier) = self.cell(i, j);
+            if tier == TIER_EXACT {
+                best.offer(val, j);
+            }
+        }
+        if best.value >= list.floor {
+            return None;
+        }
+        let deferred: Vec<Cand> = listed
+            .filter_map(|j| {
+                let (val, tier) = self.cell(i, j);
+                (tier != TIER_EXACT && val <= best.value).then_some(Cand { bound: val, j })
+            })
+            .collect();
+        debug_assert!(
+            {
+                let (full, walk) = self.scan(i, |_, _| {});
+                full.value.to_bits() == best.value.to_bits()
+                    && full.partner == best.partner
+                    && walk.iter().all(|c| list.partners.contains(&(c.j as u32)))
+            },
+            "row {i}: a list hit that a full scan does not confirm"
+        );
+        Some((best, deferred))
     }
 
     /// Drops retired slots and remaps ids, shrinking the matrix. Cascade
@@ -762,6 +1065,7 @@ impl Arena {
         let mut kreq = Vec::with_capacity(old_ids.len());
         let mut pages = Vec::with_capacity(old_ids.len());
         let mut row_min = Vec::with_capacity(old_ids.len());
+        let mut lists = Vec::with_capacity(old_ids.len());
         for (new_i, &old_i) in old_ids.iter().enumerate() {
             states.push(self.states[old_i]);
             kreq.push(self.kreq[old_i]);
@@ -801,6 +1105,18 @@ impl Arena {
                     remap[old_min.partner]
                 },
             });
+            // A list keeps its active partners under their new ids; the
+            // others can never be read from it again.
+            let list = &self.lists[old_i];
+            lists.push(RowList {
+                partners: list
+                    .partners
+                    .iter()
+                    .filter(|&&j| self.states[j as usize] == SlotState::Active)
+                    .map(|&j| remap[j as usize] as u32)
+                    .collect(),
+                floor: list.floor,
+            });
         }
         self.active = self.active.iter().map(|&i| remap[i]).collect();
         self.pricer.compacted(&old_ids);
@@ -808,6 +1124,7 @@ impl Arena {
         self.kreq = kreq;
         self.pages = pages;
         self.row_min = row_min;
+        self.lists = lists;
         self.retired_count = 0;
     }
 
@@ -850,14 +1167,14 @@ impl Arena {
             let by_dist = dists[x].partial_cmp(&dists[y]);
             by_dist.expect("efforts are finite").then(x.cmp(&y))
         });
-        let mut group = slots[r].clone();
+        let mut group = Cow::Borrowed(&*slots[r]);
         let mut need = self.kreq[r];
         for &idx in &order {
             let target = done[idx];
             let outcome = merge_fingerprints(&slots[target], &group, cfg, &config.suppression)?;
             stats.merges += 1;
             stats.suppressed.absorb(outcome.suppressed);
-            group = outcome.fingerprint;
+            group = Cow::Owned(outcome.fingerprint);
             need = need.max(self.kreq[target]);
             self.states[target] = SlotState::Retired;
             if group.multiplicity() >= need {
@@ -865,15 +1182,15 @@ impl Arena {
             }
         }
         let home = done[order[0]];
-        self.pricer.slots[home] = group;
+        self.pricer.slots[home] = Cow::Owned(group.into_owned());
         self.states[home] = SlotState::Done;
         self.states[r] = SlotState::Retired;
         Ok(())
     }
 
     /// Current bytes held by the arena's own structures: matrix pages,
-    /// hulls, signatures and cached minima. The slots' samples are booked
-    /// separately ([`Pricer::sample_bytes`]).
+    /// hulls, signatures, cached minima and candidate lists. The slots'
+    /// samples are booked separately ([`Pricer::sample_bytes`]).
     fn bytes(&self) -> u64 {
         let mut bytes = 0u64;
         for p in &self.pages {
@@ -882,6 +1199,10 @@ impl Arena {
                 + p.prog.capacity() * std::mem::size_of::<StretchProgress>())
                 as u64;
         }
+        for l in &self.lists {
+            bytes += (l.partners.capacity() * std::mem::size_of::<u32>()) as u64;
+        }
+        bytes += (self.lists.capacity() * std::mem::size_of::<RowList>()) as u64;
         bytes += (self.pricer.hulls.capacity() * std::mem::size_of::<StretchHull>()) as u64;
         bytes += (self.pricer.sigs.capacity() * std::mem::size_of::<CompactSignature>()) as u64;
         bytes += (self.row_min.capacity() * std::mem::size_of::<RowMin>()) as u64;
@@ -1014,7 +1335,8 @@ pub(crate) fn run_monolithic(
             .collect(),
         kreq,
         pages: Vec::with_capacity(n),
-        row_min: vec![RowMin::NONE; n],
+        row_min: Vec::new(),
+        lists: vec![RowList::NONE; n],
         active: Vec::new(),
         retired_count: 0,
         counters: CascadeCounters::default(),
@@ -1027,12 +1349,12 @@ pub(crate) fn run_monolithic(
     // run's seed tier and, still inside the parallel row pass, the row's
     // live candidates are walked in ascending-bound order, escalating tiers
     // exactly until the bounds rule the rest out — so the bulk of the exact
-    // efforts is computed in parallel and the sequential row-minimum rescans
-    // below only top up cells a row-local walk cannot see (j > i). With
-    // exact seeds this is the paper's full-matrix GPU kernel, and the walk
-    // only reads values.
+    // efforts is computed in parallel, and each row's minimum over its own
+    // cells (j < i) is final for them. The sweep below adds the column
+    // cells a row-local walk cannot see (j > i). With exact seeds this is
+    // the paper's full-matrix GPU kernel, and the walk only reads values.
     let (pricer, states) = (&arena.pricer, &arena.states);
-    let rows: Vec<(PairPage, CascadeCounters)> = par_map(n, threads, |i| {
+    let rows: Vec<(PairPage, CascadeCounters, RowMin)> = par_map(n, threads, |i| {
         let mut counters = CascadeCounters::default();
         counters.seeded(seed, i as u64);
         let mut cand: Vec<Cand> = Vec::new();
@@ -1049,15 +1371,15 @@ pub(crate) fn run_monolithic(
         let mut page = PairPage::new(val, seed, pricer.abandons());
         let mut row_local = RowMin::NONE;
         pricer.cascade_walk(i, cand, &mut row_local, &mut page, &mut counters);
-        (page, counters)
+        (page, counters, row_local)
     });
-    for (page, counters) in rows {
+    let mut build = Vec::with_capacity(n);
+    for (page, counters, row_local) in rows {
         arena.counters.absorb(counters);
         arena.pages.push(page);
+        build.push(row_local);
     }
-    for i in arena.active.clone() {
-        arena.rescan_row_min(i);
-    }
+    arena.settle_build(build);
     arena.observe(&mut ledger);
 
     // ---- Main loop (Alg. 1 lines 4–15) ------------------------------------
@@ -1107,6 +1429,7 @@ pub(crate) fn run_monolithic(
         arena.pricer.push(outcome.fingerprint, hull);
         arena.pages.push(PairPage::default());
         arena.row_min.push(RowMin::NONE);
+        arena.lists.push(RowList::NONE);
         arena.states.push(if m_done {
             SlotState::Done
         } else {
@@ -1133,16 +1456,19 @@ pub(crate) fn run_monolithic(
         }
         if !m_done {
             // Seed the merged fingerprint's row against every remaining
-            // active fingerprint (lines 11–13) and walk it in ascending-bound
-            // order until the bounds rule the rest out. The other partners
-            // then only escalate the new pair's cell while its bound could
-            // actually beat their cached minimum (a tie never wins: `m` is
-            // the largest id).
+            // active fingerprint (lines 11–13), list its smallest seeds, and
+            // walk it in ascending-bound order until the bounds rule the
+            // rest out. The other partners then only escalate the new pair's
+            // cell while its bound could actually beat their cached minimum
+            // (a tie never wins: `m` is the largest id), and list `m` when
+            // the cell enters below their list's floor.
+            let keeps_lists = arena.keeps_lists();
             let Arena {
                 ref pricer,
                 ref mut pages,
                 ref mut counters,
                 ref mut row_min,
+                ref mut lists,
                 ref active,
                 ..
             } = arena;
@@ -1156,16 +1482,22 @@ pub(crate) fn run_monolithic(
                     Cand { bound, j }
                 })
                 .collect();
+            if keeps_lists {
+                lists[m] = ListBuilder::of(&cand).finish();
+            }
             pricer.cascade_walk(m, cand, &mut row_min[m], &mut page, counters);
             pages[m] = page;
             let mut row = TriRow { pages, i: m };
             for &j in active {
-                if stale.binary_search(&j).is_ok() {
-                    continue;
+                if stale.binary_search(&j).is_err() {
+                    let limit = row_min[j].value;
+                    let ruled_out = |v| v >= limit;
+                    if let Some(d) = pricer.escalate(&mut row, m, j, limit, ruled_out, counters) {
+                        row_min[j].offer(d, m);
+                    }
                 }
-                let limit = row_min[j].value;
-                if let Some(d) = pricer.escalate(&mut row, m, j, limit, |v| v >= limit, counters) {
-                    row_min[j].offer(d, m);
+                if row.get(j).0 < lists[j].floor {
+                    lists[j].partners.push(m as u32);
                 }
             }
             arena.active.push(m);
@@ -1197,8 +1529,9 @@ pub(crate) fn run_monolithic(
     arena.observe(&mut ledger);
     let slots = std::mem::take(&mut arena.pricer.slots);
     let mut published = Vec::new();
-    for (mut fp, &state) in slots.into_iter().zip(&arena.states) {
+    for (fp, &state) in slots.into_iter().zip(&arena.states) {
         if state == SlotState::Done {
+            let mut fp = fp.into_owned();
             if config.reshape {
                 stats.reshaped_samples +=
                     reshape_suppressed(&mut fp, &config.suppression, &mut stats.suppressed)? as u64;
@@ -1586,7 +1919,7 @@ mod tests {
     #[test]
     fn sample_ledger_books_every_slot_sample_at_full_width() {
         // Every fingerprint already hides k = 2 subscribers, so nothing
-        // merges and the slots hold exactly the input samples.
+        // merges and the slots refer to exactly the input samples.
         let fps = toy_dataset(12)
             .fingerprints
             .iter()

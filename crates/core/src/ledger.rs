@@ -5,7 +5,7 @@
 //! "how much memory did this run actually need" is a first-class result,
 //! not a profiler afterthought. Every engine therefore records a
 //! [`MemoryLedger`] alongside its counters: the greedy core tracks the peak
-//! footprint of its pair arena and of the samples its slots hold, the
+//! footprint of its pair arena and of the samples its slots refer to, the
 //! sharded engine sums the per-shard peaks (a sound bound — shards run
 //! concurrently), and everything captures the kernel's own high-water mark
 //! (`VmHWM`) at the end of the run.
@@ -22,11 +22,14 @@ use crate::json_struct;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryLedger {
     /// Peak bytes held by the pairwise-distance arena (pages, hulls,
-    /// signatures, row minima) over the run.
+    /// signatures, row minima, candidate lists) over the run.
     pub peak_arena_bytes: u64,
-    /// Peak bytes of the samples held by the arena's slots over the run, at
-    /// `size_of::<Sample>()` (32) bytes per sample: input fingerprints,
+    /// Peak bytes of the samples the arena's slots refer to over the run,
+    /// at `size_of::<Sample>()` (32) bytes per sample: input fingerprints,
     /// merged ones, and retired ones until the arena compacts them away.
+    /// Input slots borrow the caller's fingerprints rather than copy them,
+    /// but their samples still count, so the figure measures the working
+    /// set of the run whoever owns it.
     pub peak_store_bytes: u64,
     /// Process peak resident-set size (`VmHWM` from `/proc/self/status`)
     /// captured at the end of the run; 0 on platforms without procfs.

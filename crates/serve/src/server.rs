@@ -36,6 +36,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Daemon-wide options (per-tenant configuration arrives in `HELLO`).
 #[derive(Clone)]
@@ -205,6 +206,7 @@ impl Server {
     /// every session and returns the lifetime summary.
     pub fn run(self) -> ServerSummary {
         let mut joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut failed_accepts = 0u32;
         for (id, incoming) in (0u64..).zip(self.listener.incoming()) {
             if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -217,9 +219,18 @@ impl Server {
                 let _ = handle.join();
             }
             joins = open;
+            // A failed accept (EMFILE, say) would fail again at once, so
+            // wait before the next one rather than spin.
             let stream = match incoming {
-                Ok(s) => s,
-                Err(_) => continue,
+                Ok(s) => {
+                    failed_accepts = 0;
+                    s
+                }
+                Err(_) => {
+                    std::thread::sleep(accept_backoff(failed_accepts));
+                    failed_accepts = failed_accepts.saturating_add(1);
+                    continue;
+                }
             };
             if let Ok(clone) = stream.try_clone() {
                 self.state
@@ -258,6 +269,12 @@ impl Server {
             .spawn(move || self.run())?;
         Ok(ServerHandle { addr, thread })
     }
+}
+
+/// The pause after the `failures`-th consecutive failed accept (counting
+/// from 0): 1 ms, doubling up to 100 ms.
+fn accept_backoff(failures: u32) -> Duration {
+    Duration::from_millis((1u64 << failures.min(7)).min(100))
 }
 
 /// Finalizes a connection's open session (if any), recording the outcome
@@ -461,4 +478,18 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
         }
     }
     let _ = finalize(&mut session, state);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failed_accepts_back_off_by_doubling_up_to_100_ms() {
+        let schedule: Vec<u64> = (0..10)
+            .map(|n| accept_backoff(n).as_millis() as u64)
+            .collect();
+        assert_eq!(schedule, [1, 2, 4, 8, 16, 32, 64, 100, 100, 100]);
+        assert_eq!(accept_backoff(u32::MAX), Duration::from_millis(100));
+    }
 }
