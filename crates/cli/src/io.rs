@@ -14,6 +14,11 @@
 //! meters, extents in meters, window start/length in minutes. Comments (`#`)
 //! and blank lines are ignored except for the `# name:` header.
 //!
+//! [`read_file`] parses a file through a buffered reader one line at a
+//! time, with the parser [`from_str`] uses: the file's text is never held
+//! whole, and each fingerprint's samples are allocated once, at their
+//! length. [`write_file`] streams the other way.
+//!
 //! ### Event streams
 //!
 //! The streaming pipeline (`glove stream`) speaks a sibling format, one
@@ -109,110 +114,140 @@ impl From<GloveError> for ParseError {
 
 /// Parses a dataset from its text representation.
 pub fn from_str(content: &str) -> Result<Dataset, ParseError> {
-    let mut name = String::from("unnamed");
-    let mut fingerprints: Vec<Fingerprint> = Vec::new();
-    let mut current_users: Option<Vec<UserId>> = None;
-    let mut current_samples: Vec<Sample> = Vec::new();
+    let mut parser = DatasetParser::default();
+    for line in content.lines() {
+        parser.line(line)?;
+    }
+    parser.finish()
+}
 
-    let mut flush = |users: Option<Vec<UserId>>,
-                     samples: &mut Vec<Sample>,
-                     line: usize|
-     -> Result<(), ParseError> {
-        if let Some(users) = users {
-            if samples.is_empty() {
-                return Err(ParseError::Syntax {
-                    line,
-                    message: "fingerprint with no samples".into(),
-                });
-            }
-            fingerprints.push(Fingerprint::with_users(users, std::mem::take(samples))?);
+/// Reads a dataset from a file, line by line through a buffered reader:
+/// only the parsed dataset and one line are ever resident, never the
+/// file's text.
+pub fn read_file(path: &Path) -> Result<Dataset, ParseError> {
+    let mut reader = io::BufReader::new(fs::File::open(path)?);
+    let mut parser = DatasetParser::default();
+    let mut line = String::new();
+    while reader.read_line(&mut line)? > 0 {
+        parser.line(&line)?;
+        line.clear();
+    }
+    parser.finish()
+}
+
+/// The one dataset parser behind [`from_str`] and [`read_file`]: fed one
+/// line at a time, it keeps only the fingerprint being read and the
+/// finished ones.
+struct DatasetParser {
+    name: String,
+    fingerprints: Vec<Fingerprint>,
+    users: Option<Vec<UserId>>,
+    /// Samples of the fingerprint being read, reused across fingerprints so
+    /// that each finished one is allocated once, at its exact length.
+    samples: Vec<Sample>,
+    /// 1-based number of the last line fed.
+    line_no: usize,
+}
+
+impl Default for DatasetParser {
+    fn default() -> Self {
+        DatasetParser {
+            name: String::from("unnamed"),
+            fingerprints: Vec::new(),
+            users: None,
+            samples: Vec::new(),
+            line_no: 0,
         }
-        Ok(())
-    };
+    }
+}
 
-    for (idx, raw) in content.lines().enumerate() {
-        let line_no = idx + 1;
+impl DatasetParser {
+    fn syntax(&self, message: String) -> ParseError {
+        ParseError::Syntax {
+            line: self.line_no,
+            message,
+        }
+    }
+
+    /// Parses one line; surrounding whitespace, line ends included, is
+    /// ignored.
+    fn line(&mut self, raw: &str) -> Result<(), ParseError> {
+        self.line_no += 1;
         let line = raw.trim();
         if line.is_empty() {
-            continue;
+            return Ok(());
         }
         if let Some(rest) = line.strip_prefix('#') {
             if let Some(n) = rest.trim().strip_prefix("name:") {
-                name = n.trim().to_string();
+                self.name = n.trim().to_string();
             }
-            continue;
+            return Ok(());
         }
         if let Some(rest) = line.strip_prefix("F ") {
-            flush(current_users.take(), &mut current_samples, line_no)?;
+            self.flush()?;
             let users: Result<Vec<UserId>, _> = rest
                 .split(',')
                 .map(|t| t.trim().parse::<UserId>())
                 .collect();
-            let users = users.map_err(|e| ParseError::Syntax {
-                line: line_no,
-                message: format!("bad user id list: {e}"),
-            })?;
+            let users = users.map_err(|e| self.syntax(format!("bad user id list: {e}")))?;
             if users.is_empty() {
-                return Err(ParseError::Syntax {
-                    line: line_no,
-                    message: "empty user id list".into(),
-                });
+                return Err(self.syntax("empty user id list".into()));
             }
-            current_users = Some(users);
+            self.users = Some(users);
         } else if let Some(rest) = line.strip_prefix("S ") {
-            if current_users.is_none() {
-                return Err(ParseError::Syntax {
-                    line: line_no,
-                    message: "sample before any fingerprint header".into(),
-                });
+            if self.users.is_none() {
+                return Err(self.syntax("sample before any fingerprint header".into()));
             }
-            let fields: Vec<&str> = rest.split_whitespace().collect();
-            if fields.len() != 6 {
-                return Err(ParseError::Syntax {
-                    line: line_no,
-                    message: format!("expected 6 sample fields, got {}", fields.len()),
-                });
+            let mut fields = rest.split_whitespace();
+            let f: [&str; 6] = std::array::from_fn(|_| fields.next().unwrap_or(""));
+            if f[5].is_empty() || fields.next().is_some() {
+                let got = rest.split_whitespace().count();
+                return Err(self.syntax(format!("expected 6 sample fields, got {got}")));
             }
-            let parse_i64 = |s: &str| -> Result<i64, ParseError> {
-                s.parse().map_err(|e| ParseError::Syntax {
-                    line: line_no,
-                    message: format!("bad integer '{s}': {e}"),
-                })
-            };
-            let parse_u32 = |s: &str| -> Result<u32, ParseError> {
-                s.parse().map_err(|e| ParseError::Syntax {
-                    line: line_no,
-                    message: format!("bad integer '{s}': {e}"),
-                })
-            };
             let sample = Sample::new(
-                parse_i64(fields[0])?,
-                parse_i64(fields[1])?,
-                parse_u32(fields[2])?,
-                parse_u32(fields[3])?,
-                parse_u32(fields[4])?,
-                parse_u32(fields[5])?,
+                self.int(f[0])?,
+                self.int(f[1])?,
+                self.int(f[2])?,
+                self.int(f[3])?,
+                self.int(f[4])?,
+                self.int(f[5])?,
             )?;
-            current_samples.push(sample);
+            self.samples.push(sample);
         } else {
-            return Err(ParseError::Syntax {
-                line: line_no,
-                message: format!("unrecognized line: {line}"),
-            });
+            return Err(self.syntax(format!("unrecognized line: {line}")));
         }
+        Ok(())
     }
-    flush(
-        current_users.take(),
-        &mut current_samples,
-        content.lines().count(),
-    )?;
-    Ok(Dataset::new(name, fingerprints)?)
-}
 
-/// Reads a dataset from a file.
-pub fn read_file(path: &Path) -> Result<Dataset, ParseError> {
-    let content = fs::read_to_string(path)?;
-    from_str(&content)
+    fn int<T: std::str::FromStr>(&self, s: &str) -> Result<T, ParseError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        s.parse()
+            .map_err(|e| self.syntax(format!("bad integer '{s}': {e}")))
+    }
+
+    /// Closes the fingerprint being read, if any; a header with no sample
+    /// is reported at the line that ends it.
+    fn flush(&mut self) -> Result<(), ParseError> {
+        if let Some(users) = self.users.take() {
+            if self.samples.is_empty() {
+                return Err(self.syntax("fingerprint with no samples".into()));
+            }
+            let samples = self.samples.to_vec();
+            self.samples.clear();
+            self.fingerprints
+                .push(Fingerprint::with_users(users, samples)?);
+        }
+        Ok(())
+    }
+
+    /// Closes the last fingerprint (reported at the last line) and checks
+    /// the dataset.
+    fn finish(mut self) -> Result<Dataset, ParseError> {
+        self.flush()?;
+        Ok(Dataset::new(self.name, self.fingerprints)?)
+    }
 }
 
 // ---------------------------------------------------------------------------

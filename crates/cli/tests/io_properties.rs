@@ -1,13 +1,64 @@
 //! Property tests of the dataset and event text formats: serialize → parse
 //! must be the identity on arbitrary valid inputs, malformed records must
 //! be rejected with the *exact* 1-based line number of the offending
-//! record, and the parsers must never panic.
+//! record, and the parsers must never panic. `io::read_file` and
+//! `io::from_str` must agree on every text, valid or not: the same dataset,
+//! or the same error at the same line.
 
 use glove_cli::io;
 use glove_core::stream::events_of;
 use glove_core::{Dataset, Fingerprint, Sample, UserId};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Parses `text` with both `io::from_str` and `io::read_file` (through a
+/// temporary file), asserts that they agree — the same dataset, or the same
+/// error and line — and returns `from_str`'s result.
+fn parse_both(text: &str) -> Result<Dataset, io::ParseError> {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "glove-io-parity-{}-{}.txt",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, text).expect("temp file is writable");
+    let from_file = io::read_file(&path);
+    let _ = std::fs::remove_file(&path);
+    let from_text = io::from_str(text);
+    match (&from_text, &from_file) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.name, b.name, "names differ on {text:?}");
+            assert_eq!(
+                a.fingerprints, b.fingerprints,
+                "datasets differ on {text:?}"
+            );
+        }
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "errors differ on {text:?}"),
+        (a, b) => panic!("from_str gave {a:?}, read_file gave {b:?} on {text:?}"),
+    }
+    from_text
+}
+
+/// Re-joins `text`'s lines with CRLF or LF ends, optionally without the
+/// final one, with a blank (or whitespace-only) line after every line whose
+/// index is in `blank_after`.
+fn reshape_text(text: &str, crlf: bool, final_end: bool, blank_after: &[usize]) -> String {
+    let end = if crlf { "\r\n" } else { "\n" };
+    let mut out = String::new();
+    for (i, line) in text.lines().enumerate() {
+        out.push_str(line);
+        out.push_str(end);
+        if blank_after.contains(&i) {
+            out.push_str(if i % 2 == 0 { "" } else { " \t " });
+            out.push_str(end);
+        }
+    }
+    if !final_end {
+        out.truncate(out.len() - end.len());
+    }
+    out
+}
 
 fn arb_sample() -> impl Strategy<Value = Sample> {
     (
@@ -68,13 +119,51 @@ proptest! {
 
     #[test]
     fn parser_never_panics_on_arbitrary_text(text in "\\PC{0,400}") {
-        // Any outcome is fine except a panic.
-        let _ = io::from_str(&text);
+        // Any outcome is fine except a panic, as long as both readers agree.
+        let _ = parse_both(&text);
     }
 
     #[test]
     fn parser_never_panics_on_liney_garbage(lines in vec("[FS#] ?[-0-9a-z, ]{0,40}", 0..20)) {
-        let _ = io::from_str(&lines.join("\n"));
+        let _ = parse_both(&lines.join("\n"));
+    }
+
+    /// The file reader equals the text parser on every serialized dataset,
+    /// whatever its line ends, final newline and blank lines.
+    #[test]
+    fn read_file_equals_from_str_on_any_layout(
+        ds in arb_grouped_dataset(),
+        crlf in 0u8..2,
+        final_end in 0u8..2,
+        blank_after in vec(0usize..40, 0..6),
+    ) {
+        let text = reshape_text(&io::to_string(&ds), crlf == 1, final_end == 1, &blank_after);
+        let back = parse_both(&text).expect("reshaped serializer output must parse");
+        prop_assert_eq!(back.name, ds.name);
+        prop_assert_eq!(back.fingerprints, ds.fingerprints);
+    }
+
+    /// A header left without samples at the end of the input is reported
+    /// at the input's last line, blank lines and line ends included.
+    #[test]
+    fn trailing_header_without_samples_reports_the_last_line(
+        ds in arb_dataset(),
+        crlf in 0u8..2,
+        final_end in 0u8..2,
+        trailing_blanks in 0usize..3,
+    ) {
+        let mut text = io::to_string(&ds);
+        text.push_str("F 999999\n");
+        text.push_str(&"\n".repeat(trailing_blanks));
+        let text = reshape_text(&text, crlf == 1, final_end == 1, &[]);
+        let lines = text.lines().count();
+        match parse_both(&text).expect_err("a header with no samples must be caught") {
+            io::ParseError::Syntax { line, ref message } => {
+                prop_assert_eq!(line, lines);
+                prop_assert!(message.contains("no samples"), "message: {message}");
+            }
+            other => prop_assert!(false, "expected a Syntax error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -112,7 +201,7 @@ proptest! {
         };
         let mut mutated: Vec<String> = lines.iter().map(|s| s.to_string()).collect();
         mutated[victim] = corrupted;
-        let err = io::from_str(&mutated.join("\n")).expect_err("corruption must be caught");
+        let err = parse_both(&mutated.join("\n")).expect_err("corruption must be caught");
         match err {
             io::ParseError::Syntax { line, .. } => prop_assert_eq!(
                 line, victim + 1, "error reported at the wrong line"
@@ -135,7 +224,7 @@ proptest! {
 
         let mut mutated: Vec<String> = lines.iter().map(|s| s.to_string()).collect();
         mutated[victim] = "F 1,borked".to_string();
-        let err = io::from_str(&mutated.join("\n")).expect_err("corruption must be caught");
+        let err = parse_both(&mutated.join("\n")).expect_err("corruption must be caught");
         match err {
             io::ParseError::Syntax { line, ref message } => {
                 prop_assert_eq!(line, victim + 1);

@@ -21,7 +21,10 @@
 //!   and one `u8` tier column per row, so scans touch dense homogeneous
 //!   memory. Merged inputs retire, merged outputs append (slots that leave
 //!   the game keep an empty, lazily absent page). The arena compacts itself
-//!   when retired slots dominate, bounding memory at O(active²).
+//!   in place when retired slots dominate, bounding memory at O(active²):
+//!   active slots are renumbered first and keep only their active columns,
+//!   finished groups follow with empty pages, so no second triangle is
+//!   ever allocated and the ledger's arena peak is the true one.
 //! * Each active slot caches its row minimum, so one iteration costs O(A)
 //!   for extraction plus O(A·n̄²) for the new row (A = active slots) — the
 //!   complexity stated in §6.3. Keeping the minima up reads only the cells
@@ -33,9 +36,10 @@
 //!   scans the whole active set only when the list cannot decide.
 //! * Slots hold whole fingerprints, one `Vec<Sample>` each, in the layout
 //!   every other Eq. 10 caller uses: the kernels and merges read them in
-//!   place. An input slot borrows the caller's fingerprint; only merged
-//!   groups are owned. Publication moves them and copies only the inputs
-//!   it publishes unmerged.
+//!   place. An input slot borrows the caller's fingerprint (a shard's too:
+//!   the sharded engine passes references into the caller's dataset); only
+//!   merged groups are owned. Publication moves them and copies only the
+//!   inputs it publishes unmerged.
 //! * Matrix construction and row recomputation fan out over
 //!   [`crate::parallel`], the stand-in for the paper's GPU kernel.
 //! * Every pair cell has one life cycle, whatever the mode. It is *seeded*
@@ -59,10 +63,12 @@
 //!   the best exact value, so it pays only for what it visits: a walk with
 //!   no exact value yet takes its first candidate by a linear argmin, and
 //!   only the candidates whose bound is at most the best exact value are
-//!   heapified and popped, never fully sorted. Cells keep a saved
-//!   evaluation prefix (24 bytes beside the 9-byte value and tier) only in
-//!   signature-seeded runs, the one mode in which an evaluation can stop
-//!   part way.
+//!   heapified and popped, never fully sorted. A freshly seeded row (the
+//!   build and merged-row fills) takes that argmin over its own value
+//!   column, so no candidate is made for a cell its walk cannot visit.
+//!   Cells keep a saved evaluation prefix (24 bytes beside the 9-byte
+//!   value and tier) only in signature-seeded runs, the one mode in which
+//!   an evaluation can stop part way.
 //! * Hull summaries are maintained *incrementally*: a merge that suppresses
 //!   no samples unions the parents' hulls in O(1) instead of rescanning the
 //!   merged fingerprint ([`StretchHull::union`]); suppressing merges fall
@@ -281,6 +287,24 @@ impl PairPage {
             },
         }
     }
+
+    /// Keeps only the cells of the ascending columns `cols`, moved down in
+    /// place, and gives the rest of the page's memory back.
+    fn keep(&mut self, cols: &[usize]) {
+        fn keep_column<T: Copy>(column: &mut Vec<T>, cols: &[usize]) {
+            if column.is_empty() {
+                return;
+            }
+            for (new, &old) in cols.iter().enumerate() {
+                column[new] = column[old];
+            }
+            column.truncate(cols.len());
+            column.shrink_to_fit();
+        }
+        keep_column(&mut self.val, cols);
+        keep_column(&mut self.tier, cols);
+        keep_column(&mut self.prog, cols);
+    }
 }
 
 /// Transition counters of the distance cascade. Counting *transitions*
@@ -496,12 +520,12 @@ impl ListBuilder {
         low.builder()
     }
 
-    /// A builder offered every cell of a row, given as candidates.
-    fn of(cand: &[Cand]) -> Self {
-        let sample = cand.iter().step_by(LIST_SAMPLE).map(|c| c.bound);
+    /// A builder offered every cell of a row, as `(value, partner)` pairs.
+    fn of(cells: impl Iterator<Item = (f64, usize)> + Clone) -> Self {
+        let sample = cells.clone().step_by(LIST_SAMPLE).map(|(v, _)| v);
         let mut list = ListBuilder::estimating(sample);
-        for c in cand {
-            list.offer(c.bound, c.j);
+        for (v, j) in cells {
+            list.offer(v, j);
         }
         list
     }
@@ -591,17 +615,17 @@ struct Pricer<'a> {
 }
 
 impl<'a> Pricer<'a> {
-    fn new(dataset: &'a Dataset, config: &GloveConfig, seed: u8) -> Self {
+    fn new(inputs: &[&'a Fingerprint], config: &GloveConfig, seed: u8) -> Self {
         let space = SignatureSpace::of(&config.stretch);
         let sigs = if seed == TIER_SIG {
-            let sig = |f: &Fingerprint| CompactSignature::of(f, &space);
-            dataset.fingerprints.iter().map(sig).collect()
+            let sig = |f: &&Fingerprint| CompactSignature::of(f, &space);
+            inputs.iter().map(sig).collect()
         } else {
             Vec::new()
         };
         Pricer {
-            slots: dataset.fingerprints.iter().map(Cow::Borrowed).collect(),
-            hulls: dataset.fingerprints.iter().map(StretchHull::of).collect(),
+            slots: inputs.iter().map(|&f| Cow::Borrowed(f)).collect(),
+            hulls: inputs.iter().map(|f| StretchHull::of(f)).collect(),
             sigs,
             cfg: config.stretch,
             space,
@@ -625,19 +649,20 @@ impl<'a> Pricer<'a> {
         self.slots.push(Cow::Owned(fp));
     }
 
-    /// Keeps only `old_ids`, which ascend — the slot side of arena
-    /// compaction. Fingerprints move; none is copied.
-    fn compacted(&mut self, old_ids: &[usize]) {
-        let mut keep = old_ids.iter().peekable();
-        let mut i = 0;
-        self.slots.retain(|_| {
-            let kept = keep.next_if_eq(&&i).is_some();
-            i += 1;
-            kept
-        });
-        self.hulls = old_ids.iter().map(|&i| self.hulls[i]).collect();
+    /// Keeps the slots `order` names, renumbered by their position in it —
+    /// the slot side of arena compaction. Fingerprints move; none is copied.
+    fn compacted(&mut self, order: &[usize]) {
+        let mut old: Vec<Option<Cow<'a, Fingerprint>>> = std::mem::take(&mut self.slots)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.slots = order
+            .iter()
+            .map(|&i| old[i].take().expect("a slot is kept at most once"))
+            .collect();
+        self.hulls = order.iter().map(|&i| self.hulls[i]).collect();
         if self.abandons() {
-            self.sigs = old_ids.iter().map(|&i| self.sigs[i]).collect();
+            self.sigs = order.iter().map(|&i| self.sigs[i]).collect();
         }
     }
 
@@ -801,6 +826,49 @@ impl<'a> Pricer<'a> {
             }
         }
     }
+
+    /// [`Pricer::cascade_walk`] over the live cells `cols` of a row just
+    /// seeded in `row` (the matrix build and merged-row fills), reading the
+    /// bounds from the row instead of from a candidate per cell. The first
+    /// candidate is the linear argmin under `Cand`'s `(bound, j)` order;
+    /// once it is evaluated, only the cells whose bound is at most its
+    /// exact value become candidates. The visits are `cascade_walk`'s over
+    /// every live cell, candidate for candidate.
+    fn seeded_walk(
+        &self,
+        i: usize,
+        cols: impl Iterator<Item = usize> + Clone,
+        row: &mut PairPage,
+        best: &mut RowMin,
+        counters: &mut CascadeCounters,
+    ) {
+        debug_assert_eq!(best.partner, NO_PARTNER, "a seeded row has no minimum yet");
+        let first = cols.clone().reduce(|a, b| {
+            if (row.val[b], b) < (row.val[a], a) {
+                b
+            } else {
+                a
+            }
+        });
+        let Some(first) = first else {
+            return;
+        };
+        let limit = f64::INFINITY;
+        if let Some(d) = self.escalate(row, i, first, limit, |v| v > limit, counters) {
+            best.offer(d, first);
+        }
+        // The other cells still hold their seeds. Should `best` still be
+        // infinite, every one of them stays a candidate and `cascade_walk`
+        // goes on taking argmins.
+        let cand = cols
+            .filter(|&j| j != first && row.val[j] <= best.value)
+            .map(|j| Cand {
+                bound: row.val[j],
+                j,
+            })
+            .collect();
+        self.cascade_walk(i, cand, best, row, counters);
+    }
 }
 
 /// Minimum mean samples per fingerprint for the distance cascade to
@@ -851,7 +919,220 @@ struct Arena<'a> {
     counters: CascadeCounters,
 }
 
-impl Arena<'_> {
+impl<'a> Arena<'a> {
+    /// Alg. 1 lines 1–3: the arena over `inputs` with every pair cell
+    /// seeded and every active row's minimum settled.
+    fn build(inputs: &[&'a Fingerprint], config: &GloveConfig, plan: Option<&KPlan>) -> Self {
+        let n = inputs.len();
+        let samples: usize = inputs.iter().map(|f| f.len()).sum();
+        // The one place the pruning mode is read: it picks the tier every
+        // fresh cell is seeded at. The cascade engages only where the filter
+        // is cheaper than what it filters (see `CASCADE_MIN_MEAN_SAMPLES`);
+        // sharded runs pass through here per shard, so the gate adapts to
+        // each shard's population.
+        let seed = match config.pruning {
+            Pruning::Cascade if samples >= CASCADE_MIN_MEAN_SAMPLES * n => TIER_SIG,
+            Pruning::Cascade | Pruning::HullOnly => TIER_HULL,
+            Pruning::Off => TIER_EXACT,
+        };
+        // Per-slot k requirement: `config.k` uniformly, raised per
+        // fingerprint by the plan's deepest member. Uniform plans collapse
+        // to the same comparisons as the pre-policy code, so the merge order
+        // is unchanged.
+        let kreq: Vec<usize> = inputs
+            .iter()
+            .map(|f| k_floor(f.users(), config.k, plan))
+            .collect();
+        let states: Vec<SlotState> = inputs
+            .iter()
+            .zip(&kreq)
+            .map(|(f, &k)| {
+                if f.multiplicity() >= k {
+                    SlotState::Done
+                } else {
+                    SlotState::Active
+                }
+            })
+            .collect();
+        let pricer = Pricer::new(inputs, config, seed);
+
+        // Triangular matrix, rows in parallel. Every cell is seeded at the
+        // run's seed tier and, still inside the parallel row pass, the row's
+        // live cells are walked in ascending-bound order, escalating tiers
+        // exactly until the bounds rule the rest out — so the bulk of the
+        // exact efforts is computed in parallel, and each row's minimum over
+        // its own cells (j < i) is final for them. The sweep in
+        // `settle_build` adds the column cells a row-local walk cannot see
+        // (j > i). With exact seeds this is the paper's full-matrix GPU
+        // kernel, and the walk only reads values.
+        let rows: Vec<(PairPage, CascadeCounters, RowMin)> = par_map(n, config.threads, |i| {
+            let mut counters = CascadeCounters::default();
+            counters.seeded(seed, i as u64);
+            let live_row = states[i] == SlotState::Active;
+            let val = (0..i)
+                .map(|j| pricer.seed_value(i, j, live_row && states[j] == SlotState::Active))
+                .collect();
+            let mut page = PairPage::new(val, seed, pricer.abandons());
+            let mut row_local = RowMin::NONE;
+            if live_row {
+                let cols = (0..i).filter(|&j| states[j] == SlotState::Active);
+                pricer.seeded_walk(i, cols, &mut page, &mut row_local, &mut counters);
+            }
+            (page, counters, row_local)
+        });
+        let mut arena = Arena {
+            pricer,
+            active: (0..n).filter(|&i| states[i] == SlotState::Active).collect(),
+            states,
+            kreq,
+            pages: Vec::with_capacity(n),
+            row_min: Vec::new(),
+            lists: vec![RowList::NONE; n],
+            retired_count: 0,
+            counters: CascadeCounters::default(),
+        };
+        let mut build = Vec::with_capacity(n);
+        for (page, counters, row_local) in rows {
+            arena.counters.absorb(counters);
+            arena.pages.push(page);
+            build.push(row_local);
+        }
+        arena.settle_build(build);
+        arena
+    }
+
+    /// One round of Alg. 1 lines 4–15: merges the globally closest pair of
+    /// active slots into a new slot, refreshes the rows whose minimum it
+    /// consumed and, while the group is still under its k, seeds and walks
+    /// its row.
+    fn merge_best(
+        &mut self,
+        config: &GloveConfig,
+        stats: &mut GloveStats,
+    ) -> Result<(), GloveError> {
+        // Global minimum over cached row minima.
+        let (a, best) = global_best(&self.active, &self.row_min);
+        let b = best.partner;
+        debug_assert_ne!(b, NO_PARTNER, "active set of >= 2 must yield a pair");
+
+        // Merge and retire (lines 5–8).
+        let slots = &self.pricer.slots;
+        let outcome =
+            merge_fingerprints(&slots[a], &slots[b], &config.stretch, &config.suppression)?;
+        let merge_dropped = outcome.suppressed.samples;
+        stats.merges += 1;
+        stats.suppressed.absorb(outcome.suppressed);
+        self.states[a] = SlotState::Retired;
+        self.states[b] = SlotState::Retired;
+        self.retired_count += 2;
+        self.active.retain(|&i| i != a && i != b);
+
+        let m = self.pricer.slots.len();
+        // A merged group must hide its deepest member. Once it does, it
+        // leaves the game (lines 10–14 skip recomputation).
+        let m_kreq = self.kreq[a].max(self.kreq[b]);
+        let m_done = outcome.fingerprint.multiplicity() >= m_kreq;
+        self.kreq.push(m_kreq);
+        // Incremental hull maintenance: when the merge suppressed nothing,
+        // every parent sample is covered by some merged sample and every
+        // merged sample is a bounding box of parent samples, so the merged
+        // hull is exactly the union of the parents' hulls — no O(n) rescan.
+        // Suppression can shrink the true hull, so those merges refresh.
+        // The partial tier's suffix floors read these hulls, so this
+        // equality is also what keeps every abandonment, and every work
+        // counter, where a freshly built hull would put it.
+        let hulls = &self.pricer.hulls;
+        let hull = if merge_dropped == 0 {
+            let h = hulls[a].union(&hulls[b], outcome.fingerprint.len());
+            debug_assert_eq!(
+                h,
+                StretchHull::of(&outcome.fingerprint),
+                "suppression-free merges must preserve the union hull"
+            );
+            h
+        } else {
+            StretchHull::of(&outcome.fingerprint)
+        };
+        self.pricer.push(outcome.fingerprint, hull);
+        self.pages.push(PairPage::default());
+        self.row_min.push(RowMin::NONE);
+        self.lists.push(RowList::NONE);
+        self.states.push(if m_done {
+            SlotState::Done
+        } else {
+            SlotState::Active
+        });
+
+        // Rows whose minimum pointed at a or b must find a new minimum. The
+        // stale set is fixed *before* rescanning, and a rescanned row does
+        // not fold the newcomer this round (its rescan runs while `m` is not
+        // yet active): folding it would shift tie attribution and the merge
+        // order. Rescans touch cells among pre-existing slots only, so they
+        // are independent of the new row below.
+        let stale: Vec<usize> = self
+            .active
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let p = self.row_min[i].partner;
+                p == a || p == b
+            })
+            .collect();
+        for &i in &stale {
+            self.rescan_row_min(i);
+        }
+        if !m_done {
+            // Seed the merged fingerprint's row against every remaining
+            // active fingerprint (lines 11–13), list its smallest seeds, and
+            // walk it in ascending-bound order until the bounds rule the
+            // rest out. The other partners then only escalate the new pair's
+            // cell while its bound could actually beat their cached minimum
+            // (a tie never wins: `m` is the largest id), and list `m` when
+            // the cell enters below their list's floor.
+            let keeps_lists = self.keeps_lists();
+            let Arena {
+                ref pricer,
+                ref mut pages,
+                ref mut counters,
+                ref mut row_min,
+                ref mut lists,
+                ref active,
+                ..
+            } = *self;
+            let mut page = PairPage::new(vec![f64::INFINITY; m], TIER_EXACT, pricer.abandons());
+            counters.seeded(pricer.seed, active.len() as u64);
+            for &j in active {
+                page.set(j, pricer.seed_value(m, j, true), pricer.seed);
+            }
+            if keeps_lists {
+                lists[m] = ListBuilder::of(active.iter().map(|&j| (page.val[j], j))).finish();
+            }
+            let cols = active.iter().copied();
+            pricer.seeded_walk(m, cols, &mut page, &mut row_min[m], counters);
+            pages[m] = page;
+            let mut row = TriRow { pages, i: m };
+            for &j in active {
+                if stale.binary_search(&j).is_err() {
+                    let limit = row_min[j].value;
+                    let ruled_out = |v| v >= limit;
+                    if let Some(d) = pricer.escalate(&mut row, m, j, limit, ruled_out, counters) {
+                        row_min[j].offer(d, m);
+                    }
+                }
+                if row.get(j).0 < lists[j].floor {
+                    lists[j].partners.push(m as u32);
+                }
+            }
+            self.active.push(m);
+        }
+        Ok(())
+    }
+
+    /// Whether retired slots dominate the arena enough to compact it.
+    fn compaction_due(&self) -> bool {
+        self.retired_count > 64 && self.retired_count * 2 > self.states.len()
+    }
+
     #[inline]
     fn cell(&self, i: usize, j: usize) -> (f64, u8) {
         let (r, c) = tri(i, j);
@@ -1048,83 +1329,64 @@ impl Arena<'_> {
         Some((best, deferred))
     }
 
-    /// Drops retired slots and remaps ids, shrinking the matrix. Cascade
-    /// attribution is unaffected: the transition counters live on the arena,
-    /// not in the cells this rewrites.
+    /// Drops retired slots and renumbers the rest, active slots first and
+    /// then finished groups, each in their old order, without allocating a
+    /// second triangle. The order among active slots is kept, so every cell
+    /// an active row keeps — its active columns — lies in its own old page,
+    /// which is filtered in place; finished groups keep empty pages, since
+    /// their cells are never read. Publication, every tie-break among active
+    /// slots and the residual merge read only the relative orders this
+    /// keeps. Cascade attribution is unaffected: the transition counters
+    /// live on the arena, not in the cells this rewrites.
     fn compact(&mut self) {
-        let old_ids: Vec<usize> = (0..self.states.len())
-            .filter(|&i| self.states[i] != SlotState::Retired)
-            .collect();
-        let mut remap = vec![usize::MAX; self.states.len()];
-        for (new_id, &old_id) in old_ids.iter().enumerate() {
+        let done = (0..self.states.len()).filter(|&i| self.states[i] == SlotState::Done);
+        let order: Vec<usize> = self.active.iter().copied().chain(done).collect();
+        let mut remap = vec![NO_PARTNER; self.states.len()];
+        for (new_id, &old_id) in order.iter().enumerate() {
             remap[old_id] = new_id;
         }
 
-        let abandons = self.pricer.abandons();
-        let mut states = Vec::with_capacity(old_ids.len());
-        let mut kreq = Vec::with_capacity(old_ids.len());
-        let mut pages = Vec::with_capacity(old_ids.len());
-        let mut row_min = Vec::with_capacity(old_ids.len());
-        let mut lists = Vec::with_capacity(old_ids.len());
-        for (new_i, &old_i) in old_ids.iter().enumerate() {
-            states.push(self.states[old_i]);
-            kreq.push(self.kreq[old_i]);
-            // Only Active–Active cells are ever read again; Done slots
-            // appended mid-run have empty rows, so copying their entries
-            // would be both wrong and out of bounds. Placeholder cells are
-            // never read.
-            let i_active = self.states[old_i] == SlotState::Active;
-            let mut val = Vec::with_capacity(new_i);
-            let mut tier = Vec::with_capacity(new_i);
-            // Only runs with early abandonment keep a progress column.
-            let mut prog = Vec::with_capacity(if abandons { new_i } else { 0 });
-            for &old_j in &old_ids[..new_i] {
-                let live = i_active && self.states[old_j] == SlotState::Active;
-                let (v, t) = if live {
-                    self.cell(old_i, old_j)
-                } else {
-                    (f64::INFINITY, TIER_EXACT)
-                };
-                val.push(v);
-                tier.push(t);
-                if abandons {
-                    prog.push(if live {
-                        self.pages[old_i].prog[old_j]
-                    } else {
-                        StretchProgress::start()
-                    });
-                }
-            }
-            pages.push(PairPage { val, tier, prog });
-            let old_min = self.row_min[old_i];
-            row_min.push(RowMin {
-                value: old_min.value,
-                partner: if old_min.partner == NO_PARTNER {
-                    NO_PARTNER
-                } else {
-                    remap[old_min.partner]
-                },
-            });
-            // A list keeps its active partners under their new ids; the
-            // others can never be read from it again.
-            let list = &self.lists[old_i];
-            lists.push(RowList {
-                partners: list
+        let mut pages = Vec::with_capacity(order.len());
+        for (pos, &i) in self.active.iter().enumerate() {
+            let mut page = std::mem::take(&mut self.pages[i]);
+            page.keep(&self.active[..pos]);
+            pages.push(page);
+        }
+        pages.resize_with(order.len(), PairPage::default);
+        // A list keeps its active partners under their new ids; the others
+        // can never be read from it again.
+        let states = &self.states;
+        let lists = order
+            .iter()
+            .map(|&i| RowList {
+                partners: self.lists[i]
                     .partners
                     .iter()
-                    .filter(|&&j| self.states[j as usize] == SlotState::Active)
+                    .filter(|&&j| states[j as usize] == SlotState::Active)
                     .map(|&j| remap[j as usize] as u32)
                     .collect(),
-                floor: list.floor,
-            });
-        }
-        self.active = self.active.iter().map(|&i| remap[i]).collect();
-        self.pricer.compacted(&old_ids);
-        self.states = states;
-        self.kreq = kreq;
+                floor: self.lists[i].floor,
+            })
+            .collect();
+        let row_min = order
+            .iter()
+            .map(|&i| {
+                let RowMin { value, partner } = self.row_min[i];
+                let partner = if partner == NO_PARTNER {
+                    NO_PARTNER
+                } else {
+                    remap[partner]
+                };
+                RowMin { value, partner }
+            })
+            .collect();
+        self.pricer.compacted(&order);
+        self.states = order.iter().map(|&i| self.states[i]).collect();
+        self.kreq = order.iter().map(|&i| self.kreq[i]).collect();
         self.pages = pages;
         self.row_min = row_min;
         self.lists = lists;
+        self.active = (0..self.active.len()).collect();
         self.retired_count = 0;
     }
 
@@ -1281,232 +1543,35 @@ pub fn anonymize_with_plan(
         Some(policy) if policy.shards > 1 => {
             crate::shard::anonymize_sharded(dataset, config, policy, plan)
         }
-        _ => run_monolithic(dataset, config, plan),
+        _ => {
+            let inputs: Vec<&Fingerprint> = dataset.fingerprints.iter().collect();
+            run_monolithic(&dataset.name, &inputs, config, plan)
+        }
     }
 }
 
-/// The monolithic Alg. 1 loop over one (possibly shard-sized) dataset.
-/// Callers guarantee a validated config and a non-empty dataset holding at
-/// least `k` subscribers (the plan's deepest k when one is given).
+/// The monolithic Alg. 1 loop over the fingerprints `inputs` of a dataset
+/// (or of one shard of it) named `name`. The inputs are borrowed: the run
+/// copies only the groups it publishes unmerged. Callers guarantee a
+/// validated config and non-empty inputs holding at least `k` subscribers
+/// (the plan's deepest k when one is given).
 pub(crate) fn run_monolithic(
-    dataset: &Dataset,
+    name: &str,
+    inputs: &[&Fingerprint],
     config: &GloveConfig,
     plan: Option<&KPlan>,
 ) -> Result<GloveOutput, GloveError> {
     let started = Instant::now();
     let mut stats = GloveStats::default();
-    let threads = config.threads;
-    let cfg = &config.stretch;
-    let n = dataset.fingerprints.len();
-    // The one place the pruning mode is read: it picks the tier every fresh
-    // cell is seeded at. The cascade engages only where the filter is
-    // cheaper than what it filters (see `CASCADE_MIN_MEAN_SAMPLES`); sharded
-    // runs pass through here per shard, so the gate adapts to each shard's
-    // population.
-    let seed = match config.pruning {
-        Pruning::Cascade if dataset.num_samples() >= CASCADE_MIN_MEAN_SAMPLES * n => TIER_SIG,
-        Pruning::Cascade | Pruning::HullOnly => TIER_HULL,
-        Pruning::Off => TIER_EXACT,
-    };
-
-    // ---- Initialization (Alg. 1 lines 1–3) -------------------------------
     let mut ledger = MemoryLedger::default();
-    // Per-slot k requirement: `config.k` uniformly, raised per fingerprint
-    // by the plan's deepest member. Uniform plans collapse to the same
-    // comparisons as the pre-policy code, so the merge order is unchanged.
-    let kreq: Vec<usize> = dataset
-        .fingerprints
-        .iter()
-        .map(|f| k_floor(f.users(), config.k, plan))
-        .collect();
-    let mut arena = Arena {
-        pricer: Pricer::new(dataset, config, seed),
-        states: dataset
-            .fingerprints
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                if f.multiplicity() >= kreq[i] {
-                    SlotState::Done
-                } else {
-                    SlotState::Active
-                }
-            })
-            .collect(),
-        kreq,
-        pages: Vec::with_capacity(n),
-        row_min: Vec::new(),
-        lists: vec![RowList::NONE; n],
-        active: Vec::new(),
-        retired_count: 0,
-        counters: CascadeCounters::default(),
-    };
-    arena.active = (0..n)
-        .filter(|&i| arena.states[i] == SlotState::Active)
-        .collect();
-
-    // Triangular matrix, rows in parallel. Every cell is seeded at the
-    // run's seed tier and, still inside the parallel row pass, the row's
-    // live candidates are walked in ascending-bound order, escalating tiers
-    // exactly until the bounds rule the rest out — so the bulk of the exact
-    // efforts is computed in parallel, and each row's minimum over its own
-    // cells (j < i) is final for them. The sweep below adds the column
-    // cells a row-local walk cannot see (j > i). With exact seeds this is
-    // the paper's full-matrix GPU kernel, and the walk only reads values.
-    let (pricer, states) = (&arena.pricer, &arena.states);
-    let rows: Vec<(PairPage, CascadeCounters, RowMin)> = par_map(n, threads, |i| {
-        let mut counters = CascadeCounters::default();
-        counters.seeded(seed, i as u64);
-        let mut cand: Vec<Cand> = Vec::new();
-        let val = (0..i)
-            .map(|j| {
-                let live = states[i] == SlotState::Active && states[j] == SlotState::Active;
-                let bound = pricer.seed_value(i, j, live);
-                if live {
-                    cand.push(Cand { bound, j });
-                }
-                bound
-            })
-            .collect();
-        let mut page = PairPage::new(val, seed, pricer.abandons());
-        let mut row_local = RowMin::NONE;
-        pricer.cascade_walk(i, cand, &mut row_local, &mut page, &mut counters);
-        (page, counters, row_local)
-    });
-    let mut build = Vec::with_capacity(n);
-    for (page, counters, row_local) in rows {
-        arena.counters.absorb(counters);
-        arena.pages.push(page);
-        build.push(row_local);
-    }
-    arena.settle_build(build);
+    let mut arena = Arena::build(inputs, config, plan);
     arena.observe(&mut ledger);
-
-    // ---- Main loop (Alg. 1 lines 4–15) ------------------------------------
     while arena.active.len() >= 2 {
-        // Global minimum over cached row minima.
-        let (a, best) = global_best(&arena.active, &arena.row_min);
-        let b = best.partner;
-        debug_assert_ne!(b, NO_PARTNER, "active set of >= 2 must yield a pair");
-
-        // Merge and retire (lines 5–8).
-        let slots = &arena.pricer.slots;
-        let outcome = merge_fingerprints(&slots[a], &slots[b], cfg, &config.suppression)?;
-        let merge_dropped = outcome.suppressed.samples;
-        stats.merges += 1;
-        stats.suppressed.absorb(outcome.suppressed);
-        arena.states[a] = SlotState::Retired;
-        arena.states[b] = SlotState::Retired;
-        arena.retired_count += 2;
-        arena.active.retain(|&i| i != a && i != b);
-
-        let m = arena.pricer.slots.len();
-        // A merged group must hide its deepest member. Once it does, it
-        // leaves the game (lines 10–14 skip recomputation).
-        let m_kreq = arena.kreq[a].max(arena.kreq[b]);
-        let m_done = outcome.fingerprint.multiplicity() >= m_kreq;
-        arena.kreq.push(m_kreq);
-        // Incremental hull maintenance: when the merge suppressed nothing,
-        // every parent sample is covered by some merged sample and every
-        // merged sample is a bounding box of parent samples, so the merged
-        // hull is exactly the union of the parents' hulls — no O(n) rescan.
-        // Suppression can shrink the true hull, so those merges refresh.
-        // The partial tier's suffix floors read these hulls, so this
-        // equality is also what keeps every abandonment, and every work
-        // counter, where a freshly built hull would put it.
-        let hulls = &arena.pricer.hulls;
-        let hull = if merge_dropped == 0 {
-            let h = hulls[a].union(&hulls[b], outcome.fingerprint.len());
-            debug_assert_eq!(
-                h,
-                StretchHull::of(&outcome.fingerprint),
-                "suppression-free merges must preserve the union hull"
-            );
-            h
-        } else {
-            StretchHull::of(&outcome.fingerprint)
-        };
-        arena.pricer.push(outcome.fingerprint, hull);
-        arena.pages.push(PairPage::default());
-        arena.row_min.push(RowMin::NONE);
-        arena.lists.push(RowList::NONE);
-        arena.states.push(if m_done {
-            SlotState::Done
-        } else {
-            SlotState::Active
-        });
-
-        // Rows whose minimum pointed at a or b must find a new minimum. The
-        // stale set is fixed *before* rescanning, and a rescanned row does
-        // not fold the newcomer this round (its rescan runs while `m` is not
-        // yet active): folding it would shift tie attribution and the merge
-        // order. Rescans touch cells among pre-existing slots only, so they
-        // are independent of the new row below.
-        let stale: Vec<usize> = arena
-            .active
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let p = arena.row_min[i].partner;
-                p == a || p == b
-            })
-            .collect();
-        for &i in &stale {
-            arena.rescan_row_min(i);
-        }
-        if !m_done {
-            // Seed the merged fingerprint's row against every remaining
-            // active fingerprint (lines 11–13), list its smallest seeds, and
-            // walk it in ascending-bound order until the bounds rule the
-            // rest out. The other partners then only escalate the new pair's
-            // cell while its bound could actually beat their cached minimum
-            // (a tie never wins: `m` is the largest id), and list `m` when
-            // the cell enters below their list's floor.
-            let keeps_lists = arena.keeps_lists();
-            let Arena {
-                ref pricer,
-                ref mut pages,
-                ref mut counters,
-                ref mut row_min,
-                ref mut lists,
-                ref active,
-                ..
-            } = arena;
-            let mut page = PairPage::new(vec![f64::INFINITY; m], TIER_EXACT, pricer.abandons());
-            counters.seeded(seed, active.len() as u64);
-            let cand: Vec<Cand> = active
-                .iter()
-                .map(|&j| {
-                    let bound = pricer.seed_value(m, j, true);
-                    page.set(j, bound, seed);
-                    Cand { bound, j }
-                })
-                .collect();
-            if keeps_lists {
-                lists[m] = ListBuilder::of(&cand).finish();
-            }
-            pricer.cascade_walk(m, cand, &mut row_min[m], &mut page, counters);
-            pages[m] = page;
-            let mut row = TriRow { pages, i: m };
-            for &j in active {
-                if stale.binary_search(&j).is_err() {
-                    let limit = row_min[j].value;
-                    let ruled_out = |v| v >= limit;
-                    if let Some(d) = pricer.escalate(&mut row, m, j, limit, ruled_out, counters) {
-                        row_min[j].offer(d, m);
-                    }
-                }
-                if row.get(j).0 < lists[j].floor {
-                    lists[j].partners.push(m as u32);
-                }
-            }
-            arena.active.push(m);
-        }
-
+        arena.merge_best(config, &mut stats)?;
         // Keep memory proportional to the live set. Memory grows
         // monotonically between compactions, so observing just before each
         // one captures the intervening peak.
-        if arena.retired_count > 64 && arena.retired_count * 2 > arena.states.len() {
+        if arena.compaction_due() {
             arena.observe(&mut ledger);
             arena.compact();
         }
@@ -1553,7 +1618,7 @@ pub(crate) fn run_monolithic(
     stats.ledger = ledger;
     stats.elapsed_s = started.elapsed().as_secs_f64();
 
-    let dataset = Dataset::new(format!("{}-glove-k{}", dataset.name, config.k), published)?;
+    let dataset = Dataset::new(format!("{name}-glove-k{}", config.k), published)?;
     check_k_floors(&dataset, config.k, plan)?;
     Ok(GloveOutput { dataset, stats })
 }
@@ -1914,6 +1979,190 @@ mod tests {
             out.stats.pairs_computed + out.stats.pairs_pruned,
             unpruned.stats.pairs_computed
         );
+    }
+
+    /// Drives `run_monolithic`'s greedy loop on `ds` and checks the arena
+    /// around every compaction: active slots take ids `0..A` in their old
+    /// order with every active cell kept, finished groups follow in their
+    /// old order with empty pages, and the arena shrinks. Returns the
+    /// number of compactions.
+    fn checked_compactions(ds: &Dataset, config: &GloveConfig) -> usize {
+        let inputs: Vec<&Fingerprint> = ds.fingerprints.iter().collect();
+        let mut arena = Arena::build(&inputs, config, None);
+        let mut stats = GloveStats::default();
+        let mut compactions = 0;
+        while arena.active.len() >= 2 {
+            arena.merge_best(config, &mut stats).unwrap();
+            if !arena.compaction_due() {
+                continue;
+            }
+            let users = |arena: &Arena, ids: &[usize]| -> Vec<Vec<UserId>> {
+                ids.iter()
+                    .map(|&i| arena.pricer.slots[i].users().to_vec())
+                    .collect()
+            };
+            let done = |arena: &Arena| -> Vec<usize> {
+                (0..arena.states.len())
+                    .filter(|&i| arena.states[i] == SlotState::Done)
+                    .collect()
+            };
+            let cells = |arena: &Arena| -> Vec<(f64, u8)> {
+                let act = &arena.active;
+                (0..act.len())
+                    .flat_map(|p| (0..p).map(move |q| (act[p], act[q])))
+                    .map(|(i, j)| arena.cell(i, j))
+                    .collect()
+            };
+            let active_before = users(&arena, &arena.active);
+            let done_before = users(&arena, &done(&arena));
+            let cells_before = cells(&arena);
+            let bytes_before = arena.bytes();
+
+            arena.compact();
+            compactions += 1;
+
+            let a = active_before.len();
+            let done_after = done(&arena);
+            assert_eq!(arena.active, (0..a).collect::<Vec<_>>());
+            assert_eq!(users(&arena, &arena.active), active_before);
+            assert_eq!(done_after, (a..arena.states.len()).collect::<Vec<_>>());
+            assert_eq!(users(&arena, &done_after), done_before);
+            for page in &arena.pages[a..] {
+                assert!(page.val.is_empty() && page.tier.is_empty() && page.prog.is_empty());
+            }
+            let after = cells(&arena);
+            assert_eq!(after.len(), cells_before.len());
+            for (x, y) in after.iter().zip(&cells_before) {
+                assert_eq!((x.0.to_bits(), x.1), (y.0.to_bits(), y.1));
+            }
+            assert!(
+                arena.bytes() <= bytes_before,
+                "compaction grew the arena: {} -> {} bytes",
+                bytes_before,
+                arena.bytes()
+            );
+        }
+        compactions
+    }
+
+    #[test]
+    fn compaction_renumbers_active_slots_first_in_place() {
+        // At k = 2 every merge finishes a group, so the loop compacts once:
+        // the finished groups the first compaction keeps outweigh what the
+        // remaining merges can retire. At k = 3 merged pairs stay active
+        // and carry columns for finished groups, and the loop compacts more
+        // often. Long fingerprints engage the cascade, whose rows keep a
+        // progress column.
+        for (ds, k, at_least) in [
+            (toy_dataset(150), 2, 1),
+            (toy_dataset(240), 3, 2),
+            (long_toy_dataset(200), 3, 2),
+        ] {
+            for pruning in [Pruning::Cascade, Pruning::HullOnly, Pruning::Off] {
+                let config = GloveConfig {
+                    k,
+                    pruning,
+                    ..GloveConfig::default()
+                };
+                let compactions = checked_compactions(&ds, &config);
+                assert!(
+                    compactions >= at_least,
+                    "{} fingerprints at k = {k}: {compactions} compactions",
+                    ds.fingerprints.len()
+                );
+            }
+            // Whatever the tier, the run publishes the exact oracle's bytes
+            // and accounts for its work.
+            let run = |pruning| {
+                let config = GloveConfig {
+                    k,
+                    pruning,
+                    ..GloveConfig::default()
+                };
+                anonymize(&ds, &config).unwrap()
+            };
+            let oracle = run(Pruning::Off);
+            for out in [run(Pruning::Cascade), run(Pruning::HullOnly)] {
+                assert_eq!(out.dataset.fingerprints, oracle.dataset.fingerprints);
+                assert_eq!(out.stats.merges, oracle.stats.merges);
+                assert_eq!(out.stats.suppressed, oracle.stats.suppressed);
+                assert_eq!(out.stats.reshaped_samples, oracle.stats.reshaped_samples);
+                assert_eq!(out.stats.candidate_pairs(), oracle.stats.pairs_computed);
+            }
+        }
+    }
+
+    /// 96 subscribers: 42 copies of one fingerprint, at the positions 9–15
+    /// of every 16, tie at zero effort with each other, and the others, all
+    /// distinct, lie at positive efforts from everything. The positions keep
+    /// the copies out of the cells a copy's row samples for its list's first
+    /// floor, so each copy's row lists 32 of its 41 zero cells, and its
+    /// floor, the smallest value it left out, is zero too.
+    fn floor_tie_dataset() -> Dataset {
+        let fps = (0..96u32)
+            .map(|u| {
+                let points = if u % 16 >= 9 {
+                    vec![(0, 0, 100), (2_000, 1_000, 700)]
+                } else {
+                    let d = i64::from(u);
+                    vec![
+                        (3_000 + 150 * d, 500 * (d % 3), 110 + u),
+                        (2_000 + 90 * d, 1_000, 720 + 2 * u),
+                    ]
+                };
+                Fingerprint::from_points(u, &points).unwrap()
+            })
+            .collect();
+        Dataset::new("floor-ties", fps).unwrap()
+    }
+
+    #[test]
+    fn a_list_tied_at_its_floor_never_decides_a_row() {
+        let ds = floor_tie_dataset();
+        let inputs: Vec<&Fingerprint> = ds.fingerprints.iter().collect();
+        let config = GloveConfig::default();
+        // The trap: a copy's row whose listed cells are exact zeros at its
+        // zero floor, and which leaves out a copy that ties them below a
+        // partner it lists. Once the listed copies below that partner have
+        // merged away, the row's smallest listed cell equals its floor while
+        // the copy left out ties it at a smaller partner index: a list hit at
+        // `best == floor` would answer with the larger partner, and only a
+        // full scan finds the smaller one.
+        let arena = Arena::build(&inputs, &config, None);
+        let trapped = arena.active.iter().any(|&i| {
+            let list = &arena.lists[i];
+            let zero = |j: usize| arena.cell(i, j) == (0.0, TIER_EXACT);
+            let Some(&last) = list.partners.iter().max() else {
+                return false;
+            };
+            list.floor == 0.0
+                && list.partners.iter().all(|&j| zero(j as usize))
+                && arena.active.iter().any(|&j| {
+                    j != i && j < last as usize && zero(j) && !list.partners.contains(&(j as u32))
+                })
+        });
+        assert!(
+            trapped,
+            "no row leaves out a tie at its floor below a listed one"
+        );
+
+        // Every stale rescan that meets the trap must scan in full, so the
+        // run publishes the oracle's bytes with the oracle's merges.
+        let run = |pruning| {
+            let config = GloveConfig {
+                pruning,
+                ..GloveConfig::default()
+            };
+            anonymize(&ds, &config).unwrap()
+        };
+        let oracle = run(Pruning::Off);
+        for out in [run(Pruning::Cascade), run(Pruning::HullOnly)] {
+            assert_eq!(out.dataset.fingerprints, oracle.dataset.fingerprints);
+            assert_eq!(out.stats.merges, oracle.stats.merges);
+            assert_eq!(out.stats.suppressed, oracle.stats.suppressed);
+            assert_eq!(out.stats.reshaped_samples, oracle.stats.reshaped_samples);
+            assert_eq!(out.stats.candidate_pairs(), oracle.stats.pairs_computed);
+        }
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //!   total (each shard is quadratic only in its own size), and shards are
 //!   embarrassingly parallel. This is the scaling knob every later PR
 //!   (async pipelines, multi-node) hangs off.
+//! * **What is not copied**: a shard's input. Each shard runs the
+//!   monolithic loop over references into the caller's dataset, so a
+//!   sharded run holds the input samples once, like a monolithic one.
 //!
 //! Shards that would hold fewer than `k` subscribers are coalesced with a
 //! neighbouring bucket, so every shard is independently satisfiable; users
@@ -233,36 +236,30 @@ pub(crate) fn anonymize_sharded(
         threads: (budget / chunks.len().max(1)).max(1),
         ..*config
     };
-    let shard_inputs: Vec<Dataset> = chunks
+    // Each shard runs over references into the caller's dataset: no input
+    // fingerprint is copied.
+    let shard_inputs: Vec<Vec<&Fingerprint>> = chunks
         .iter()
-        .enumerate()
-        .map(|(s, idxs)| {
-            Dataset::new(
-                format!("{}-shard{s}", dataset.name),
-                idxs.iter()
-                    .map(|&i| dataset.fingerprints[i].clone())
-                    .collect(),
-            )
-        })
-        .collect::<Result<_, _>>()?;
+        .map(|idxs| idxs.iter().map(|&i| &dataset.fingerprints[i]).collect())
+        .collect();
+    let name = |s: usize| format!("{}-shard{s}", dataset.name);
 
     // A shard whose population cannot cover its deepest plan requirement
     // would fail mid-run; detect it up front with the same error the
     // monolithic entry point raises.
     if let Some(p) = plan {
-        for input in &shard_inputs {
+        for (s, input) in shard_inputs.iter().enumerate() {
             let need = input
-                .fingerprints
                 .iter()
                 .map(|f| p.required_k(f.users()))
                 .max()
                 .unwrap_or(config.k)
                 .max(config.k);
-            if input.num_users() < need {
+            if users_of(input) < need {
                 return Err(GloveError::Unsatisfiable(format!(
                     "shard '{}' has {} subscribers, fewer than the policy k = {}",
-                    input.name,
-                    input.num_users(),
+                    name(s),
+                    users_of(input),
                     need
                 )));
             }
@@ -274,7 +271,8 @@ pub(crate) fn anonymize_sharded(
     // back in shard order, so only the wall clock depends on this order.
     let order = dispatch_order(&shard_inputs);
     let ranked = par_map(order.len(), config.threads, |r| {
-        run_monolithic(&shard_inputs[order[r]], &inner, plan)
+        let s = order[r];
+        run_monolithic(&name(s), &shard_inputs[s], &inner, plan)
     });
     let mut outputs: Vec<_> = order.into_iter().zip(ranked).collect();
     outputs.sort_unstable_by_key(|&(s, _)| s);
@@ -296,8 +294,8 @@ pub(crate) fn anonymize_sharded(
         stats.ledger.absorb(&output.stats.ledger);
         stats.per_shard.push(ShardStat {
             shard: s,
-            fingerprints_in: shard_inputs[s].fingerprints.len(),
-            users_in: shard_inputs[s].num_users(),
+            fingerprints_in: shard_inputs[s].len(),
+            users_in: users_of(&shard_inputs[s]),
             fingerprints_out: output.dataset.fingerprints.len(),
             merges: output.stats.merges,
             pairs_computed: output.stats.pairs_computed,
@@ -319,11 +317,17 @@ pub(crate) fn anonymize_sharded(
     Ok(GloveOutput { dataset, stats })
 }
 
+/// Subscribers hidden in a shard's fingerprints.
+fn users_of(input: &[&Fingerprint]) -> usize {
+    input.iter().map(|f| f.multiplicity()).sum()
+}
+
 /// The order in which shards are handed to workers: by descending sample
 /// count, the estimate of a shard's cost, with ties in shard order.
-fn dispatch_order(shard_inputs: &[Dataset]) -> Vec<usize> {
+fn dispatch_order(shard_inputs: &[Vec<&Fingerprint>]) -> Vec<usize> {
+    let samples = |s: usize| -> usize { shard_inputs[s].iter().map(|f| f.len()).sum() };
     let mut order: Vec<usize> = (0..shard_inputs.len()).collect();
-    order.sort_by_key(|&s| (std::cmp::Reverse(shard_inputs[s].num_samples()), s));
+    order.sort_by_key(|&s| (std::cmp::Reverse(samples(s)), s));
     order
 }
 
@@ -372,6 +376,10 @@ mod tests {
             input(20, &[3]),
             input(30, &[4, 1]),
         ];
+        let inputs: Vec<Vec<&Fingerprint>> = inputs
+            .iter()
+            .map(|d| d.fingerprints.iter().collect())
+            .collect();
         assert_eq!(dispatch_order(&inputs), vec![1, 3, 0, 2]);
     }
 
