@@ -480,6 +480,13 @@ mod tests {
         let outcome = multi_point_attack(&ds, &PublishedView::Epochs(&epochs), &cfg);
         assert!(outcome.min_anonymity() >= 2);
         assert_eq!(outcome.pinpoint_rate(), 0.0);
+        // The same adversary pinpoints most subscribers of the raw data.
+        let raw = multi_point_attack(&ds, &PublishedView::Dataset(&ds), &cfg);
+        assert!(
+            raw.pinpoint_rate() > 0.5,
+            "raw data should be identifiable, got {}",
+            raw.pinpoint_rate()
+        );
     }
 
     #[test]

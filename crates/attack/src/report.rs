@@ -1,6 +1,6 @@
 //! The common attack contract: every adversary in this crate runs behind
 //! one object-safe [`Attack`] trait and produces one serializable
-//! [`AttackReport`], so harnesses (CLI, eval, benches) drive any adversary
+//! [`AttackReport`], so harnesses (CLI, eval, tests) drive any adversary
 //! through the same loop — mirroring how `glove_core::api::Anonymizer`
 //! unifies the defenses.
 //!

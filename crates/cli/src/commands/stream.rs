@@ -172,11 +172,19 @@ pub fn stream_cmd(
     if let Some(plane) = &opts.policy {
         builder = builder.policy(plane.clone());
     }
+    // A malformed record stops the engine too; its parse error, which
+    // names the line, is what the command reports.
+    let mut read_error = None;
     let run = match source {
         Source::Events(reader) => {
             let name = reader.name().to_string();
-            let mut events =
-                reader.map(|r| gate(r.map_err(|e| GloveError::InvalidDataset(e.to_string()))));
+            let mut events = reader.map(|r| {
+                gate(r.map_err(|e| {
+                    let stop = GloveError::InvalidDataset(e.to_string());
+                    read_error = Some(e);
+                    stop
+                }))
+            });
             builder.run_events(&name, &mut events, &mut writer)
         }
         Source::Dataset(ds) => {
@@ -187,6 +195,9 @@ pub fn stream_cmd(
     // The buffered I/O error outranks the abort sentinel it triggered (and
     // covers a failed write of the final, flush-emitted epoch too).
     if let Some(e) = write_error.borrow_mut().take() {
+        return Err(e.into());
+    }
+    if let Some(e) = read_error {
         return Err(e.into());
     }
     let outcome = run?;

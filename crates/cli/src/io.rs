@@ -127,12 +127,20 @@ pub fn from_str(content: &str) -> Result<Dataset, ParseError> {
 pub fn read_file(path: &Path) -> Result<Dataset, ParseError> {
     let mut reader = io::BufReader::new(fs::File::open(path)?);
     let mut parser = DatasetParser::default();
-    let mut line = String::new();
-    while reader.read_line(&mut line)? > 0 {
-        parser.line(&line)?;
+    let mut line = Vec::new();
+    while reader.read_until(b'\n', &mut line)? > 0 {
+        parser.line(utf8(&line, parser.line_no + 1)?)?;
         line.clear();
     }
     parser.finish()
+}
+
+/// `bytes` as text; an invalid UTF-8 byte is a syntax error at `line`.
+fn utf8(bytes: &[u8], line: usize) -> Result<&str, ParseError> {
+    std::str::from_utf8(bytes).map_err(|e| ParseError::Syntax {
+        line,
+        message: format!("invalid UTF-8 at byte {} of the line", e.valid_up_to() + 1),
+    })
 }
 
 /// The one dataset parser behind [`from_str`] and [`read_file`]: fed one
@@ -332,11 +340,14 @@ fn parse_event_line(line: &str, line_no: usize) -> Result<StreamEvent, ParseErro
 /// holding a single line resident. Comments and blank lines are skipped;
 /// the `# name:` header (if present before the first record) is captured.
 pub struct EventReader<R: BufRead> {
-    lines: io::Lines<R>,
+    reader: R,
+    /// The last line read, reused across lines.
+    line: Vec<u8>,
     line_no: usize,
     name: String,
-    /// First record line, pre-read while scanning the header.
-    pending: Option<(usize, String)>,
+    /// Whether `line` holds the first record, read while scanning the
+    /// header.
+    pending: bool,
 }
 
 impl EventReader<io::BufReader<fs::File>> {
@@ -350,37 +361,53 @@ impl<R: BufRead> EventReader<R> {
     /// Wraps any buffered reader, consuming header comments eagerly so
     /// [`EventReader::name`] is available before the first event.
     pub fn new(reader: R) -> Result<Self, ParseError> {
-        let mut lines = reader.lines();
-        let mut line_no = 0usize;
-        let mut name = String::from("unnamed");
-        let mut pending = None;
-        for raw in lines.by_ref() {
-            let raw = raw?;
-            line_no += 1;
-            let line = raw.trim();
+        let mut events = Self {
+            reader,
+            line: Vec::new(),
+            line_no: 0,
+            name: String::from("unnamed"),
+            pending: false,
+        };
+        while events.advance()? {
+            let line = events.text()?;
             if line.is_empty() {
                 continue;
             }
-            if let Some(rest) = line.strip_prefix('#') {
-                if let Some(n) = rest.trim().strip_prefix("name:") {
-                    name = n.trim().to_string();
+            let name = match line.strip_prefix('#') {
+                Some(rest) => rest
+                    .trim()
+                    .strip_prefix("name:")
+                    .map(|n| n.trim().to_string()),
+                None => {
+                    events.pending = true;
+                    break;
                 }
-                continue;
+            };
+            if let Some(name) = name {
+                events.name = name;
             }
-            pending = Some((line_no, line.to_string()));
-            break;
         }
-        Ok(Self {
-            lines,
-            line_no,
-            name,
-            pending,
-        })
+        Ok(events)
     }
 
     /// The stream name from the `# name:` header (`"unnamed"` if absent).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Reads the next line into `line`; `false` at the end of the input.
+    fn advance(&mut self) -> Result<bool, ParseError> {
+        self.line.clear();
+        if self.reader.read_until(b'\n', &mut self.line)? == 0 {
+            return Ok(false);
+        }
+        self.line_no += 1;
+        Ok(true)
+    }
+
+    /// The last line read, trimmed.
+    fn text(&self) -> Result<&str, ParseError> {
+        utf8(&self.line, self.line_no).map(str::trim)
     }
 }
 
@@ -388,16 +415,18 @@ impl<R: BufRead> Iterator for EventReader<R> {
     type Item = Result<StreamEvent, ParseError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if let Some((line_no, line)) = self.pending.take() {
-            return Some(parse_event_line(&line, line_no));
-        }
         loop {
-            let raw = match self.lines.next()? {
-                Ok(raw) => raw,
-                Err(e) => return Some(Err(ParseError::Io(e))),
+            if !std::mem::take(&mut self.pending) {
+                match self.advance() {
+                    Ok(true) => {}
+                    Ok(false) => return None,
+                    Err(e) => return Some(Err(e)),
+                }
+            }
+            let line = match self.text() {
+                Ok(line) => line,
+                Err(e) => return Some(Err(e)),
             };
-            self.line_no += 1;
-            let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
@@ -417,12 +446,19 @@ pub fn events_from_str(content: &str) -> Result<(String, Vec<StreamEvent>), Pars
 /// Sniffs whether a file is an event stream (vs a dataset): true when the
 /// events header comment appears or the first record is an `E` line. Reads
 /// only up to the first record line, mirroring [`EventReader::new`]'s
-/// tolerance for arbitrarily long header comment blocks.
+/// tolerance for arbitrarily long header comment blocks. An invalid UTF-8
+/// byte does not stop the sniff: the reader it picks reports that byte's
+/// line.
 pub fn is_events_file(path: &Path) -> io::Result<bool> {
-    let reader = io::BufReader::new(fs::File::open(path)?);
-    for raw in reader.lines() {
-        let raw = raw?;
-        let line = raw.trim();
+    let mut reader = io::BufReader::new(fs::File::open(path)?);
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        if reader.read_until(b'\n', &mut raw)? == 0 {
+            return Ok(false);
+        }
+        let text = String::from_utf8_lossy(&raw);
+        let line = text.trim();
         if line.is_empty() {
             continue;
         }
@@ -434,7 +470,6 @@ pub fn is_events_file(path: &Path) -> io::Result<bool> {
         }
         return Ok(line.starts_with("E "));
     }
-    Ok(false)
 }
 
 #[cfg(test)]

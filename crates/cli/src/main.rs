@@ -2,8 +2,10 @@
 //! [`glove_cli::commands`].
 
 use glove_cli::commands::{self, AnonymizeOpts, StreamOpts};
+use glove_cli::io::ParseError;
 use glove_core::{CarryPolicy, ResidualPolicy, ShardBy, UnderKPolicy};
 use std::collections::HashMap;
+use std::error::Error;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -171,13 +173,12 @@ fn parse_sharding(flags: &HashMap<String, String>) -> Result<(Option<usize>, Sha
     Ok((shards, shard_by))
 }
 
-fn run() -> Result<String, String> {
+fn run() -> Result<String, Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         return Err("no command given".into());
     };
     let flags = parse_flags(rest)?;
-    let err = |e: Box<dyn std::error::Error>| e.to_string();
 
     match command.as_str() {
         "synth" => {
@@ -190,17 +191,17 @@ fn run() -> Result<String, String> {
             let out = flags.get("out").map(PathBuf::from);
             let events_out = flags.get("events-out").map(PathBuf::from);
             // commands::synth rejects the no-output case with its own error.
-            commands::synth(preset, users, seed, out.as_deref(), events_out.as_deref()).map_err(err)
+            commands::synth(preset, users, seed, out.as_deref(), events_out.as_deref())
         }
         "info" => {
             let input = PathBuf::from(required(&flags, "in")?);
-            commands::info(&input).map_err(err)
+            commands::info(&input)
         }
         "audit" => {
             let input = PathBuf::from(required(&flags, "in")?);
             let k: usize = parse_num(required(&flags, "k")?, "k")?;
             let threads = parse_threads(&flags)?;
-            commands::audit(&input, k, threads).map_err(err)
+            commands::audit(&input, k, threads)
         }
         "anonymize" => {
             let input = PathBuf::from(required(&flags, "in")?);
@@ -224,7 +225,7 @@ fn run() -> Result<String, String> {
                 shards,
                 shard_by,
             };
-            commands::anonymize_cmd(&input, &out, &opts).map_err(err)
+            commands::anonymize_cmd(&input, &out, &opts)
         }
         "stream" => {
             let input = PathBuf::from(required(&flags, "in")?);
@@ -262,14 +263,14 @@ fn run() -> Result<String, String> {
                 shard_by,
                 policy: parse_policy(&flags)?,
             };
-            commands::stream_cmd(&input, &out_dir, &opts).map_err(err)
+            commands::stream_cmd(&input, &out_dir, &opts)
         }
         "generalize" => {
             let input = PathBuf::from(required(&flags, "in")?);
             let out = PathBuf::from(required(&flags, "out")?);
             let space: u32 = parse_num(required(&flags, "space")?, "space")?;
             let time: u32 = parse_num(required(&flags, "time")?, "time")?;
-            commands::generalize_cmd(&input, &out, space, time).map_err(err)
+            commands::generalize_cmd(&input, &out, space, time)
         }
         "w4m" => {
             let input = PathBuf::from(required(&flags, "in")?);
@@ -280,7 +281,7 @@ fn run() -> Result<String, String> {
                 .map(|s| parse_num::<f64>(s, "delta"))
                 .transpose()?
                 .unwrap_or(2_000.0);
-            commands::w4m_cmd(&input, &out, k, delta).map_err(err)
+            commands::w4m_cmd(&input, &out, k, delta)
         }
         "attack" => {
             let original = PathBuf::from(required(&flags, "original")?);
@@ -326,7 +327,6 @@ fn run() -> Result<String, String> {
                 report.as_deref(),
                 &opts,
             )
-            .map_err(err)
         }
         "serve" => {
             let opts = commands::ServeOpts {
@@ -348,12 +348,12 @@ fn run() -> Result<String, String> {
             if opts.queue == 0 {
                 return Err("--queue must be at least 1".into());
             }
-            commands::serve_cmd(&opts).map_err(err)
+            commands::serve_cmd(&opts)
         }
         "send" => {
             let addr = required(&flags, "addr")?.to_string();
             if flags.contains_key("shutdown") {
-                return commands::shutdown_cmd(&addr).map_err(err);
+                return commands::shutdown_cmd(&addr);
             }
             let input = PathBuf::from(required(&flags, "in")?);
             let k: usize = flags
@@ -404,16 +404,18 @@ fn run() -> Result<String, String> {
                 shed: match flags.get("shed").map(String::as_str) {
                     None | Some("false") => false,
                     Some("true") => true,
-                    Some(other) => return Err(format!("--shed must be true|false, got '{other}'")),
+                    Some(other) => {
+                        return Err(format!("--shed must be true|false, got '{other}'").into())
+                    }
                 },
             };
             if opts.batch == 0 {
                 return Err("--batch must be at least 1".into());
             }
-            commands::send_cmd(&input, &opts).map_err(err)
+            commands::send_cmd(&input, &opts)
         }
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command '{other}'")),
+        other => Err(format!("unknown command '{other}'").into()),
     }
 }
 
@@ -423,6 +425,12 @@ fn main() -> ExitCode {
             println!("{msg}");
             ExitCode::SUCCESS
         }
-        Err(msg) => fail(&msg),
+        // A malformed input file is no misuse of the command line: the
+        // error names the line, and the usage text would bury it.
+        Err(e) if e.is::<ParseError>() => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
+        Err(e) => fail(&e.to_string()),
     }
 }

@@ -370,6 +370,19 @@ fn bad_invocations_exit_nonzero_with_usage() {
     // Unreadable input file.
     let out = run(&["info", "--in", "/nonexistent/definitely-missing.txt"]);
     assert_eq!(out.status.code(), Some(2));
+
+    // A malformed input file is no command-line mistake: the error names
+    // the line, without the usage text.
+    let data = temp_path("bad-utf8.txt");
+    let mut text = b"# glove dataset v1\nF 1\nS 0 0 100 100 10 1\nS 0 0 100 100 2".to_vec();
+    text.extend_from_slice(b"\xFF 1\n");
+    std::fs::write(&data, &text).unwrap();
+    let out = run(&["info", "--in", data.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&data);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 4: invalid UTF-8"), "stderr: {stderr}");
+    assert!(!stderr.contains("USAGE"), "stderr: {stderr}");
 }
 
 #[test]

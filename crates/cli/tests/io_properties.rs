@@ -273,3 +273,52 @@ proptest! {
         }
     }
 }
+
+/// An invalid UTF-8 byte is a syntax error at its line, in dataset files
+/// and in event files alike; the event lines around it parse as usual.
+#[test]
+fn invalid_utf8_reports_its_line() {
+    let path = |stem: &str| {
+        std::env::temp_dir().join(format!("glove-io-utf8-{}-{stem}.txt", std::process::id()))
+    };
+    let assert_line_4 = |err: io::ParseError| match err {
+        io::ParseError::Syntax { line, message } => {
+            assert_eq!(line, 4, "message: {message}");
+            assert!(message.contains("UTF-8"), "message: {message}");
+        }
+        other => panic!("expected a Syntax error at line 4, got {other:?}"),
+    };
+
+    let dataset = path("dataset");
+    let mut text = b"# glove dataset v1\nF 1\nS 0 0 100 100 10 1\nS 0 0 100 100 2".to_vec();
+    text.extend_from_slice(b"\xFF 1\n");
+    std::fs::write(&dataset, &text).unwrap();
+    let err = io::read_file(&dataset).expect_err("the bad byte must be caught");
+    let _ = std::fs::remove_file(&dataset);
+    assert_line_4(err);
+
+    let events = path("events");
+    let mut text = b"# glove events v1\nE 1 0 0 100 100 10 1\nE 2 0 0 100 100 11 1\n".to_vec();
+    text.extend_from_slice(b"E 1 0 0 100 100 1\xFF 1\nE 2 0 0 100 100 13 1\n");
+    std::fs::write(&events, &text).unwrap();
+    let read: Vec<_> = io::EventReader::open(&events)
+        .expect("the header is valid")
+        .collect();
+    let _ = std::fs::remove_file(&events);
+    assert_eq!(read.len(), 4, "one item per record line");
+    assert!(read[0].is_ok() && read[1].is_ok() && read[3].is_ok());
+    assert_line_4(read.into_iter().nth(2).unwrap().unwrap_err());
+
+    // A bad byte in the header: the sniff still sees an event file, and
+    // the reader names line 1.
+    let header = path("header");
+    std::fs::write(&header, b"# glove events v1\xFF\nE 1 0 0 100 100 10 1\n").unwrap();
+    let sniffed = io::is_events_file(&header);
+    let opened = io::EventReader::open(&header);
+    let _ = std::fs::remove_file(&header);
+    assert!(sniffed.expect("the sniff reads past the bad byte"));
+    assert!(matches!(
+        opened,
+        Err(io::ParseError::Syntax { line: 1, .. })
+    ));
+}

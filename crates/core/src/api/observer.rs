@@ -240,7 +240,7 @@ impl MetricsSink {
     }
 
     /// Serializes every collected report as one JSON object per line
-    /// (JSONL) — the format the bench artifacts use.
+    /// (JSONL) — the format of the `.jsonl` report artifacts.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for report in &self.reports {

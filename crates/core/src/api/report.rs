@@ -9,8 +9,8 @@
 //!
 //! Reports serialize to JSON ([`RunReport::to_json`]) and parse back
 //! ([`RunReport::from_json`]) with exact round-trip fidelity — enforced by
-//! the `api_properties` test suite — so they can travel through bench
-//! artifacts, CI trajectories and external tooling without this crate.
+//! the `api_properties` test suite — so they can travel through JSONL
+//! artifacts and external tooling without this crate.
 
 use crate::api::json::{field, Json, JsonValue};
 use crate::glove::GloveStats;

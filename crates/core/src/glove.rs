@@ -150,8 +150,9 @@ pub struct GloveStats {
     /// Subscribers dropped with those fingerprints.
     pub discarded_users: u64,
     /// Peak memory accounting of the run: arena bytes, the bytes of the
-    /// samples its slots refer to and process peak-RSS (summed across shards
-    /// for sharded runs, RSS excepted — see [`MemoryLedger::absorb`]).
+    /// samples its slots refer to and process peak-RSS (for sharded runs,
+    /// the largest shard peaks summed, one per worker, RSS excepted — see
+    /// [`MemoryLedger::concurrent`]).
     pub ledger: MemoryLedger,
     /// Wall-clock duration of the run in seconds.
     pub elapsed_s: f64,

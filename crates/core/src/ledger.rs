@@ -6,9 +6,10 @@
 //! not a profiler afterthought. Every engine therefore records a
 //! [`MemoryLedger`] alongside its counters: the greedy core tracks the peak
 //! footprint of its pair arena and of the samples its slots refer to, the
-//! sharded engine sums the per-shard peaks (a sound bound — shards run
-//! concurrently), and everything captures the kernel's own high-water mark
-//! (`VmHWM`) at the end of the run.
+//! sharded engine sums the largest per-shard peaks, one per worker (a sound
+//! bound — no more shards than workers run at once), and everything
+//! captures the kernel's own high-water mark (`VmHWM`) at the end of the
+//! run.
 
 use crate::json_struct;
 
@@ -17,8 +18,8 @@ use crate::json_struct;
 /// All byte figures are *peaks over the run*, not final values: an arena
 /// that grows to 2 GiB and is then compacted to 200 MiB reports 2 GiB.
 /// `peak_rss_bytes` is process-wide (the kernel's `VmHWM`), so in a sharded
-/// run every shard observes the same number; [`MemoryLedger::absorb`] takes
-/// the max rather than summing it.
+/// run every shard observes the same number; [`MemoryLedger::concurrent`]
+/// takes the max rather than summing it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryLedger {
     /// Peak bytes held by the pairwise-distance arena (pages, hulls,
@@ -58,13 +59,22 @@ impl MemoryLedger {
         self.peak_rss_bytes = self.peak_rss_bytes.max(process_peak_rss_bytes());
     }
 
-    /// Folds another ledger into this one: arena and sample peaks add
-    /// (shards run concurrently, so the sum bounds the true simultaneous
-    /// footprint), process RSS takes the max (it is already process-wide).
-    pub fn absorb(&mut self, other: &MemoryLedger) {
-        self.peak_arena_bytes += other.peak_arena_bytes;
-        self.peak_store_bytes += other.peak_store_bytes;
-        self.peak_rss_bytes = self.peak_rss_bytes.max(other.peak_rss_bytes);
+    /// Folds the ledgers of runs that `workers` workers share out, at most
+    /// `workers` at a time (the shards of a sharded run): the arena peak
+    /// and the sample peak are each the sum of the `workers` largest, which
+    /// bounds what the runs can hold at once; process RSS takes the max (it
+    /// is already process-wide).
+    pub fn concurrent(runs: &[MemoryLedger], workers: usize) -> MemoryLedger {
+        let largest = |peak: fn(&MemoryLedger) -> u64| -> u64 {
+            let mut peaks: Vec<u64> = runs.iter().map(peak).collect();
+            peaks.sort_unstable_by(|a, b| b.cmp(a));
+            peaks.iter().take(workers.max(1)).sum()
+        };
+        MemoryLedger {
+            peak_arena_bytes: largest(|l| l.peak_arena_bytes),
+            peak_store_bytes: largest(|l| l.peak_store_bytes),
+            peak_rss_bytes: runs.iter().map(|l| l.peak_rss_bytes).max().unwrap_or(0),
+        }
     }
 
     /// Folds another ledger into this one taking element-wise maxima: the
@@ -123,21 +133,25 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sums_arena_and_maxes_rss() {
-        let mut a = MemoryLedger {
-            peak_arena_bytes: 10,
-            peak_store_bytes: 20,
-            peak_rss_bytes: 5_000,
+    fn concurrent_sums_the_largest_peaks_per_worker_and_maxes_rss() {
+        let run = |arena, store, rss| MemoryLedger {
+            peak_arena_bytes: arena,
+            peak_store_bytes: store,
+            peak_rss_bytes: rss,
         };
-        let b = MemoryLedger {
-            peak_arena_bytes: 7,
-            peak_store_bytes: 3,
-            peak_rss_bytes: 9_000,
-        };
-        a.absorb(&b);
-        assert_eq!(a.peak_arena_bytes, 17);
-        assert_eq!(a.peak_store_bytes, 23);
-        assert_eq!(a.peak_rss_bytes, 9_000);
+        let runs = [
+            run(10, 3, 5_000),
+            run(7, 20, 9_000),
+            run(2, 4, 1_000),
+            run(9, 1, 2_000),
+        ];
+        // Two workers: the two largest arena peaks (10 + 9) and, on their
+        // own, the two largest sample peaks (20 + 4).
+        assert_eq!(MemoryLedger::concurrent(&runs, 2), run(19, 24, 9_000));
+        assert_eq!(MemoryLedger::concurrent(&runs, 1), run(10, 20, 9_000));
+        // More workers than runs: every run at once.
+        assert_eq!(MemoryLedger::concurrent(&runs, 8), run(28, 28, 9_000));
+        assert_eq!(MemoryLedger::concurrent(&[], 2), MemoryLedger::default());
     }
 
     #[test]

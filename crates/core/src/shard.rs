@@ -291,7 +291,6 @@ pub(crate) fn anonymize_sharded(
         stats.reshaped_samples += output.stats.reshaped_samples;
         stats.discarded_fingerprints += output.stats.discarded_fingerprints;
         stats.discarded_users += output.stats.discarded_users;
-        stats.ledger.absorb(&output.stats.ledger);
         stats.per_shard.push(ShardStat {
             shard: s,
             fingerprints_in: shard_inputs[s].len(),
@@ -308,6 +307,8 @@ pub(crate) fn anonymize_sharded(
         });
         published.extend(output.dataset.fingerprints);
     }
+    let ledgers: Vec<MemoryLedger> = stats.per_shard.iter().map(|s| s.ledger).collect();
+    stats.ledger = MemoryLedger::concurrent(&ledgers, budget);
     stats.ledger.capture_rss();
     stats.elapsed_s = started.elapsed().as_secs_f64();
 

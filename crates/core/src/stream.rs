@@ -52,8 +52,9 @@
 //! deferred users, and the previous window's group memberships (user ids
 //! only, `Sticky`). [`StreamStats::peak_resident_fingerprints`] /
 //! [`StreamStats::peak_resident_samples`] record the high-water marks, so
-//! benches can demonstrate that memory follows the window population, not
-//! the dataset (`crates/bench/benches/stream_e2e.rs`).
+//! tests can demonstrate that memory follows the window population, not
+//! the dataset (`daily_window_residency_is_bounded_by_the_window` in
+//! `crates/core/tests/stream_properties.rs`).
 //!
 //! ### Intake and publication
 //!

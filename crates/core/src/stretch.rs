@@ -147,11 +147,10 @@ pub fn fingerprint_stretch(a: &Fingerprint, b: &Fingerprint, cfg: &StretchConfig
 
 /// Lanes per block of the block walk ([`Lanes::min_stretch`]).
 ///
-/// Chosen with the length-bucketed microbenchmark
-/// (`cargo bench -p glove-bench --bench stretch_kernel -- --bench`, group
-/// `fingerprint_stretch/len`: 799 pairs of 800 metro subscribers per
-/// bucket, at mean lengths of 27, 40, 99, 213 and 452 samples). Medians of
-/// three runs on a 2-vCPU Intel Xeon host: blocks of 8 were the fastest at
+/// Chosen with a length-bucketed microbenchmark (since removed) that timed
+/// one Δ per pair over 799 pairs of 800 metro subscribers per bucket, at
+/// mean lengths of 27, 40, 99, 213 and 452 samples. Medians of three runs
+/// on a 2-vCPU Intel Xeon host: blocks of 8 were the fastest at
 /// 40 samples, the metro mean; blocks of 16 were 8 % slower there and
 /// 7–31 % faster from 99 samples up; blocks of 4 were 13–72 % slower than
 /// blocks of 8 in every bucket from 40 samples up.

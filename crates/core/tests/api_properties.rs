@@ -100,6 +100,7 @@ fn sharded_builder_output_is_identical_to_legacy_anonymize() {
         assert_eq!(outcome.report.engine, "glove-sharded");
         let stats = outcome.report.detail.as_glove().unwrap();
         assert_eq!(stats.per_shard.len(), legacy.stats.per_shard.len());
+        assert_eq!(outcome.report.pairs_computed, legacy.stats.pairs_computed);
         assert_eq!(
             outcome.expect_dataset().fingerprints,
             legacy.dataset.fingerprints,
@@ -127,25 +128,32 @@ fn stream_builder_epochs_are_identical_to_legacy_run_stream() {
             },
         };
         let legacy = run_stream(ds.name.clone(), events.iter().copied(), config).unwrap();
-        let outcome = RunBuilder::new(config.glove)
-            .stream(config)
-            .run(&ds)
+        let builder = || RunBuilder::new(config.glove).stream(config);
+        let from_dataset = builder().run(&ds).unwrap();
+        let from_events = builder()
+            .run_events(
+                &ds.name,
+                &mut events.iter().copied().map(Ok),
+                &mut NullObserver,
+            )
             .unwrap();
-        let epochs = outcome.output.epochs();
-        assert_eq!(epochs.len(), legacy.epochs.len(), "window={window}");
-        for (new, old) in epochs.iter().zip(&legacy.epochs) {
-            assert_eq!(new.epoch, old.epoch);
-            assert_eq!(new.window_start_min, old.window_start_min);
+        for outcome in [from_dataset, from_events] {
+            let epochs = outcome.output.epochs();
+            assert_eq!(epochs.len(), legacy.epochs.len(), "window={window}");
+            for (new, old) in epochs.iter().zip(&legacy.epochs) {
+                assert_eq!(new.epoch, old.epoch);
+                assert_eq!(new.window_start_min, old.window_start_min);
+                assert_eq!(
+                    new.output.dataset.fingerprints, old.output.dataset.fingerprints,
+                    "window={window}: epoch {} diverged",
+                    new.epoch
+                );
+            }
             assert_eq!(
-                new.output.dataset.fingerprints, old.output.dataset.fingerprints,
-                "window={window}: epoch {} diverged",
-                new.epoch
+                outcome.report.detail.as_stream().map(|s| s.events),
+                Some(legacy.stats.events)
             );
         }
-        assert_eq!(
-            outcome.report.detail.as_stream().map(|s| s.events),
-            Some(legacy.stats.events)
-        );
     }
 }
 

@@ -90,6 +90,12 @@ proptest! {
             prop_assert_eq!(&one.dataset.fingerprints, &oracle.dataset.fingerprints);
             prop_assert_eq!(one.stats.merges, oracle.stats.merges);
             prop_assert_eq!(one.stats.candidate_pairs(), oracle.stats.candidate_pairs());
+            if pruning == Pruning::HullOnly {
+                // Hull seeds start every cell at tier 1 and run every
+                // survivor to completion.
+                prop_assert_eq!(one.stats.pairs_skipped_tier0, 0);
+                prop_assert_eq!(one.stats.pairs_abandoned, 0);
+            }
             let two = run(pruning, 2);
             prop_assert_eq!(&two.dataset.fingerprints, &one.dataset.fingerprints);
             prop_assert_eq!(work(&two), work(&one));

@@ -10,12 +10,16 @@
 //!   user-window slice is accounted for: published, suppressed or deferred.
 //! * **Determinism** — a streamed run is a pure function of the event
 //!   sequence and the configuration; thread counts never change the output.
+//! * **Residency follows the window** — on a 14-day metro stream cut into
+//!   daily windows, the engine's sample, fingerprint and slot-byte peaks
+//!   stay at one window's worth, far below the whole stream's.
 
 use glove_core::stream::{events_of, run_stream, StreamRun};
 use glove_core::{
     CarryPolicy, Dataset, Fingerprint, GloveConfig, Pruning, Sample, StreamConfig, UnderKPolicy,
     UserId,
 };
+use glove_synth::{generate, ScenarioConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -194,23 +198,68 @@ proptest! {
     }
 
     /// Pruning inside streamed epochs is exact, matching the batch
-    /// guarantee: pruned and unpruned epochs serialize identically.
+    /// guarantee: epochs under the cascade, under hull-only seeds and
+    /// unpruned serialize identically.
     #[test]
     fn streamed_pruning_is_exact(ds in arb_dataset(4..=10)) {
         let mut config = stream_config(480, CarryPolicy::Fresh, UnderKPolicy::Suppress);
         let pruned = run_stream(ds.name.clone(), events_of(&ds), config)
             .expect("pruned run succeeds");
-        config.glove.pruning = Pruning::Off;
-        let unpruned = run_stream(ds.name.clone(), events_of(&ds), config)
-            .expect("unpruned run succeeds");
-        prop_assert_eq!(pruned.epochs.len(), unpruned.epochs.len());
-        for (a, b) in pruned.epochs.iter().zip(&unpruned.epochs) {
-            prop_assert_eq!(
-                serialize(&a.output.dataset),
-                serialize(&b.output.dataset),
-                "pruning changed a streamed epoch"
-            );
+        for pruning in [Pruning::HullOnly, Pruning::Off] {
+            config.glove.pruning = pruning;
+            let other = run_stream(ds.name.clone(), events_of(&ds), config)
+                .expect("oracle run succeeds");
+            prop_assert_eq!(pruned.epochs.len(), other.epochs.len());
+            for (a, b) in pruned.epochs.iter().zip(&other.epochs) {
+                prop_assert_eq!(
+                    serialize(&a.output.dataset),
+                    serialize(&b.output.dataset),
+                    "{:?} changed a streamed epoch", pruning
+                );
+            }
+            prop_assert!(pruned.stats.pairs_computed <= other.stats.pairs_computed);
         }
-        prop_assert!(pruned.stats.pairs_computed <= unpruned.stats.pairs_computed);
     }
+}
+
+/// Daily windows over 96 metro subscribers' 14 days: what the engine holds
+/// at once is bounded by the window, not by the stream. Deferred under-k
+/// users ride along with the window they wait in.
+#[test]
+fn daily_window_residency_is_bounded_by_the_window() {
+    let mut scenario = ScenarioConfig::metro_like(96);
+    scenario.num_towers = 300;
+    scenario.seed = 0x000B_EAC5;
+    let ds = generate(&scenario).dataset;
+    let samples = ds.num_samples();
+    let config = stream_config(1_440, CarryPolicy::Fresh, UnderKPolicy::Defer);
+    let run = run_stream(ds.name.clone(), events_of(&ds), config).expect("streamed run succeeds");
+    let stats = &run.stats;
+
+    assert!(
+        stats.peak_resident_samples * 2 < samples,
+        "peak resident samples {} not bounded by the window (stream {samples})",
+        stats.peak_resident_samples
+    );
+    let max_window_users = stats
+        .per_epoch
+        .iter()
+        .map(|e| e.users_in)
+        .max()
+        .unwrap_or(0);
+    assert!(
+        stats.peak_resident_fingerprints <= max_window_users + stats.deferred_users as usize,
+        "peak resident fingerprints {} above the largest window's {max_window_users} users \
+         plus {} deferred",
+        stats.peak_resident_fingerprints,
+        stats.deferred_users
+    );
+    // The arenas' slots hold one window's samples (plus merge products),
+    // at 32 bytes each.
+    let sample_bytes = (samples * std::mem::size_of::<Sample>()) as u64;
+    assert!(
+        stats.ledger.peak_store_bytes * 2 < sample_bytes,
+        "peak slot sample bytes {} not bounded by the window (stream {sample_bytes} bytes)",
+        stats.ledger.peak_store_bytes
+    );
 }

@@ -11,8 +11,8 @@
 //! [`glove_attack::AttackBudget`], and the adapted plane is re-run and
 //! scored as one more point. The adapted point must land at or below the
 //! `Fresh` baseline's linkage without giving up more retention than the
-//! budget's `k` cap allows — `BENCH_adaptive` asserts exactly that; here
-//! the whole frontier is laid out for plotting.
+//! budget's `k` cap allows — `tests/adaptive_loop.rs` asserts exactly
+//! that; here the whole frontier is laid out for plotting.
 
 use crate::context::EvalContext;
 use crate::report::{fmt, pct, Report};
@@ -248,7 +248,7 @@ pub fn frontier(ctx: &mut EvalContext) -> Report {
         "Each row is one frontier point: attacker success (cross-epoch signature \
          linkage and group persistence) against utility (k-retention, published \
          position accuracy). The adapted row re-runs the sticky base under the \
-         tuner's plane; BENCH_adaptive.json asserts it reaches the fresh \
+         tuner's plane; tests/adaptive_loop.rs asserts it reaches the fresh \
          baseline's linkage with bounded retention loss.",
     );
 

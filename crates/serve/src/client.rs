@@ -1,7 +1,7 @@
 //! Client side of the serve protocol: a blocking connection that honors
 //! `BUSY` backpressure and collects asynchronous `EPOCH` pushes.
 //!
-//! The CLI's `glove send` verb and the e2e tests/bench are all built on
+//! The CLI's `glove send` verb, the e2e tests and opbench are all built on
 //! this type; it is the reference implementation of the retry contract:
 //! on `BUSY {accepted, retry_ms}` the client drops the `accepted` prefix,
 //! sleeps `retry_ms`, and resends the remaining suffix of the *same*

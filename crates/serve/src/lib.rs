@@ -15,8 +15,8 @@
 //!   shedding, live [`SessionMetrics`], and epoch/report persistence.
 //! - [`server`] — the accept loop, tenant registry, and protocol-driven
 //!   graceful shutdown.
-//! - [`client`] — the blocking reference client (`glove send` and the
-//!   e2e bench are built on it).
+//! - [`client`] — the blocking reference client (`glove send`, the e2e
+//!   tests and opbench are built on it).
 //!
 //! ### Exactness
 //!

@@ -24,7 +24,8 @@
 //! then joins every connection thread — each one finalizes its open
 //! session on the way out, which drains the bounded queue and flushes the
 //! engine's final partial window. Accepted (non-shed) events are therefore
-//! never lost by a graceful shutdown; the bench asserts exactly that.
+//! never lost by a graceful shutdown; `tests/serve_e2e.rs`
+//! (`graceful_shutdown_flushes_open_sessions`) asserts exactly that.
 
 use crate::protocol::{read_frame, write_frame, ErrorCode, Frame};
 use crate::session::{EpochWriteFn, Offer, PushSink, Session, SessionConfig};
@@ -160,7 +161,7 @@ pub struct Server {
 }
 
 /// A daemon running on its own thread (the in-process harness used by
-/// tests and the bench; the CLI calls [`Server::run`] directly).
+/// tests and opbench; the CLI calls [`Server::run`] directly).
 pub struct ServerHandle {
     addr: SocketAddr,
     thread: std::thread::JoinHandle<ServerSummary>,

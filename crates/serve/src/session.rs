@@ -122,7 +122,7 @@ impl SessionMetrics {
 
     /// High-water mark of the bounded queue (events): the queue's length
     /// read under its own lock right after each push, so it never exceeds
-    /// the configured capacity — the bounded-memory proof of the bench.
+    /// the configured capacity — the bounded-memory proof of the shed tests.
     pub fn queue_peak(&self) -> u64 {
         self.queue_peak.load(Ordering::SeqCst)
     }

@@ -328,6 +328,64 @@ fn tenant_names_are_unique_and_errors_are_typed() {
 }
 
 #[test]
+fn shed_session_over_tcp_books_every_drop_and_loses_no_accepted_event() {
+    // A stalled sink behind a tiny queue, fed in frames larger than the
+    // queue: every frame overflows, so the daemon must shed, and the
+    // HELLO flag, the EVENTS_OK shed count, the client's resend slice and
+    // the reported ledger must all agree on what was dropped.
+    const QUEUE: usize = 64;
+    let dir = tmp_dir("shed");
+    let stalled: Arc<glove_serve::EpochWriteFn> = Arc::new(|_ds: &Dataset, _path: &Path| {
+        std::thread::sleep(std::time::Duration::from_millis(25));
+        Ok(())
+    });
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeOptions {
+            out_dir: Some(dir.clone()),
+            queue_events: QUEUE,
+            retry_ms: 1,
+            epoch_writer: Some(stalled),
+            policy: glove_core::policy::PolicyPlane::uniform(),
+        },
+    )
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let events = events_of(&synth_dataset(40, 0x5EED));
+    let offered = events.len() as u64;
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let queue = client
+        .hello("slow-consumer", tenant_config(2, 1440, 1), true)
+        .unwrap();
+    assert_eq!(queue as usize, QUEUE);
+    let outcome = client.send_events(&events, 8 * QUEUE).unwrap();
+    assert_eq!(
+        outcome.accepted + outcome.shed,
+        offered,
+        "every offered event is accounted for"
+    );
+    assert_eq!(outcome.busy_retries, 0, "a shed session never answers BUSY");
+    let report = client.flush().unwrap();
+    client.close().unwrap();
+
+    let stats = report.detail.as_stream().unwrap();
+    assert!(
+        stats.shed_events > 0,
+        "a stalled sink behind a {QUEUE}-event queue must shed"
+    );
+    assert_eq!(stats.shed_events, outcome.shed);
+    assert_eq!(stats.events, outcome.accepted);
+
+    glove_serve::client::shutdown(server.addr()).unwrap();
+    let summary = server.join();
+    assert!(summary.failures.is_empty(), "{:?}", summary.failures);
+    assert_eq!(summary.shed_total(), outcome.shed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn graceful_shutdown_flushes_open_sessions() {
     let dir = tmp_dir("shutdown");
     let server = spawn_server(&dir, 4096);

@@ -286,7 +286,8 @@ mod tests {
     fn every_preset_streams_byte_identical_to_batch() {
         // The parity anchor over the whole preset surface, including the
         // workload scenarios: churn id routing, corridor overlays and
-        // long-tail cohorts must all reproduce the batch fingerprints.
+        // long-tail cohorts must all reproduce the batch fingerprints, and
+        // however adversarial the workload, its release is 2-anonymous.
         for &name in crate::scenario::PRESETS {
             let mut cfg = ScenarioConfig::preset(name, 24).expect("advertised preset");
             cfg.num_towers = cfg.num_towers.min(250);
@@ -317,6 +318,13 @@ mod tests {
                     "preset {name} diverged from batch for user {user}"
                 );
             }
+
+            let release = glove_core::glove::anonymize(&batch.dataset, &Default::default())
+                .expect("anonymization succeeds");
+            assert!(
+                release.dataset.is_k_anonymous(2),
+                "preset {name}: anonymized release below k = 2"
+            );
         }
     }
 

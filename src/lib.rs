@@ -16,8 +16,7 @@
 //! * [`eval`] — the experiment harness regenerating the paper's tables and
 //!   figures;
 //! * [`cli`] — the library side of the `glove` binary (dataset text format
-//!   and subcommand implementations);
-//! * [`mod@bench`] — shared fixtures of the Criterion benches.
+//!   and subcommand implementations).
 //!
 //! ## Quickstart
 //!
@@ -49,7 +48,6 @@
 
 pub use glove_attack as attack;
 pub use glove_baselines as baselines;
-pub use glove_bench as bench;
 pub use glove_cli as cli;
 pub use glove_core as core;
 pub use glove_eval as eval;

@@ -36,7 +36,6 @@ const SOURCE_ROOTS: &[&str] = &[
     "crates/eval/src",
     "crates/serve/src",
     "crates/cli/src",
-    "crates/bench/src",
 ];
 
 /// Item keywords that begin a public declaration.

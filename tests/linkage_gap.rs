@@ -5,29 +5,30 @@
 //! cross-epoch signature adversary links ~42% of group transitions under
 //! `Sticky` carry but only ~17% under `Fresh` (measured 0.4237 vs 0.1729
 //! at the pin date). These are the numbers DESIGN.md cites and the
-//! `adaptive` bench budgets against; a quiet shift in either one means
-//! the stream engine's carry behaviour or the adversary changed, and both
-//! the frontier experiment and the tuner's budget need re-reading.
+//! adaptive loop (`tests/adaptive_loop.rs`) budgets against; a quiet
+//! shift in either one means the stream engine's carry behaviour or the
+//! adversary changed, and both the frontier experiment and the tuner's
+//! budget need re-reading.
 //!
-//! Ignored by default — the sticky/fresh double run takes minutes in
-//! debug — and executed in CI as a release-mode step:
-//!
-//! ```sh
-//! cargo test -q --release --test linkage_gap -- --ignored
-//! ```
-//!
-//! A small non-ignored companion keeps the gap's direction pinned on
-//! every `cargo test`.
+//! A 64-user companion pins the gap's direction on a second input.
 
 use glove::attack::{cross_epoch_attack, CrossEpochAttack, CrossEpochOutcome};
-use glove::bench::metro_bench_dataset;
 use glove::core::stream::{events_of, run_stream};
 use glove::core::{CarryPolicy, Dataset, StreamConfig};
+use glove::synth::{generate, ScenarioConfig};
 
 const WINDOW_MIN: u32 = 2_880; // two-day epochs over the metro span
 
+/// The pinned input: `users` metro subscribers on 300 towers, fixed seed.
+fn metro(users: usize) -> Dataset {
+    let mut cfg = ScenarioConfig::metro_like(users);
+    cfg.num_towers = 300;
+    cfg.seed = 0x000B_EAC5;
+    generate(&cfg).dataset
+}
+
 fn linkage(users: usize, carry: CarryPolicy) -> CrossEpochOutcome {
-    let ds = metro_bench_dataset(users);
+    let ds = metro(users);
     let events = events_of(&ds);
     let config = StreamConfig {
         window_min: WINDOW_MIN,
@@ -40,9 +41,7 @@ fn linkage(users: usize, carry: CarryPolicy) -> CrossEpochOutcome {
     cross_epoch_attack(&epochs, &CrossEpochAttack::default())
 }
 
-/// The CI-gated 600-user pin (see .github/workflows/ci.yml).
 #[test]
-#[ignore = "600-user double stream run: minutes in debug; exercised in CI via --ignored"]
 fn metro_600_sticky_vs_fresh_linkage_gap_is_pinned() {
     let fresh = linkage(600, CarryPolicy::Fresh);
     let sticky = linkage(600, CarryPolicy::Sticky);
@@ -80,8 +79,7 @@ fn metro_600_sticky_vs_fresh_linkage_gap_is_pinned() {
     );
 }
 
-/// Fast companion: the direction and rough size of the gap at a population
-/// small enough for every `cargo test` run.
+/// The direction and rough size of the gap on a smaller population.
 #[test]
 fn small_metro_sticky_links_well_above_fresh() {
     let fresh = linkage(64, CarryPolicy::Fresh);
