@@ -22,8 +22,8 @@
 //! * [`MultiPointAttack`] — `p` known (time, location) points per target
 //!   with configurable observation noise, ranking candidates by
 //!   consistency ([`multi_point_attack`]); the `p = 1`…`n` generalization
-//!   of ref. `[6]`. The legacy [`random_point_attack`] is this attack with
-//!   an exact adversary.
+//!   of ref. `[6]`, whose random-point adversary is this attack with
+//!   [`AdversaryNoise::exact`].
 //! * [`TopLocationClassifier`] — trains per-record location profiles on
 //!   one period of the *published* output and links a later period back
 //!   by feature similarity ([`classifier_attack`]); the longitudinal
@@ -174,104 +174,34 @@ pub fn top_location_uniqueness(dataset: &Dataset, l: usize) -> f64 {
     unique_users as f64 / total as f64
 }
 
-/// Configuration of the random-point adversary (the exact-knowledge
-/// special case of [`MultiPointAttack`], kept for API stability).
-#[derive(Debug, Clone, Copy)]
-pub struct RandomPointAttack {
-    /// Points of knowledge per target (ref. `[6]` uses 4–5).
-    pub points: usize,
-    /// Targets drawn (with replacement if larger than the population).
-    pub trials: usize,
-    /// RNG seed (the attack is deterministic given the seed).
-    pub seed: u64,
-}
-
-impl Default for RandomPointAttack {
-    fn default() -> Self {
-        Self {
-            points: 4,
-            trials: 200,
-            seed: 0x00A7_7AC4,
-        }
-    }
-}
-
-/// Result of a random-point linkage attack.
-#[derive(Debug, Clone)]
-pub struct AttackOutcome {
-    /// Per-trial anonymity-set size: the number of subscribers behind the
-    /// published records consistent with the adversary's points. 1 means
-    /// the target was pinpointed; ≥ k means k-anonymity held.
-    pub anonymity_sets: Vec<usize>,
-}
-
-impl AttackOutcome {
-    /// Fraction of trials that pinpointed a single subscriber.
-    pub fn pinpoint_rate(&self) -> f64 {
-        if self.anonymity_sets.is_empty() {
-            return 0.0;
-        }
-        self.anonymity_sets.iter().filter(|&&s| s == 1).count() as f64
-            / self.anonymity_sets.len() as f64
-    }
-
-    /// Smallest anonymity set observed across trials.
-    pub fn min_anonymity(&self) -> usize {
-        self.anonymity_sets.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Mean anonymity-set size.
-    pub fn mean_anonymity(&self) -> f64 {
-        if self.anonymity_sets.is_empty() {
-            return 0.0;
-        }
-        self.anonymity_sets.iter().sum::<usize>() as f64 / self.anonymity_sets.len() as f64
-    }
-}
-
-/// Runs the random-point linkage attack — [`multi_point_attack`] with an
-/// exact (noise-free) adversary, kept as the stable legacy entry point.
-///
-/// For each trial a target subscriber is drawn from `original` (the ground
-/// truth the adversary observed) together with `points` of their true
-/// samples, uniformly over the target's *sample list* (frequently visited
-/// cells are proportionally more likely to be observed); the attack then
-/// counts the subscribers of every record in `published` consistent with
-/// *all* points.
-///
-/// Call with `published = original` to measure raw-data uniqueness (the
-/// ref. `[6]` experiment); call with the GLOVE output to verify the defence.
-///
-/// Targets whose fingerprints hold fewer than `points` samples are skipped
-/// (the adversary cannot have more knowledge than exists). Suppressed
-/// samples can make zero records consistent; those trials report the
-/// anonymity set as the full population (the adversary learned nothing).
-pub fn random_point_attack(
-    original: &Dataset,
-    published: &Dataset,
-    cfg: &RandomPointAttack,
-) -> AttackOutcome {
-    let outcome = multi_point_attack(
-        original,
-        &PublishedView::Dataset(published),
-        &MultiPointAttack {
-            points: cfg.points,
-            trials: cfg.trials,
-            seed: cfg.seed,
-            noise: AdversaryNoise::exact(),
-            threads: 0,
-        },
-    );
-    AttackOutcome {
-        anonymity_sets: outcome.anonymity_sets(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use glove_core::glove::anonymize;
     use glove_core::GloveConfig;
+
+    /// The random-point adversary of ref. `[6]`: `points` exact points of
+    /// each of `trials` targets drawn from `original`, matched against
+    /// `published`.
+    fn exact_attack(
+        original: &Dataset,
+        published: &Dataset,
+        points: usize,
+        trials: usize,
+        seed: u64,
+    ) -> MultiPointOutcome {
+        multi_point_attack(
+            original,
+            &PublishedView::Dataset(published),
+            &MultiPointAttack {
+                points,
+                trials,
+                seed,
+                noise: AdversaryNoise::exact(),
+                threads: 0,
+            },
+        )
+    }
 
     fn raw_dataset() -> Dataset {
         // Six users: two share a routine (same cells, different minutes),
@@ -412,15 +342,7 @@ mod tests {
     #[test]
     fn random_points_pinpoint_raw_users() {
         let ds = raw_dataset();
-        let outcome = random_point_attack(
-            &ds,
-            &ds,
-            &RandomPointAttack {
-                points: 2,
-                trials: 60,
-                seed: 1,
-            },
-        );
+        let outcome = exact_attack(&ds, &ds, 2, 60, 1);
         // The four distinctive users are pinpointed whenever drawn; the twin
         // pair still collapses to themselves only (distinct minutes!), so on
         // raw data at native granularity everyone is unique.
@@ -432,19 +354,11 @@ mod tests {
     fn glove_bounds_the_anonymity_set_at_k() {
         let ds = raw_dataset();
         let out = anonymize(&ds, &GloveConfig::default()).expect("anonymization succeeds");
-        let outcome = random_point_attack(
-            &ds,
-            &out.dataset,
-            &RandomPointAttack {
-                points: 2,
-                trials: 80,
-                seed: 2,
-            },
-        );
+        let outcome = exact_attack(&ds, &out.dataset, 2, 80, 2);
         assert!(
             outcome.min_anonymity() >= 2,
             "k-anonymity must bound the anonymity set: {:?}",
-            outcome.anonymity_sets
+            outcome.anonymity_sets()
         );
         assert_eq!(outcome.pinpoint_rate(), 0.0);
     }
@@ -452,69 +366,17 @@ mod tests {
     #[test]
     fn adversary_with_more_points_is_stronger_on_raw_data() {
         let ds = raw_dataset();
-        let weak = random_point_attack(
-            &ds,
-            &ds,
-            &RandomPointAttack {
-                points: 1,
-                trials: 100,
-                seed: 3,
-            },
-        );
-        let strong = random_point_attack(
-            &ds,
-            &ds,
-            &RandomPointAttack {
-                points: 2,
-                trials: 100,
-                seed: 3,
-            },
-        );
+        let weak = exact_attack(&ds, &ds, 1, 100, 3);
+        let strong = exact_attack(&ds, &ds, 2, 100, 3);
         assert!(strong.mean_anonymity() <= weak.mean_anonymity());
     }
 
     #[test]
     fn attack_is_deterministic_given_seed() {
         let ds = raw_dataset();
-        let cfg = RandomPointAttack {
-            points: 2,
-            trials: 40,
-            seed: 9,
-        };
-        let a = random_point_attack(&ds, &ds, &cfg);
-        let b = random_point_attack(&ds, &ds, &cfg);
-        assert_eq!(a.anonymity_sets, b.anonymity_sets);
-    }
-
-    #[test]
-    fn legacy_entry_point_equals_the_multi_point_attack() {
-        // The acceptance anchor of the subsystem: for every p, the legacy
-        // wrapper reports exactly the multi-point engine's anonymity sets.
-        let ds = raw_dataset();
-        let published = anonymize(&ds, &GloveConfig::default()).unwrap().dataset;
-        for points in [1usize, 2] {
-            let legacy = random_point_attack(
-                &ds,
-                &published,
-                &RandomPointAttack {
-                    points,
-                    trials: 50,
-                    seed: 77,
-                },
-            );
-            let multi = multi_point_attack(
-                &ds,
-                &PublishedView::Dataset(&published),
-                &MultiPointAttack {
-                    points,
-                    trials: 50,
-                    seed: 77,
-                    noise: AdversaryNoise::exact(),
-                    threads: 0,
-                },
-            );
-            assert_eq!(legacy.anonymity_sets, multi.anonymity_sets());
-        }
+        let a = exact_attack(&ds, &ds, 2, 40, 9);
+        let b = exact_attack(&ds, &ds, 2, 40, 9);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -524,16 +386,8 @@ mod tests {
             Fingerprint::from_points(1, &[(500, 0, 2)]).unwrap(),
         ];
         let ds = Dataset::new("short", fps).unwrap();
-        let outcome = random_point_attack(
-            &ds,
-            &ds,
-            &RandomPointAttack {
-                points: 3,
-                trials: 10,
-                seed: 4,
-            },
-        );
-        assert!(outcome.anonymity_sets.is_empty());
+        let outcome = exact_attack(&ds, &ds, 3, 10, 4);
+        assert!(outcome.trials.is_empty());
     }
 
     #[test]
@@ -551,17 +405,9 @@ mod tests {
             ],
         )
         .unwrap();
-        let outcome = random_point_attack(
-            &original,
-            &published,
-            &RandomPointAttack {
-                points: 2,
-                trials: 20,
-                seed: 5,
-            },
-        );
+        let outcome = exact_attack(&original, &published, 2, 20, 5);
         assert!(outcome
-            .anonymity_sets
+            .anonymity_sets()
             .iter()
             .all(|&s| s == published.num_users()));
         assert_eq!(outcome.pinpoint_rate(), 0.0);

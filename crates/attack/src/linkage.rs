@@ -385,8 +385,9 @@ impl AttackObserver {
 }
 
 impl Observer for AttackObserver {
-    fn on_epoch(&mut self, epoch: &EpochOutput) {
+    fn on_epoch(&mut self, epoch: &EpochOutput) -> std::io::Result<()> {
         self.tracker.absorb(epoch.epoch, &epoch.output.dataset);
+        Ok(())
     }
 }
 

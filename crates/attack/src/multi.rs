@@ -156,8 +156,7 @@ impl MultiPointOutcome {
             / self.trials.len() as f64
     }
 
-    /// The per-trial anonymity-set sizes (the legacy
-    /// [`crate::AttackOutcome`] payload).
+    /// The per-trial anonymity-set sizes.
     pub fn anonymity_sets(&self) -> Vec<usize> {
         self.trials.iter().map(|t| t.anonymity_set).collect()
     }

@@ -227,8 +227,8 @@ impl Anonymizer for W4mAnonymizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glove_core::api::{NullObserver, RunBuilder};
-    use glove_core::{Fingerprint, GloveConfig};
+    use glove_core::api::NullObserver;
+    use glove_core::Fingerprint;
 
     fn traj_dataset(n: usize) -> Dataset {
         let fps = (0..n)
@@ -300,20 +300,6 @@ mod tests {
             W4mAnonymizer::new(W4mConfig::default()).prepare(&merged),
             Err(GloveError::InvalidDataset(_))
         ));
-    }
-
-    #[test]
-    fn adapters_run_through_the_builder() {
-        let ds = traj_dataset(6);
-        let outcome = RunBuilder::new(GloveConfig::default())
-            .custom(Box::new(UniformAnonymizer::new(GeneralizationLevel {
-                space_m: 5_000,
-                time_min: 120,
-            })))
-            .run(&ds)
-            .unwrap();
-        assert_eq!(outcome.report.engine, "uniform");
-        assert!(outcome.report.samples_out <= outcome.report.samples_in);
     }
 
     #[test]

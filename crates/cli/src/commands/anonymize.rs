@@ -1,15 +1,15 @@
 //! The single-release anonymization verbs — `glove anonymize` (GLOVE,
 //! monolithic or sharded), `glove generalize` (uniform baseline) and
-//! `glove w4m` (W4M-LC baseline) — all collapsed onto one
-//! [`RunBuilder`] path: the CLI assembles a configuration, the builder
-//! selects the engine, and the printed summary is read off the unified
+//! `glove w4m` (W4M-LC baseline). Each runs one engine behind the
+//! [`Anonymizer`] trait — GLOVE's from [`RunBuilder`], the baselines'
+//! adapters directly — and reads its printed summary off the unified
 //! [`glove_core::api::RunReport`].
 
 use crate::io;
 use glove_baselines::{GeneralizationLevel, UniformAnonymizer, W4mAnonymizer, W4mConfig, W4mStats};
 use glove_core::accuracy::{mean_position_accuracy_m, mean_time_accuracy_min};
 use glove_core::api::json::Json;
-use glove_core::api::RunBuilder;
+use glove_core::api::{Anonymizer, NullObserver, RunBuilder};
 use glove_core::{GloveConfig, ResidualPolicy, ShardBy, ShardPolicy, SuppressionThresholds};
 use std::error::Error;
 use std::path::Path;
@@ -34,8 +34,8 @@ pub struct AnonymizeOpts {
 }
 
 impl AnonymizeOpts {
-    /// The GLOVE configuration these options describe. The builder derives
-    /// its mode from the embedded shard policy.
+    /// The GLOVE configuration these options describe. The builder shards
+    /// the run when the embedded shard policy names more than one shard.
     pub fn to_config(&self) -> GloveConfig {
         GloveConfig {
             k: self.k,
@@ -141,7 +141,7 @@ pub fn anonymize_cmd(
 }
 
 /// `glove generalize`: the uniform spatiotemporal generalization baseline,
-/// through the same builder path (custom engine mode).
+/// through its run-API adapter.
 pub fn generalize_cmd(
     input: &Path,
     out: &Path,
@@ -150,9 +150,7 @@ pub fn generalize_cmd(
 ) -> Result<String, Box<dyn Error>> {
     let ds = io::read_file(input)?;
     let level = GeneralizationLevel { space_m, time_min };
-    let outcome = RunBuilder::new(GloveConfig::default())
-        .custom(Box::new(UniformAnonymizer::new(level)))
-        .run(&ds)?;
+    let outcome = UniformAnonymizer::new(level).run(&ds, &mut NullObserver)?;
     let r = &outcome.report;
     let (samples_in, samples_out) = (r.samples_in, r.samples_out);
     io::write_file(outcome.output.dataset().expect("single-release"), out)?;
@@ -166,16 +164,15 @@ pub fn generalize_cmd(
     ))
 }
 
-/// `glove w4m`: the W4M-LC baseline, through the same builder path.
+/// `glove w4m`: the W4M-LC baseline, through its run-API adapter.
 pub fn w4m_cmd(input: &Path, out: &Path, k: usize, delta_m: f64) -> Result<String, Box<dyn Error>> {
     let ds = io::read_file(input)?;
-    let outcome = RunBuilder::new(GloveConfig::default())
-        .custom(Box::new(W4mAnonymizer::new(W4mConfig {
-            k,
-            delta_m,
-            ..W4mConfig::default()
-        })))
-        .run(&ds)?;
+    let outcome = W4mAnonymizer::new(W4mConfig {
+        k,
+        delta_m,
+        ..W4mConfig::default()
+    })
+    .run(&ds, &mut NullObserver)?;
     let r = &outcome.report;
     let detail = W4mStats::from_value(r.detail.as_external().expect("w4m external detail"))?;
     let msg = format!(

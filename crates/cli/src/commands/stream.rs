@@ -8,15 +8,13 @@
 use crate::io;
 use glove_core::api::{Observer, RunBuilder};
 use glove_core::policy::PolicyPlane;
-use glove_core::stream::{events_of, EpochOutput, StreamEvent};
+use glove_core::stream::{events_of, EpochOutput};
 use glove_core::{
     CarryPolicy, GloveConfig, GloveError, ShardBy, ShardPolicy, StreamConfig,
     SuppressionThresholds, UnderKPolicy,
 };
-use std::cell::RefCell;
 use std::error::Error;
 use std::path::Path;
-use std::rc::Rc;
 
 /// Options of `glove stream`.
 #[derive(Debug, Clone)]
@@ -87,25 +85,17 @@ impl StreamOpts {
     }
 }
 
-/// Writes each emitted epoch to `out_dir/epoch-NNNN.txt` as it closes.
-/// Observer callbacks are infallible, so the first I/O error is buffered
-/// in the shared cell; the event feed watches that cell and aborts the run
-/// at the next event, so a failed write (full disk, revoked permissions)
-/// does not burn the rest of a long stream producing nothing.
+/// Writes each emitted epoch to `out_dir/epoch-NNNN.txt` as it closes. A
+/// failed write (full disk, revoked permissions) ends the run at that
+/// epoch instead of burning the rest of a long stream producing nothing.
 struct EpochWriter<'a> {
     out_dir: &'a Path,
-    error: Rc<RefCell<Option<std::io::Error>>>,
 }
 
 impl Observer for EpochWriter<'_> {
-    fn on_epoch(&mut self, epoch: &EpochOutput) {
-        if self.error.borrow().is_some() {
-            return;
-        }
+    fn on_epoch(&mut self, epoch: &EpochOutput) -> std::io::Result<()> {
         let path = self.out_dir.join(format!("epoch-{:04}.txt", epoch.epoch));
-        if let Err(e) = io::write_file(&epoch.output.dataset, &path) {
-            *self.error.borrow_mut() = Some(e);
-        }
+        io::write_file(&epoch.output.dataset, &path)
     }
 }
 
@@ -153,21 +143,7 @@ pub fn stream_cmd(
         }
     }
 
-    let write_error = Rc::new(RefCell::new(None));
-    let mut writer = EpochWriter {
-        out_dir,
-        error: Rc::clone(&write_error),
-    };
-    // Every event passes this gate: once an epoch write has failed, the
-    // feed yields an error instead, which stops the engine immediately.
-    let gate = |event: Result<StreamEvent, GloveError>| -> Result<StreamEvent, GloveError> {
-        if write_error.borrow().is_some() {
-            return Err(GloveError::InvalidDataset(
-                "aborting stream: an epoch file could not be written".into(),
-            ));
-        }
-        event
-    };
+    let mut writer = EpochWriter { out_dir };
     let mut builder = RunBuilder::new(glove).stream(stream).keep_epochs(false);
     if let Some(plane) = &opts.policy {
         builder = builder.policy(plane.clone());
@@ -179,24 +155,19 @@ pub fn stream_cmd(
         Source::Events(reader) => {
             let name = reader.name().to_string();
             let mut events = reader.map(|r| {
-                gate(r.map_err(|e| {
+                r.map_err(|e| {
                     let stop = GloveError::InvalidDataset(e.to_string());
                     read_error = Some(e);
                     stop
-                }))
+                })
             });
             builder.run_events(&name, &mut events, &mut writer)
         }
         Source::Dataset(ds) => {
-            let mut events = events_of(&ds).into_iter().map(|e| gate(Ok(e)));
+            let mut events = events_of(&ds).into_iter().map(Ok);
             builder.run_events(&ds.name, &mut events, &mut writer)
         }
     };
-    // The buffered I/O error outranks the abort sentinel it triggered (and
-    // covers a failed write of the final, flush-emitted epoch too).
-    if let Some(e) = write_error.borrow_mut().take() {
-        return Err(e.into());
-    }
     if let Some(e) = read_error {
         return Err(e.into());
     }

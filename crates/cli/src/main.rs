@@ -2,7 +2,6 @@
 //! [`glove_cli::commands`].
 
 use glove_cli::commands::{self, AnonymizeOpts, StreamOpts};
-use glove_cli::io::ParseError;
 use glove_core::{CarryPolicy, ResidualPolicy, ShardBy, UnderKPolicy};
 use std::collections::HashMap;
 use std::error::Error;
@@ -73,14 +72,29 @@ client sends `glove send --addr ADDR --shutdown true`; open sessions are
 flushed, losing no accepted events.
 ";
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
+/// A mistake on the command line: an unknown command, or a missing,
+/// duplicate or unparsable option. The only error printed with the usage
+/// text.
+#[derive(Debug)]
+struct UsageError(String);
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl Error for UsageError {}
+
+impl From<String> for UsageError {
+    fn from(msg: String) -> Self {
+        Self(msg)
+    }
 }
 
 /// Splits `--key value` pairs into a map; returns an error message on
 /// malformed input or duplicate keys.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, UsageError> {
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -91,27 +105,27 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             .next()
             .ok_or_else(|| format!("option --{key} needs a value"))?;
         if map.insert(key.to_string(), value.clone()).is_some() {
-            return Err(format!("duplicate option --{key}"));
+            return Err(format!("duplicate option --{key}").into());
         }
     }
     Ok(map)
 }
 
-fn required<'m>(flags: &'m HashMap<String, String>, key: &str) -> Result<&'m str, String> {
+fn required<'m>(flags: &'m HashMap<String, String>, key: &str) -> Result<&'m str, UsageError> {
     flags
         .get(key)
         .map(String::as_str)
-        .ok_or_else(|| format!("missing required option --{key}"))
+        .ok_or_else(|| format!("missing required option --{key}").into())
 }
 
-fn parse_num<T: std::str::FromStr>(value: &str, key: &str) -> Result<T, String> {
+fn parse_num<T: std::str::FromStr>(value: &str, key: &str) -> Result<T, UsageError> {
     value
         .parse()
-        .map_err(|_| format!("option --{key}: cannot parse '{value}'"))
+        .map_err(|_| format!("option --{key}: cannot parse '{value}'").into())
 }
 
 /// `--threads N` (0 = all cores; default 0), shared by every heavy command.
-fn parse_threads(flags: &HashMap<String, String>) -> Result<usize, String> {
+fn parse_threads(flags: &HashMap<String, String>) -> Result<usize, UsageError> {
     Ok(flags
         .get("threads")
         .map(|s| parse_num::<usize>(s, "threads"))
@@ -123,7 +137,7 @@ fn parse_threads(flags: &HashMap<String, String>) -> Result<usize, String> {
 /// `anonymize` and `stream`.
 fn parse_suppression(
     flags: &HashMap<String, String>,
-) -> Result<(Option<u32>, Option<u32>), String> {
+) -> Result<(Option<u32>, Option<u32>), UsageError> {
     let space = flags
         .get("suppress-space")
         .map(|s| parse_num::<u32>(s, "suppress-space"))
@@ -151,19 +165,19 @@ fn parse_policy(
 
 /// `--shards N` / `--shard-by activity|spatial|two-level` with their coupling rules,
 /// shared by `anonymize` and `stream`.
-fn parse_sharding(flags: &HashMap<String, String>) -> Result<(Option<usize>, ShardBy), String> {
+fn parse_sharding(flags: &HashMap<String, String>) -> Result<(Option<usize>, ShardBy), UsageError> {
     let shards = flags
         .get("shards")
         .map(|s| parse_num::<usize>(s, "shards"))
         .transpose()?;
     if shards == Some(0) {
-        return Err("--shards must be at least 1".into());
+        return Err(UsageError("--shards must be at least 1".into()));
     }
     let shard_by = match flags.get("shard-by") {
         None => ShardBy::Activity,
         Some(value) => {
             if shards.is_none() {
-                return Err("--shard-by requires --shards".into());
+                return Err(UsageError("--shard-by requires --shards".into()));
             }
             value
                 .parse::<ShardBy>()
@@ -176,7 +190,7 @@ fn parse_sharding(flags: &HashMap<String, String>) -> Result<(Option<usize>, Sha
 fn run() -> Result<String, Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
-        return Err("no command given".into());
+        return Err(UsageError("no command given".into()).into());
     };
     let flags = parse_flags(rest)?;
 
@@ -212,7 +226,7 @@ fn run() -> Result<String, Box<dyn Error>> {
                 .get("residual")
                 .map(|s| s.parse::<ResidualPolicy>())
                 .transpose()
-                .map_err(|e| format!("--residual: {e}"))?
+                .map_err(|e| UsageError(format!("--residual: {e}")))?
                 .unwrap_or_default();
             let threads = parse_threads(&flags)?;
             let (shards, shard_by) = parse_sharding(&flags)?;
@@ -240,13 +254,13 @@ fn run() -> Result<String, Box<dyn Error>> {
                 .get("carry")
                 .map(|s| s.parse::<CarryPolicy>())
                 .transpose()
-                .map_err(|e| format!("--carry: {e}"))?
+                .map_err(|e| UsageError(format!("--carry: {e}")))?
                 .unwrap_or_default();
             let under_k = flags
                 .get("under-k")
                 .map(|s| s.parse::<UnderKPolicy>())
                 .transpose()
-                .map_err(|e| format!("--under-k: {e}"))?
+                .map_err(|e| UsageError(format!("--under-k: {e}")))?
                 .unwrap_or_default();
             let (suppress_space_m, suppress_time_min) = parse_suppression(&flags)?;
             let threads = parse_threads(&flags)?;
@@ -289,7 +303,7 @@ fn run() -> Result<String, Box<dyn Error>> {
             let epochs_dir = flags.get("epochs-dir").map(PathBuf::from);
             let report = flags.get("report").map(PathBuf::from);
             let defaults = commands::AttackOpts::default();
-            let parse_or = |key: &str, fallback: usize| -> Result<usize, String> {
+            let parse_or = |key: &str, fallback: usize| -> Result<usize, UsageError> {
                 flags
                     .get(key)
                     .map(|s| parse_num::<usize>(s, key))
@@ -346,7 +360,7 @@ fn run() -> Result<String, Box<dyn Error>> {
                 policy: parse_policy(&flags)?,
             };
             if opts.queue == 0 {
-                return Err("--queue must be at least 1".into());
+                return Err(UsageError("--queue must be at least 1".into()).into());
             }
             commands::serve_cmd(&opts)
         }
@@ -370,13 +384,13 @@ fn run() -> Result<String, Box<dyn Error>> {
                 .get("carry")
                 .map(|s| s.parse::<CarryPolicy>())
                 .transpose()
-                .map_err(|e| format!("--carry: {e}"))?
+                .map_err(|e| UsageError(format!("--carry: {e}")))?
                 .unwrap_or_default();
             let under_k = flags
                 .get("under-k")
                 .map(|s| s.parse::<UnderKPolicy>())
                 .transpose()
-                .map_err(|e| format!("--under-k: {e}"))?
+                .map_err(|e| UsageError(format!("--under-k: {e}")))?
                 .unwrap_or_default();
             let (suppress_space_m, suppress_time_min) = parse_suppression(&flags)?;
             let threads = parse_threads(&flags)?;
@@ -405,17 +419,18 @@ fn run() -> Result<String, Box<dyn Error>> {
                     None | Some("false") => false,
                     Some("true") => true,
                     Some(other) => {
-                        return Err(format!("--shed must be true|false, got '{other}'").into())
+                        let msg = format!("--shed must be true|false, got '{other}'");
+                        return Err(UsageError(msg).into());
                     }
                 },
             };
             if opts.batch == 0 {
-                return Err("--batch must be at least 1".into());
+                return Err(UsageError("--batch must be at least 1".into()).into());
             }
             commands::send_cmd(&input, &opts)
         }
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command '{other}'").into()),
+        other => Err(UsageError(format!("unknown command '{other}'")).into()),
     }
 }
 
@@ -425,12 +440,16 @@ fn main() -> ExitCode {
             println!("{msg}");
             ExitCode::SUCCESS
         }
-        // A malformed input file is no misuse of the command line: the
-        // error names the line, and the usage text would bury it.
-        Err(e) if e.is::<ParseError>() => {
+        Err(e) if e.is::<UsageError>() => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            ExitCode::from(2)
+        }
+        // A failed run (an unsatisfiable k, an unreadable or malformed
+        // input, a failed epoch write) is no misuse of the command line:
+        // the usage text would bury the error.
+        Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
-        Err(e) => fail(&e.to_string()),
     }
 }

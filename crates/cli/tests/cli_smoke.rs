@@ -383,6 +383,41 @@ fn bad_invocations_exit_nonzero_with_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 4: invalid UTF-8"), "stderr: {stderr}");
     assert!(!stderr.contains("USAGE"), "stderr: {stderr}");
+
+    // Neither is a run that fails: an unsatisfiable k names the k, without
+    // the usage text.
+    let data = temp_path("k50-data.txt");
+    let anon = temp_path("k50-anon.txt");
+    let synth = run(&[
+        "synth",
+        "--preset",
+        "civ",
+        "--users",
+        "20",
+        "--seed",
+        "7",
+        "--out",
+        data.to_str().unwrap(),
+    ]);
+    assert!(synth.status.success());
+    let out = run(&[
+        "anonymize",
+        "--in",
+        data.to_str().unwrap(),
+        "--out",
+        anon.to_str().unwrap(),
+        "--k",
+        "50",
+    ]);
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_file(&anon);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unsatisfiable") && stderr.contains("k = 50"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("USAGE"), "stderr: {stderr}");
 }
 
 #[test]

@@ -7,16 +7,18 @@
 //! every consumer re-stitched configuration and reporting by hand. This
 //! module replaces that with three layers:
 //!
-//! * [`Anonymizer`] — the object-safe engine trait (`prepare → run`);
-//!   implemented here for the batch ([`BatchGlove`]), sharded
-//!   ([`ShardedGlove`]) and streaming ([`StreamGlove`]) engines, and by the
-//!   `glove-baselines` crate for the uniform and W4M comparators;
+//! * [`Anonymizer`] — the object-safe engine trait (`prepare → run`).
+//!   [`RunBuilder::build`] assembles the core's two engines behind it: one
+//!   GLOVE engine for single releases (monolithic or sharded, as the
+//!   config's shard policy says) and the streaming engine. The
+//!   `glove-baselines` crate implements it for the uniform and W4M
+//!   comparators;
 //! * [`Observer`] — progress hooks (phases, shards, epochs, pair counters)
-//!   with [`NullObserver`], [`LogObserver`] and [`MetricsSink`] sinks;
+//!   with [`NullObserver`], [`LogObserver`] and [`JsonlReportWriter`] sinks;
 //! * [`RunReport`] — one serializable result summary whatever the engine,
 //!   with the legacy stats types embedded as detail sections.
 //!
-//! [`RunBuilder`] is the front door: it selects the mode from one
+//! [`RunBuilder`] is the front door: it assembles the engine from one
 //! [`GloveConfig`] and runs it.
 //!
 //! ```
@@ -32,27 +34,26 @@
 //! assert!(outcome.expect_dataset().is_k_anonymous(2));
 //! ```
 //!
-//! **Exactness.** The builder adds orchestration only: its batch, sharded
-//! and stream paths produce **byte-identical** output to the legacy entry
-//! points (enforced by `crates/core/tests/api_properties.rs`), so the
-//! equivalence anchors of the sharded and streaming engines carry over
-//! unchanged.
+//! **Exactness.** The builder adds orchestration only: its single-release
+//! and stream runs produce **byte-identical** output to
+//! [`crate::glove::anonymize`] and [`crate::stream::run_stream`] (enforced
+//! by `crates/core/tests/api_properties.rs`), so the equivalence anchors of
+//! the sharded and streaming engines carry over unchanged.
 
 pub mod json;
 pub mod observer;
 pub mod report;
 
-pub use observer::{JsonlReportWriter, LogObserver, MetricsSink, NullObserver, Observer};
+pub use observer::{JsonlReportWriter, LogObserver, NullObserver, Observer};
 pub use report::{PhaseMetric, RunDetail, RunReport};
 
 use crate::config::{GloveConfig, ShardPolicy, StreamConfig};
 use crate::error::GloveError;
-use crate::glove::{anonymize_with_plan, GloveOutput};
+use crate::glove::{anonymize_with_plan, check_run, GloveOutput};
 use crate::model::Dataset;
 use crate::policy::{KPlan, PolicyPlane, SharedPolicy};
 use crate::stream::{EpochOutput, StreamEngine, StreamEvent};
 use crate::suppress::SuppressionLedger;
-use observer::Tee;
 use std::time::Instant;
 
 /// Events fed to a streaming run: the item type of
@@ -123,7 +124,8 @@ impl RunOutcome {
 /// drive every defense through the same loop. The contract:
 ///
 /// * [`Anonymizer::prepare`] is a cheap fail-fast validation of the
-///   engine's configuration against a dataset; it performs no work.
+///   engine's configuration against a dataset; it performs no work, and it
+///   fails with the error `run` would fail with up front.
 /// * [`Anonymizer::run`] executes the engine, emitting the observer
 ///   callbacks in the order documented in [`observer`], and returns the
 ///   published output with its [`RunReport`]. `run` validates on its own —
@@ -200,78 +202,56 @@ fn glove_report(
     }
 }
 
-/// Resolves the epoch-0 view of a policy plane against a batch
-/// configuration: the effective [`GloveConfig`] (global k / suppression
-/// overrides applied) plus the [`KPlan`] carrying cohort k floors.
-/// Single-release engines publish exactly one epoch, so index 0 is the
-/// only one that can ever apply; window and carry rules are stream-only
-/// and ignored here.
-fn resolve_batch_policy(
-    policy: Option<&SharedPolicy>,
-    config: &GloveConfig,
-) -> Result<(GloveConfig, Option<KPlan>), GloveError> {
-    let Some(handle) = policy else {
-        return Ok((*config, None));
-    };
-    let plane = handle.read().expect("policy lock poisoned");
-    plane.validate()?;
-    let base = StreamConfig {
-        glove: *config,
-        ..StreamConfig::default()
-    };
-    let eff = plane.resolve(0, None, &base);
-    let effective = GloveConfig {
-        k: eff.k,
-        suppression: eff.suppression,
-        ..*config
-    };
-    Ok((effective, plane.kplan(0, &base)))
-}
-
-/// The monolithic batch engine (Alg. 1 over the whole dataset). Any
-/// sharding in the supplied configuration is stripped — use
-/// [`ShardedGlove`] for sharded runs.
+/// The GLOVE engine of single releases: Alg. 1 over the whole dataset,
+/// or over the shards `config.shard` names, stitched back together
+/// (`core::shard`). It runs `config` as given, through the same
+/// [`anonymize_with_plan`] call as [`crate::glove::anonymize`], so output
+/// is byte-identical by construction.
 #[derive(Debug, Clone)]
-pub struct BatchGlove {
+struct ReleaseGlove {
     config: GloveConfig,
     policy: Option<SharedPolicy>,
 }
 
-impl BatchGlove {
-    /// A batch engine with `config` (its `shard` field is cleared).
-    pub fn new(config: GloveConfig) -> Self {
-        Self {
-            config: GloveConfig {
-                shard: None,
-                ..config
-            },
-            policy: None,
-        }
-    }
-
-    /// Attaches a policy plane; its epoch-0 rules override k and
-    /// suppression, cohort rules become per-user k floors. A
-    /// [`PolicyPlane::uniform`] plane leaves output byte-identical.
-    pub fn with_policy(mut self, policy: SharedPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// The engine's effective configuration.
-    pub fn config(&self) -> &GloveConfig {
-        &self.config
+impl ReleaseGlove {
+    /// Resolves the epoch-0 view of the policy plane: the effective
+    /// [`GloveConfig`] (global k / suppression overrides applied) plus the
+    /// [`KPlan`] carrying cohort k floors. A single release publishes
+    /// exactly one epoch, so index 0 is the only one that can ever apply;
+    /// window and carry rules are stream-only and ignored here.
+    fn resolve(&self) -> Result<(GloveConfig, Option<KPlan>), GloveError> {
+        let Some(handle) = &self.policy else {
+            return Ok((self.config, None));
+        };
+        let plane = handle.read().expect("policy lock poisoned");
+        plane.validate()?;
+        let base = StreamConfig {
+            glove: self.config,
+            ..StreamConfig::default()
+        };
+        let eff = plane.resolve(0, None, &base);
+        let effective = GloveConfig {
+            k: eff.k,
+            suppression: eff.suppression,
+            ..self.config
+        };
+        Ok((effective, plane.kplan(0, &base)))
     }
 }
 
-impl Anonymizer for BatchGlove {
+impl Anonymizer for ReleaseGlove {
+    /// `glove-sharded` exactly when the run shards: when `config.shard`
+    /// names more than one shard.
     fn engine(&self) -> &'static str {
-        "glove-batch"
+        match self.config.shard {
+            Some(policy) if policy.shards > 1 => "glove-sharded",
+            _ => "glove-batch",
+        }
     }
 
     fn prepare(&self, dataset: &Dataset) -> Result<(), GloveError> {
-        self.config.validate()?;
-        let (effective, _) = resolve_batch_policy(self.policy.as_ref(), &self.config)?;
-        check_population(dataset, effective.k)
+        let (config, plan) = self.resolve()?;
+        check_run(dataset, &config, plan.as_ref())
     }
 
     fn run(
@@ -279,205 +259,96 @@ impl Anonymizer for BatchGlove {
         dataset: &Dataset,
         observer: &mut dyn Observer,
     ) -> Result<RunOutcome, GloveError> {
-        let (effective, plan) = resolve_batch_policy(self.policy.as_ref(), &self.config)?;
-        run_glove(self.engine(), dataset, &effective, plan.as_ref(), observer)
-    }
-}
-
-/// The sharded engine: the dataset is partitioned by `policy`, each shard
-/// anonymized independently and the outputs stitched (`core::shard`).
-#[derive(Debug, Clone)]
-pub struct ShardedGlove {
-    config: GloveConfig,
-    policy: Option<SharedPolicy>,
-}
-
-impl ShardedGlove {
-    /// A sharded engine with `config` and `policy` (overriding any `shard`
-    /// already in the config).
-    pub fn new(config: GloveConfig, policy: ShardPolicy) -> Self {
-        Self {
-            config: GloveConfig {
-                shard: Some(policy),
-                ..config
+        let engine = self.engine();
+        let started = Instant::now();
+        let (config, plan) = self.resolve()?;
+        let ((), prep_s) = phase(engine, "prepare", observer, |_| {
+            check_run(dataset, &config, plan.as_ref())
+        })?;
+        let (output, run_s) = phase(engine, "run", observer, |obs| {
+            let output = anonymize_with_plan(dataset, &config, plan.as_ref())?;
+            for stat in &output.stats.per_shard {
+                obs.on_shard(stat);
+            }
+            obs.on_progress(
+                output.stats.merges,
+                output.stats.pairs_computed,
+                output.stats.pairs_pruned,
+            );
+            Ok(output)
+        })?;
+        let phases = vec![
+            PhaseMetric {
+                phase: "prepare".into(),
+                elapsed_s: prep_s,
             },
-            policy: None,
-        }
-    }
-
-    /// Attaches a policy plane (see [`BatchGlove::with_policy`]); cohort k
-    /// floors are enforced inside every shard's greedy loop.
-    pub fn with_policy(mut self, policy: SharedPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// The engine's effective configuration.
-    pub fn config(&self) -> &GloveConfig {
-        &self.config
-    }
-}
-
-impl Anonymizer for ShardedGlove {
-    fn engine(&self) -> &'static str {
-        "glove-sharded"
-    }
-
-    fn prepare(&self, dataset: &Dataset) -> Result<(), GloveError> {
-        self.config.validate()?;
-        let (effective, _) = resolve_batch_policy(self.policy.as_ref(), &self.config)?;
-        check_population(dataset, effective.k)
-    }
-
-    fn run(
-        &self,
-        dataset: &Dataset,
-        observer: &mut dyn Observer,
-    ) -> Result<RunOutcome, GloveError> {
-        let (effective, plan) = resolve_batch_policy(self.policy.as_ref(), &self.config)?;
-        run_glove(self.engine(), dataset, &effective, plan.as_ref(), observer)
-    }
-}
-
-/// The checks [`crate::glove::anonymize`] performs up front, reproduced so
-/// `prepare` can fail fast with the same errors.
-fn check_population(dataset: &Dataset, k: usize) -> Result<(), GloveError> {
-    if dataset.fingerprints.is_empty() {
-        return Err(GloveError::InvalidDataset(
-            "cannot anonymize an empty dataset".into(),
-        ));
-    }
-    if dataset.num_users() < k {
-        return Err(GloveError::Unsatisfiable(format!(
-            "dataset has {} subscribers, fewer than k = {}",
-            dataset.num_users(),
-            k
-        )));
-    }
-    Ok(())
-}
-
-/// Shared body of the batch and sharded engines (the same
-/// [`crate::glove::anonymize`] call the legacy entry point exposes, so
-/// output is byte-identical by construction).
-fn run_glove(
-    engine: &str,
-    dataset: &Dataset,
-    config: &GloveConfig,
-    plan: Option<&KPlan>,
-    observer: &mut dyn Observer,
-) -> Result<RunOutcome, GloveError> {
-    let started = Instant::now();
-    let mut phases = Vec::new();
-
-    let ((), prep_s) = phase(engine, "prepare", observer, |_| {
-        config.validate()?;
-        check_population(dataset, config.k)
-    })?;
-    phases.push(PhaseMetric {
-        phase: "prepare".into(),
-        elapsed_s: prep_s,
-    });
-
-    let (output, run_s) = phase(engine, "run", observer, |obs| {
-        let output = anonymize_with_plan(dataset, config, plan)?;
-        for stat in &output.stats.per_shard {
-            obs.on_shard(stat);
-        }
-        obs.on_progress(
-            output.stats.merges,
-            output.stats.pairs_computed,
-            output.stats.pairs_pruned,
+            PhaseMetric {
+                phase: "run".into(),
+                elapsed_s: run_s,
+            },
+        ];
+        let report = glove_report(
+            engine,
+            dataset,
+            config.k,
+            &output,
+            started.elapsed().as_secs_f64(),
+            phases,
         );
-        Ok(output)
-    })?;
-    phases.push(PhaseMetric {
-        phase: "run".into(),
-        elapsed_s: run_s,
-    });
-
-    let report = glove_report(
-        engine,
-        dataset,
-        config.k,
-        &output,
-        started.elapsed().as_secs_f64(),
-        phases,
-    );
-    observer.on_report(&report);
-    Ok(RunOutcome {
-        output: RunOutput::Dataset(output.dataset),
-        report,
-    })
+        observer.on_report(&report);
+        Ok(RunOutcome {
+            output: RunOutput::Dataset(output.dataset),
+            report,
+        })
+    }
 }
 
 /// The streaming engine: windowed online GLOVE over the dataset's
-/// time-ordered event view (or a raw event iterator via
-/// [`StreamGlove::run_events`]).
+/// time-ordered event view, or over a raw event iterator
+/// ([`RunBuilder::run_events`], [`crate::stream::run_stream`]).
 #[derive(Debug, Clone)]
-pub struct StreamGlove {
+pub(crate) struct StreamGlove {
     config: StreamConfig,
     policy: SharedPolicy,
     keep_epochs: bool,
 }
 
 impl StreamGlove {
-    /// A streaming engine with `config` (which embeds the per-epoch
-    /// [`GloveConfig`]).
-    pub fn new(config: StreamConfig) -> Self {
-        Self {
+    /// A stream engine over `config` under `policy`, both validated;
+    /// `keep_epochs` keeps every emitted epoch in the outcome.
+    pub(crate) fn new(
+        config: StreamConfig,
+        policy: SharedPolicy,
+        keep_epochs: bool,
+    ) -> Result<Self, GloveError> {
+        policy.read().expect("policy lock poisoned").validate()?;
+        config.validate()?;
+        Ok(Self {
             config,
-            policy: crate::policy::shared(PolicyPlane::uniform()),
-            keep_epochs: true,
-        }
+            policy,
+            keep_epochs,
+        })
     }
 
-    /// Attaches a policy plane: per-epoch/per-cohort overrides resolved at
-    /// every window boundary. Keeping the [`SharedPolicy`] handle lets the
-    /// caller retune a live run (the swap lands at the next boundary).
-    pub fn with_policy(mut self, policy: SharedPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Whether emitted epochs are retained in the [`RunOutput`] (default
-    /// `true`). Set `false` when an [`Observer`] consumes epochs
-    /// incrementally and the run should stay bounded-memory.
-    pub fn keep_epochs(mut self, keep: bool) -> Self {
-        self.keep_epochs = keep;
-        self
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
-    /// Runs the engine over a raw time-ordered event iterator (the
-    /// bounded-memory path: one window publishing, one window filling and
-    /// one event are resident at most). `name` names the stream, exactly
-    /// as [`crate::stream::StreamEngine::new`] would see it. Input counters
-    /// of the report that require the full dataset (`fingerprints_in`,
-    /// `users_in`) are 0; `samples_in` counts the events consumed.
+    /// The one driver of a stream run: `events` through the pipeline of
+    /// [`crate::stream`], each epoch delivered to `observer`. `name` names
+    /// the stream, exactly as [`crate::stream::StreamEngine::new`] would
+    /// see it. `input` is the dataset the events were flattened from, if
+    /// any: without it the report's `fingerprints_in` and `users_in` are 0;
+    /// `samples_in` counts the events consumed either way.
     ///
-    /// Each closed window is anonymized on a stage thread while this
-    /// thread pulls the next window's events; the iterator and `observer`
-    /// are only used on the calling thread. An epoch reaches
+    /// One window publishing, one window filling and one event are resident
+    /// at most. Each closed window is anonymized on a stage thread while
+    /// this thread pulls the next window's events; the iterator and
+    /// `observer` are only used on the calling thread. An epoch reaches
     /// [`Observer::on_epoch`] after the next consumed event once it is
     /// published, or during the `flush` phase. Epochs, statistics and work
     /// counters equal a hand-driven [`crate::stream::StreamEngine::push`]
     /// loop's. On an event error, every window closed before it is still
-    /// published and observed before the error returns.
-    pub fn run_events(
-        &self,
-        name: &str,
-        events: &mut dyn Iterator<Item = EventResult>,
-        observer: &mut dyn Observer,
-    ) -> Result<RunOutcome, GloveError> {
-        self.drive(name, None, events, observer)
-    }
-
-    fn drive(
+    /// published and observed before the error returns. When `on_epoch`
+    /// fails, no later epoch is delivered: the stage thread is joined and
+    /// [`GloveError::EpochSink`] returns.
+    pub(crate) fn run_events(
         &self,
         name: &str,
         input: Option<&Dataset>,
@@ -507,6 +378,10 @@ impl StreamGlove {
         let mut residual_users = 0u64;
         let mut cum = (0u64, 0u64, 0u64); // merges, pairs computed, pruned
         let mut absorb = |epoch: EpochOutput, obs: &mut dyn Observer| {
+            obs.on_epoch(&epoch).map_err(|e| GloveError::EpochSink {
+                epoch: epoch.epoch,
+                message: e.to_string(),
+            })?;
             out_fingerprints += epoch.output.dataset.fingerprints.len();
             out_users += epoch.output.dataset.num_users();
             out_samples += epoch.output.dataset.num_samples();
@@ -516,11 +391,11 @@ impl StreamGlove {
             cum.0 += epoch.output.stats.merges;
             cum.1 += epoch.output.stats.pairs_computed;
             cum.2 += epoch.output.stats.pairs_pruned;
-            obs.on_epoch(&epoch);
             obs.on_progress(cum.0, cum.1, cum.2);
             if self.keep_epochs {
                 epochs.push(epoch);
             }
+            Ok(())
         };
 
         // Each closed window is anonymized on the pipeline's stage thread
@@ -588,12 +463,11 @@ impl Anonymizer for StreamGlove {
     }
 
     fn prepare(&self, dataset: &Dataset) -> Result<(), GloveError> {
-        self.config.validate()?;
         self.policy
             .read()
             .expect("policy lock poisoned")
             .validate()?;
-        check_population(dataset, self.config.glove.k)
+        check_run(dataset, &self.config.glove, None)
     }
 
     fn run(
@@ -602,7 +476,7 @@ impl Anonymizer for StreamGlove {
         observer: &mut dyn Observer,
     ) -> Result<RunOutcome, GloveError> {
         let events = crate::stream::events_of(dataset);
-        self.drive(
+        self.run_events(
             &dataset.name,
             Some(dataset),
             &mut events.into_iter().map(Ok),
@@ -611,33 +485,10 @@ impl Anonymizer for StreamGlove {
     }
 }
 
-/// The publication regime of a [`RunBuilder`].
-pub enum RunMode {
-    /// One monolithic Alg. 1 run over the whole dataset.
-    Batch,
-    /// Partitioned runs stitched back together (`core::shard`).
-    Sharded(ShardPolicy),
-    /// Windowed online runs over the event view (`core::stream`). The
-    /// embedded [`StreamConfig::glove`] is replaced by the builder's
-    /// [`GloveConfig`] — one config drives every mode.
-    Stream(StreamConfig),
-    /// Any engine behind the [`Anonymizer`] trait — the hook the
-    /// `glove-baselines` adapters (uniform, W4M-LC) plug into.
-    Custom(Box<dyn Anonymizer>),
-}
-
-impl std::fmt::Debug for RunMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunMode::Batch => write!(f, "Batch"),
-            RunMode::Sharded(policy) => write!(f, "Sharded({policy:?})"),
-            RunMode::Stream(config) => write!(f, "Stream({config:?})"),
-            RunMode::Custom(engine) => write!(f, "Custom({})", engine.engine()),
-        }
-    }
-}
-
-/// Builds and executes one anonymization run from a single [`GloveConfig`].
+/// Builds and executes one anonymization run from a single [`GloveConfig`]:
+/// the one way to a core engine. Without [`RunBuilder::stream`] it runs one
+/// release, sharded exactly when the config's shard policy names more than
+/// one shard; with it, a stream of releases.
 ///
 /// ```
 /// use glove_core::api::RunBuilder;
@@ -645,39 +496,34 @@ impl std::fmt::Debug for RunMode {
 ///
 /// let config = GloveConfig { k: 2, ..GloveConfig::default() };
 /// let builder = RunBuilder::new(config).sharded(ShardPolicy::activity(4));
-/// // builder.run(&dataset)? — identical output to the legacy entry point.
+/// // builder.run(&dataset)? — identical output to `anonymize` with that
+/// // shard policy.
 /// # let _ = builder;
 /// ```
 #[derive(Debug)]
 pub struct RunBuilder {
     config: GloveConfig,
-    mode: RunMode,
+    stream: Option<StreamConfig>,
     keep_epochs: bool,
     policy: Option<SharedPolicy>,
 }
 
 impl RunBuilder {
-    /// A builder over `config`. The initial mode follows the config's
-    /// legacy routing: `Sharded` when `config.shard` names more than one
-    /// shard, `Batch` otherwise. Mode methods override it.
+    /// A builder over `config`, run as given: sharded when `config.shard`
+    /// names more than one shard, monolithic otherwise.
     pub fn new(config: GloveConfig) -> Self {
-        let mode = match config.shard {
-            Some(policy) if policy.shards > 1 => RunMode::Sharded(policy),
-            _ => RunMode::Batch,
-        };
         Self {
             config,
-            mode,
+            stream: None,
             keep_epochs: true,
             policy: None,
         }
     }
 
-    /// Attaches a policy plane. Single-release modes apply its epoch-0
-    /// rules (global k / suppression overrides, cohort k floors); stream
-    /// mode re-resolves it at every window boundary. A
-    /// [`PolicyPlane::uniform`] plane leaves every mode byte-identical to
-    /// running without one.
+    /// Attaches a policy plane. Single releases apply its epoch-0 rules
+    /// (global k / suppression overrides, cohort k floors); a stream
+    /// re-resolves it at every window boundary. A [`PolicyPlane::uniform`]
+    /// plane leaves every run byte-identical to running without one.
     pub fn policy(mut self, plane: PolicyPlane) -> Self {
         self.policy = Some(crate::policy::shared(plane));
         self
@@ -691,34 +537,29 @@ impl RunBuilder {
         self
     }
 
-    /// Selects the monolithic batch engine (strips any sharding).
+    /// Runs every release monolithically: clears the config's shard
+    /// policy.
     pub fn batch(mut self) -> Self {
-        self.mode = RunMode::Batch;
+        self.config.shard = None;
         self
     }
 
-    /// Selects the sharded engine with `policy`.
+    /// Shards every release (every window, in a stream) by `policy`: sets
+    /// the config's shard policy.
     pub fn sharded(mut self, policy: ShardPolicy) -> Self {
-        self.mode = RunMode::Sharded(policy);
+        self.config.shard = Some(policy);
         self
     }
 
     /// Selects the streaming engine. `stream.glove` is replaced by this
-    /// builder's [`GloveConfig`] (including any per-epoch sharding it
+    /// builder's [`GloveConfig`] (including any per-window sharding it
     /// carries).
     pub fn stream(mut self, stream: StreamConfig) -> Self {
-        self.mode = RunMode::Stream(stream);
+        self.stream = Some(stream);
         self
     }
 
-    /// Selects a custom engine behind the [`Anonymizer`] trait (the
-    /// baselines adapters, or any external backend).
-    pub fn custom(mut self, engine: Box<dyn Anonymizer>) -> Self {
-        self.mode = RunMode::Custom(engine);
-        self
-    }
-
-    /// Stream mode only: whether the outcome retains emitted epochs
+    /// Stream runs only: whether the outcome retains emitted epochs
     /// (default `true`; set `false` for bounded-memory runs whose epochs an
     /// observer writes out incrementally).
     pub fn keep_epochs(mut self, keep: bool) -> Self {
@@ -726,53 +567,24 @@ impl RunBuilder {
         self
     }
 
-    /// The currently selected mode.
-    pub fn mode(&self) -> &RunMode {
-        &self.mode
-    }
-
     /// Validates the configuration and assembles the engine as a trait
     /// object.
     ///
     /// # Errors
     /// [`GloveError::InvalidConfig`] for invalid k / stretch / shard /
-    /// window parameters.
+    /// window parameters or policy plane.
     pub fn build(self) -> Result<Box<dyn Anonymizer>, GloveError> {
+        if self.stream.is_some() {
+            return Ok(Box::new(self.stream_engine()?));
+        }
         if let Some(handle) = &self.policy {
             handle.read().expect("policy lock poisoned").validate()?;
         }
-        match self.mode {
-            RunMode::Batch => {
-                let mut engine = BatchGlove::new(self.config);
-                engine.config.validate()?;
-                if let Some(policy) = self.policy {
-                    engine = engine.with_policy(policy);
-                }
-                Ok(Box::new(engine))
-            }
-            RunMode::Sharded(policy) => {
-                let mut engine = ShardedGlove::new(self.config, policy);
-                engine.config.validate()?;
-                if let Some(plane) = self.policy {
-                    engine = engine.with_policy(plane);
-                }
-                Ok(Box::new(engine))
-            }
-            RunMode::Stream(stream) => Ok(Box::new(stream_engine(
-                self.config,
-                stream,
-                self.keep_epochs,
-                self.policy,
-            )?)),
-            RunMode::Custom(engine) => {
-                if self.policy.is_some() {
-                    return Err(GloveError::InvalidConfig(
-                        "custom engines do not accept a policy plane".into(),
-                    ));
-                }
-                Ok(engine)
-            }
-        }
+        self.config.validate()?;
+        Ok(Box::new(ReleaseGlove {
+            config: self.config,
+            policy: self.policy,
+        }))
     }
 
     /// Builds the engine and runs it over `dataset` with no observer.
@@ -790,66 +602,50 @@ impl RunBuilder {
         self.build()?.run(dataset, observer)
     }
 
-    /// Stream mode only: runs over a raw time-ordered event iterator
-    /// (bounded memory; see [`StreamGlove::run_events`]).
+    /// Stream runs only: runs over a raw time-ordered event iterator with
+    /// bounded memory. `name` names the stream, as a dataset's name would.
+    /// One window publishing, one window filling and one event are
+    /// resident at most; the iterator and `observer` are used on the
+    /// calling thread only. Every closed window reaches
+    /// [`Observer::on_epoch`] after the next consumed event once it is
+    /// published, or in the `flush` phase. On an event error the windows
+    /// closed before it are still delivered, then the error returns; when
+    /// `on_epoch` fails, no later epoch is delivered and
+    /// [`GloveError::EpochSink`] returns. The report's `fingerprints_in`
+    /// and `users_in` are 0 (no dataset was seen); `samples_in` counts the
+    /// events consumed.
     ///
     /// # Errors
-    /// [`GloveError::InvalidConfig`] when the builder is not in stream
-    /// mode.
+    /// [`GloveError::InvalidConfig`] without [`RunBuilder::stream`].
     pub fn run_events(
         self,
         name: &str,
         events: &mut dyn Iterator<Item = EventResult>,
         observer: &mut dyn Observer,
     ) -> Result<RunOutcome, GloveError> {
-        match self.mode {
-            RunMode::Stream(stream) => {
-                stream_engine(self.config, stream, self.keep_epochs, self.policy)?
-                    .run_events(name, events, observer)
-            }
-            other => Err(GloveError::InvalidConfig(format!(
-                "run_events requires stream mode, builder is in {other:?} mode"
-            ))),
-        }
+        self.stream_engine()?
+            .run_events(name, None, events, observer)
     }
 
-    /// Runs with both a caller observer and an internal [`MetricsSink`],
-    /// returning the sink alongside the outcome — convenience for harnesses
-    /// that want machine-readable phase metrics without writing a sink
-    /// themselves.
-    pub fn run_metered(
-        self,
-        dataset: &Dataset,
-        observer: &mut dyn Observer,
-    ) -> Result<(RunOutcome, MetricsSink), GloveError> {
-        let mut sink = MetricsSink::new();
-        let outcome = {
-            let mut tee = Tee {
-                first: observer,
-                second: &mut sink,
-            };
-            self.run_observed(dataset, &mut tee)?
+    /// The stream engine: the builder's [`GloveConfig`] replaces
+    /// `stream.glove`, under the builder's policy plane (uniform when none
+    /// is attached) and epoch retention.
+    fn stream_engine(self) -> Result<StreamGlove, GloveError> {
+        let Some(stream) = self.stream else {
+            return Err(GloveError::InvalidConfig(
+                "run_events needs a stream configuration (RunBuilder::stream)".into(),
+            ));
         };
-        Ok((outcome, sink))
+        StreamGlove::new(
+            StreamConfig {
+                glove: self.config,
+                ..stream
+            },
+            self.policy
+                .unwrap_or_else(|| crate::policy::shared(PolicyPlane::uniform())),
+            self.keep_epochs,
+        )
     }
-}
-
-/// The stream engine a [`RunBuilder`] in stream mode assembles: `glove`
-/// replaces `stream.glove`, the merged configuration is validated, and the
-/// epoch retention and policy plane are applied.
-fn stream_engine(
-    glove: GloveConfig,
-    stream: StreamConfig,
-    keep_epochs: bool,
-    policy: Option<SharedPolicy>,
-) -> Result<StreamGlove, GloveError> {
-    let config = StreamConfig { glove, ..stream };
-    config.validate()?;
-    let engine = StreamGlove::new(config).keep_epochs(keep_epochs);
-    Ok(match policy {
-        Some(policy) => engine.with_policy(policy),
-        None => engine,
-    })
 }
 
 #[cfg(test)]
@@ -890,23 +686,22 @@ mod tests {
 
     #[test]
     fn new_inherits_shard_routing_from_config() {
+        let engine = |builder: RunBuilder| builder.build().unwrap().engine();
         let config = GloveConfig {
             shard: Some(ShardPolicy::activity(4)),
             ..GloveConfig::default()
         };
-        assert!(matches!(
-            RunBuilder::new(config).mode(),
-            RunMode::Sharded(_)
-        ));
-        assert!(matches!(
-            RunBuilder::new(GloveConfig::default()).mode(),
-            RunMode::Batch
-        ));
-        // Explicit batch() strips the sharding again.
-        assert!(matches!(
-            RunBuilder::new(config).batch().mode(),
-            RunMode::Batch
-        ));
+        assert_eq!(engine(RunBuilder::new(config)), "glove-sharded");
+        assert_eq!(
+            engine(RunBuilder::new(GloveConfig::default())),
+            "glove-batch"
+        );
+        // batch() strips the sharding again, and one shard is no sharding.
+        assert_eq!(engine(RunBuilder::new(config).batch()), "glove-batch");
+        assert_eq!(
+            engine(RunBuilder::new(config).sharded(ShardPolicy::activity(1))),
+            "glove-batch"
+        );
     }
 
     #[test]
@@ -944,20 +739,6 @@ mod tests {
             .run_events("x", &mut std::iter::empty(), &mut NullObserver)
             .unwrap_err();
         assert!(matches!(err, GloveError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn observers_see_phases_progress_and_report() {
-        let ds = toy(10);
-        let (outcome, sink) = RunBuilder::new(GloveConfig::default())
-            .run_metered(&ds, &mut NullObserver)
-            .unwrap();
-        let phases: Vec<&str> = sink.phases().iter().map(|p| p.phase.as_str()).collect();
-        assert_eq!(phases, ["prepare", "run"]);
-        assert_eq!(sink.reports().len(), 1);
-        assert_eq!(sink.reports()[0], outcome.report);
-        assert_eq!(sink.progress().0, outcome.report.merges);
-        assert_eq!(outcome.report.phases, sink.phases());
     }
 
     #[test]

@@ -30,11 +30,13 @@
 //! 5. **[`Observer::on_report`] fires exactly once, last**, with the same
 //!    report returned in the [`crate::api::RunOutcome`].
 //!
-//! Observer methods are infallible by design: a sink that can fail (e.g.
-//! one writing epochs to disk) should buffer its first error and surface it
-//! after the run returns.
+//! Only [`Observer::on_epoch`] can fail. A sink that writes epochs out
+//! returns its write's result; the stream run stops at the first error:
+//! no later epoch reaches the observer, the pipeline's stage thread is
+//! joined, and the run returns [`crate::GloveError::EpochSink`] naming the
+//! epoch. The other hooks only record, so they cannot fail.
 
-use crate::api::report::{PhaseMetric, RunReport};
+use crate::api::report::RunReport;
 use crate::shard::ShardStat;
 use crate::stream::EpochOutput;
 use std::io::Write;
@@ -61,9 +63,10 @@ pub trait Observer {
     /// A streaming epoch was emitted (emission order, incremental). It
     /// arrives after the next consumed event once its window has been
     /// anonymized, or in the `flush` phase; always on the thread that
-    /// drives the run.
-    fn on_epoch(&mut self, epoch: &EpochOutput) {
+    /// drives the run. An error ends the run: no later epoch is delivered.
+    fn on_epoch(&mut self, epoch: &EpochOutput) -> std::io::Result<()> {
         let _ = epoch;
+        Ok(())
     }
 
     /// Cumulative merge/pair-effort counters (monotone across calls).
@@ -160,7 +163,8 @@ impl<W: Write> Observer for LogObserver<W> {
         );
     }
 
-    fn on_epoch(&mut self, epoch: &EpochOutput) {
+    /// A log line that cannot be written never stops the run.
+    fn on_epoch(&mut self, epoch: &EpochOutput) -> std::io::Result<()> {
         let _ = writeln!(
             self.sink(),
             "[epoch {}] window @ {} min: {} groups, {} users",
@@ -169,6 +173,7 @@ impl<W: Write> Observer for LogObserver<W> {
             epoch.output.dataset.fingerprints.len(),
             epoch.output.dataset.num_users(),
         );
+        Ok(())
     }
 
     fn on_progress(&mut self, merges: u64, pairs_computed: u64, pairs_pruned: u64) {
@@ -191,104 +196,16 @@ impl<W: Write> Observer for LogObserver<W> {
     }
 }
 
-/// An observer that accumulates metrics across one or more runs and
-/// serializes the collected [`RunReport`]s — the machine-readable
-/// counterpart of [`LogObserver`]. Useful for harnesses that run several
-/// engines over the same data (the eval Table 2 workload) and want one
-/// uniform JSON artifact.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSink {
-    phases: Vec<PhaseMetric>,
-    merges: u64,
-    pairs_computed: u64,
-    pairs_pruned: u64,
-    shards_seen: usize,
-    epochs_seen: usize,
-    reports: Vec<RunReport>,
-}
-
-impl MetricsSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Completed phases observed so far, in order.
-    pub fn phases(&self) -> &[PhaseMetric] {
-        &self.phases
-    }
-
-    /// Latest cumulative progress counters `(merges, pairs_computed,
-    /// pairs_pruned)`.
-    pub fn progress(&self) -> (u64, u64, u64) {
-        (self.merges, self.pairs_computed, self.pairs_pruned)
-    }
-
-    /// Shard callbacks observed.
-    pub fn shards_seen(&self) -> usize {
-        self.shards_seen
-    }
-
-    /// Epoch callbacks observed.
-    pub fn epochs_seen(&self) -> usize {
-        self.epochs_seen
-    }
-
-    /// The finished reports observed, in completion order.
-    pub fn reports(&self) -> &[RunReport] {
-        &self.reports
-    }
-
-    /// Serializes every collected report as one JSON object per line
-    /// (JSONL) — the format of the `.jsonl` report artifacts.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for report in &self.reports {
-            out.push_str(&report.to_json());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Observer for MetricsSink {
-    fn on_phase_end(&mut self, _engine: &str, phase: &str, elapsed_s: f64) {
-        self.phases.push(PhaseMetric {
-            phase: phase.to_string(),
-            elapsed_s,
-        });
-    }
-
-    fn on_shard(&mut self, _stat: &ShardStat) {
-        self.shards_seen += 1;
-    }
-
-    fn on_epoch(&mut self, _epoch: &EpochOutput) {
-        self.epochs_seen += 1;
-    }
-
-    fn on_progress(&mut self, merges: u64, pairs_computed: u64, pairs_pruned: u64) {
-        self.merges = merges;
-        self.pairs_computed = pairs_computed;
-        self.pairs_pruned = pairs_pruned;
-    }
-
-    fn on_report(&mut self, report: &RunReport) {
-        self.reports.push(report.clone());
-    }
-}
-
 /// An observer that streams every finished [`RunReport`] to a [`Write`]
-/// sink as one JSON object per line (JSONL), flushing after each record —
-/// the durable counterpart of [`MetricsSink::to_json_lines`] for
-/// long-running processes.
+/// sink as one JSON object per line (JSONL), flushing after each record,
+/// for long-running processes.
 ///
 /// Unlike an in-memory sink serialized at exit, each record reaches the
 /// underlying writer inside [`Observer::on_report`] itself: a daemon
 /// killed between runs never loses an already-finished report. The sink is
 /// flushed once more on drop, and the first write error is buffered and
-/// retrievable via [`JsonlReportWriter::take_error`] (observer methods are
-/// infallible by contract).
+/// retrievable via [`JsonlReportWriter::take_error`] ([`Observer::on_report`]
+/// cannot fail).
 #[derive(Debug)]
 pub struct JsonlReportWriter<W: Write> {
     out: Option<W>,
@@ -350,46 +267,6 @@ impl<W: Write> Drop for JsonlReportWriter<W> {
 impl<W: Write> Observer for JsonlReportWriter<W> {
     fn on_report(&mut self, report: &RunReport) {
         self.record(&report.to_json());
-    }
-}
-
-/// Broadcasts every event to two observers (used by the builder to feed a
-/// caller's observer and an internal sink from one run).
-pub(crate) struct Tee<'a, 'b> {
-    pub first: &'a mut dyn Observer,
-    pub second: &'b mut dyn Observer,
-}
-
-impl Observer for Tee<'_, '_> {
-    fn on_phase_start(&mut self, engine: &str, phase: &str) {
-        self.first.on_phase_start(engine, phase);
-        self.second.on_phase_start(engine, phase);
-    }
-
-    fn on_phase_end(&mut self, engine: &str, phase: &str, elapsed_s: f64) {
-        self.first.on_phase_end(engine, phase, elapsed_s);
-        self.second.on_phase_end(engine, phase, elapsed_s);
-    }
-
-    fn on_shard(&mut self, stat: &ShardStat) {
-        self.first.on_shard(stat);
-        self.second.on_shard(stat);
-    }
-
-    fn on_epoch(&mut self, epoch: &EpochOutput) {
-        self.first.on_epoch(epoch);
-        self.second.on_epoch(epoch);
-    }
-
-    fn on_progress(&mut self, merges: u64, pairs_computed: u64, pairs_pruned: u64) {
-        self.first.on_progress(merges, pairs_computed, pairs_pruned);
-        self.second
-            .on_progress(merges, pairs_computed, pairs_pruned);
-    }
-
-    fn on_report(&mut self, report: &RunReport) {
-        self.first.on_report(report);
-        self.second.on_report(report);
     }
 }
 

@@ -19,6 +19,14 @@ pub enum GloveError {
     /// A streaming event arrived with a timestamp earlier than an event
     /// already consumed (the stream engine requires time order).
     OutOfOrderEvent(String),
+    /// An observer could not take a streaming epoch (an epoch file that
+    /// could not be written, …): the run stops delivering at that epoch.
+    EpochSink {
+        /// The epoch the observer failed on.
+        epoch: u64,
+        /// The observer's error, as text.
+        message: String,
+    },
 }
 
 impl fmt::Display for GloveError {
@@ -30,6 +38,9 @@ impl fmt::Display for GloveError {
             GloveError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             GloveError::Unsatisfiable(msg) => write!(f, "unsatisfiable request: {msg}"),
             GloveError::OutOfOrderEvent(msg) => write!(f, "out-of-order event: {msg}"),
+            GloveError::EpochSink { epoch, message } => {
+                write!(f, "epoch {epoch} could not be delivered: {message}")
+            }
         }
     }
 }

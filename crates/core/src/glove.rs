@@ -1519,6 +1519,27 @@ pub fn anonymize_with_plan(
     config: &GloveConfig,
     plan: Option<&KPlan>,
 ) -> Result<GloveOutput, GloveError> {
+    check_run(dataset, config, plan)?;
+    match config.shard {
+        Some(policy) if policy.shards > 1 => {
+            crate::shard::anonymize_sharded(dataset, config, policy, plan)
+        }
+        _ => {
+            let inputs: Vec<&Fingerprint> = dataset.fingerprints.iter().collect();
+            run_monolithic(&dataset.name, &inputs, config, plan)
+        }
+    }
+}
+
+/// The checks [`anonymize_with_plan`] makes before any work: a valid
+/// config, a non-empty dataset, and a population that covers the deepest
+/// k any fingerprint carries under `plan`. The run API's `prepare` calls
+/// it too, so `prepare` fails exactly where `run` would.
+pub(crate) fn check_run(
+    dataset: &Dataset,
+    config: &GloveConfig,
+    plan: Option<&KPlan>,
+) -> Result<(), GloveError> {
     config.validate()?;
     if dataset.fingerprints.is_empty() {
         return Err(GloveError::InvalidDataset(
@@ -1540,15 +1561,7 @@ pub fn anonymize_with_plan(
             need
         )));
     }
-    match config.shard {
-        Some(policy) if policy.shards > 1 => {
-            crate::shard::anonymize_sharded(dataset, config, policy, plan)
-        }
-        _ => {
-            let inputs: Vec<&Fingerprint> = dataset.fingerprints.iter().collect();
-            run_monolithic(&dataset.name, &inputs, config, plan)
-        }
-    }
+    Ok(())
 }
 
 /// The monolithic Alg. 1 loop over the fingerprints `inputs` of a dataset

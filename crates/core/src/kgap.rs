@@ -26,7 +26,6 @@
 use crate::config::StretchConfig;
 use crate::model::Dataset;
 use crate::parallel::par_map;
-use crate::policy::KPlan;
 use crate::stretch::{fingerprint_stretch, fingerprint_stretch_decomposed};
 
 /// Computes the k-gap of a single fingerprint (by index) against the rest of
@@ -112,34 +111,6 @@ pub fn kgap_all(dataset: &Dataset, k: usize, threads: usize, cfg: &StretchConfig
     );
     par_map(dataset.fingerprints.len(), threads, |i| {
         kgap(dataset, i, k, cfg).expect("bounds checked above")
-    })
-}
-
-/// The policy-aware variant of [`kgap_all`]: each fingerprint is audited
-/// against its *own* required k under `plan` — the maximum of the plan's
-/// per-user requirements over its member subscribers, floored at `k`.
-///
-/// On the output of [`crate::glove::anonymize_with_plan`] every record
-/// reports a gap of 0 under the same plan — that is the policy plane's
-/// k-gap audit. A record whose required k exceeds the dataset population
-/// reports a gap of 1 (nothing can hide it; the uniform audit panics in
-/// that situation, but a cohort floor can legitimately exceed a small
-/// shard).
-pub fn kgap_all_plan(
-    dataset: &Dataset,
-    k: usize,
-    plan: &KPlan,
-    threads: usize,
-    cfg: &StretchConfig,
-) -> Vec<f64> {
-    assert!(k >= 2, "k-gap requires k >= 2");
-    assert!(
-        dataset.num_users() >= k,
-        "dataset must contain at least k subscribers"
-    );
-    par_map(dataset.fingerprints.len(), threads, |i| {
-        let need = plan.required_k(dataset.fingerprints[i].users()).max(k);
-        kgap(dataset, i, need, cfg).unwrap_or(1.0)
     })
 }
 
@@ -361,31 +332,6 @@ mod tests {
         for (i, &v) in all.iter().enumerate() {
             assert_eq!(Some(v), kgap(&ds, i, 2, &cfg()));
         }
-    }
-
-    #[test]
-    fn kgap_all_plan_audits_per_record_requirements() {
-        use crate::model::Sample;
-        use std::collections::BTreeMap;
-        let fps = vec![
-            Fingerprint::with_users(
-                vec![0, 1, 2],
-                vec![Sample::point(0, 0, 100), Sample::point(0, 0, 101)],
-            )
-            .unwrap(),
-            Fingerprint::with_users(vec![3, 4], vec![Sample::point(0, 0, 102)]).unwrap(),
-        ];
-        let ds = Dataset::new("plan-audit", fps).unwrap();
-        // Uniform plan: both groups clear their base k = 2.
-        let plan = KPlan::new(2, BTreeMap::new());
-        let gaps = kgap_all_plan(&ds, 2, &plan, 1, &cfg());
-        assert_eq!(gaps, vec![0.0, 0.0]);
-        // User 3 requires k = 4: its group (2 users) now audits non-zero,
-        // the other group (3 users, requirement still 2) stays at 0.
-        let plan = KPlan::new(2, BTreeMap::from([(3u32, 4usize)]));
-        let gaps = kgap_all_plan(&ds, 2, &plan, 1, &cfg());
-        assert_eq!(gaps[0], 0.0);
-        assert!(gaps[1] > 0.0, "under-deep group must report a gap");
     }
 
     #[test]

@@ -96,8 +96,8 @@ pub mod suppress;
 /// the crate.
 pub mod prelude {
     pub use crate::api::{
-        Anonymizer, JsonlReportWriter, LogObserver, MetricsSink, NullObserver, Observer,
-        RunBuilder, RunDetail, RunMode, RunOutcome, RunOutput, RunReport,
+        Anonymizer, JsonlReportWriter, LogObserver, NullObserver, Observer, RunBuilder, RunDetail,
+        RunOutcome, RunOutput, RunReport,
     };
     pub use crate::config::{
         CarryPolicy, GloveConfig, Pruning, ResidualPolicy, ShardBy, ShardPolicy, StreamConfig,

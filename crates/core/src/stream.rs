@@ -63,14 +63,16 @@
 //! and epoch numbering; it closes windows. The *publish* half pre-merges
 //! `Sticky` seeds against the previous epoch's groups, runs GLOVE and
 //! builds the epoch's [`EpochStat`]. [`StreamEngine::push`] runs both
-//! inline. [`run_stream_with_policy`] and the run API's stream engine
-//! pipeline them instead: each closed window is published on one stage
-//! thread while the next window fills, through a rendezvous hand-off, so
-//! one window publishing, one window filling and one event are resident
-//! at most. The residency marks count the filling side, as inline. Epochs
-//! and statistics are those of the inline loop.
+//! inline. The run API's stream engine (behind
+//! [`crate::api::RunBuilder::stream`] and [`run_stream`]) pipelines them
+//! instead: each closed window is published on one stage thread while the
+//! next window fills, through a rendezvous hand-off, so one window
+//! publishing, one window filling and one event are resident at most. The
+//! residency marks count the filling side, as inline. Epochs and
+//! statistics are those of the inline loop.
 
 use crate::api::json::{field, field_or, Json, JsonValue};
+use crate::api::{NullObserver, RunDetail, RunOutput, StreamGlove};
 use crate::config::{CarryPolicy, GloveConfig, StreamConfig, UnderKPolicy};
 use crate::error::GloveError;
 use crate::glove::{anonymize_with_plan, GloveOutput};
@@ -812,6 +814,10 @@ impl Publisher {
     }
 }
 
+/// Hands one finished epoch to whoever drives a [`Pipeline`]; an error
+/// stops the delivery of every later epoch.
+pub(crate) type Deliver<'a> = dyn FnMut(EpochOutput) -> Result<(), GloveError> + 'a;
+
 /// Drives `engine` as a two-stage pipeline: the caller keeps the intake
 /// half (event pull, window clock, ledgers, the observer) while one scoped
 /// stage thread publishes the window that closed last. `body` feeds events
@@ -856,7 +862,8 @@ struct Stage<'scope> {
 
 impl<'scope> Stage<'scope> {
     /// Starts the stage thread. It publishes windows in arrival order and
-    /// stops after the first failure, handing the publish half back.
+    /// stops after the first failure, or once nobody takes its epochs,
+    /// handing the publish half back.
     fn spawn(scope: &'scope Scope<'scope, '_>, mut publisher: Publisher) -> Self {
         let (windows, inbox) = sync_channel::<ClosedWindow>(0);
         let (outbox, epochs) = channel();
@@ -886,11 +893,12 @@ impl Pipeline<'_, '_> {
     ///
     /// A failed or out-of-order event ends the feed: every window closed
     /// before it is still published and delivered, then its error returns.
-    /// A failed publication returns its error in place of later epochs.
+    /// A failed publication or delivery returns its error in place of later
+    /// epochs, with the stage thread joined.
     pub(crate) fn feed(
         &mut self,
         events: &mut dyn Iterator<Item = Result<StreamEvent, GloveError>>,
-        deliver: &mut dyn FnMut(EpochOutput),
+        deliver: &mut Deliver<'_>,
     ) -> Result<(), GloveError> {
         for event in events {
             match event.and_then(|event| self.intake.push(event)) {
@@ -901,9 +909,10 @@ impl Pipeline<'_, '_> {
                     return Err(e);
                 }
             }
-            if let Some(stage) = &self.stage {
-                while let Ok(published) = stage.epochs.try_recv() {
-                    deliver(self.intake.absorb(published?));
+            while let Some(published) = self.stage.as_ref().and_then(|s| s.epochs.try_recv().ok()) {
+                if let Err(e) = published.and_then(|p| deliver(self.intake.absorb(p))) {
+                    self.stop();
+                    return Err(e);
                 }
             }
         }
@@ -912,10 +921,7 @@ impl Pipeline<'_, '_> {
 
     /// Ends the stream: closes the final window, delivers every epoch
     /// still in flight and returns the whole-run statistics.
-    pub(crate) fn finish(
-        mut self,
-        deliver: &mut dyn FnMut(EpochOutput),
-    ) -> Result<StreamStats, GloveError> {
+    pub(crate) fn finish(mut self, deliver: &mut Deliver<'_>) -> Result<StreamStats, GloveError> {
         if let Some(window) = self.intake.close_window() {
             self.hand_off(window, deliver)?;
         }
@@ -928,7 +934,7 @@ impl Pipeline<'_, '_> {
     fn hand_off(
         &mut self,
         window: ClosedWindow,
-        deliver: &mut dyn FnMut(EpochOutput),
+        deliver: &mut Deliver<'_>,
     ) -> Result<(), GloveError> {
         let stage = self.stage.get_or_insert_with(|| {
             let publisher = self
@@ -945,67 +951,77 @@ impl Pipeline<'_, '_> {
         self.drain(deliver)
     }
 
-    /// Closes the stage's input, delivers every epoch it still finishes
-    /// and takes the publish half back. Returns the stage's failure, if
-    /// any; a panic on the stage resumes here.
-    fn drain(&mut self, deliver: &mut dyn FnMut(EpochOutput)) -> Result<(), GloveError> {
-        let Some(Stage {
-            windows,
-            epochs,
-            thread,
-        }) = self.stage.take()
-        else {
+    /// Closes the stage's input, delivers every epoch it still finishes up
+    /// to the first failed publication or delivery, and joins it. Returns
+    /// that failure, if any.
+    fn drain(&mut self, deliver: &mut Deliver<'_>) -> Result<(), GloveError> {
+        let Some(stage) = self.stage.take() else {
             return Ok(());
         };
-        drop(windows);
-        let mut result = Ok(());
-        for published in epochs {
-            match published {
-                Ok(published) => deliver(self.intake.absorb(published)),
-                Err(e) => result = Err(e),
-            }
+        drop(stage.windows);
+        let result = stage
+            .epochs
+            .iter()
+            .try_for_each(|published| deliver(self.intake.absorb(published?)));
+        // After a failure, dropping the receiver stops the stage once the
+        // window it is publishing is done.
+        drop(stage.epochs);
+        self.join(stage.thread);
+        result
+    }
+
+    /// Closes the stage's input and output without delivering and joins
+    /// it: the path of a failed delivery.
+    fn stop(&mut self) {
+        if let Some(stage) = self.stage.take() {
+            drop(stage.windows);
+            drop(stage.epochs);
+            self.join(stage.thread);
         }
+    }
+
+    /// Takes the publish half back from a stopped stage; a panic on the
+    /// stage resumes here.
+    fn join(&mut self, thread: ScopedJoinHandle<'_, Publisher>) {
         match thread.join() {
             Ok(publisher) => self.publisher = Some(publisher),
             Err(panic) => std::panic::resume_unwind(panic),
         }
-        result
     }
 }
 
-/// Convenience driver: feeds every event through a [`StreamEngine`] and
-/// collects all epoch outputs. Prefer driving the engine directly when the
-/// epochs should be written out (and dropped) incrementally.
+/// Runs `events` through the run API's stream engine — the one
+/// [`crate::api::RunBuilder::stream`] selects — with a [`NullObserver`]
+/// under the uniform policy plane, returning every epoch and the report's
+/// [`StreamStats`]. Use [`crate::api::RunBuilder::run_events`] for a
+/// policy plane, or to write epochs out (and drop them) as they close.
 pub fn run_stream(
     name: impl Into<String>,
     events: impl IntoIterator<Item = StreamEvent>,
     config: StreamConfig,
 ) -> Result<StreamRun, GloveError> {
-    run_stream_with_policy(
-        name,
-        events,
-        config,
-        crate::policy::shared(PolicyPlane::uniform()),
-    )
+    let uniform = crate::policy::shared(PolicyPlane::uniform());
+    run_collected(&name.into(), events, config, uniform)
 }
 
-/// [`run_stream`] under a policy plane (see [`StreamEngine::with_policy`]).
-/// Each window is anonymized on a stage thread while the next one fills.
-pub fn run_stream_with_policy(
-    name: impl Into<String>,
+/// Runs the stream engine over `events` under `policy` with no observer,
+/// keeping every epoch.
+fn run_collected(
+    name: &str,
     events: impl IntoIterator<Item = StreamEvent>,
     config: StreamConfig,
     policy: SharedPolicy,
 ) -> Result<StreamRun, GloveError> {
-    let engine = StreamEngine::with_policy(name, config, policy)?;
-    let mut epochs = Vec::new();
-    let stats = pipelined(engine, |mut pipeline| {
-        pipeline.feed(&mut events.into_iter().map(Ok), &mut |epoch| {
-            epochs.push(epoch)
-        })?;
-        pipeline.finish(&mut |epoch| epochs.push(epoch))
-    })?;
-    Ok(StreamRun { epochs, stats })
+    let outcome = StreamGlove::new(config, policy, true)?.run_events(
+        name,
+        None,
+        &mut events.into_iter().map(Ok),
+        &mut NullObserver,
+    )?;
+    match (outcome.output, outcome.report.detail) {
+        (RunOutput::Epochs(epochs), RunDetail::Stream(stats)) => Ok(StreamRun { epochs, stats }),
+        _ => unreachable!("the stream engine publishes epochs and reports StreamStats"),
+    }
 }
 
 /// Flattens a dataset into the time-ordered event stream an online observer
@@ -1068,6 +1084,16 @@ mod tests {
             window_min,
             ..StreamConfig::default()
         }
+    }
+
+    /// [`run_stream`] under a policy plane.
+    fn run_planned(
+        name: &str,
+        events: Vec<StreamEvent>,
+        config: StreamConfig,
+        plane: PolicyPlane,
+    ) -> Result<StreamRun, GloveError> {
+        run_collected(name, events, config, crate::policy::shared(plane))
     }
 
     #[test]
@@ -1357,13 +1383,7 @@ mod tests {
     fn policy_uniform_plane_is_byte_identical() {
         let events = regular_events(6, 30, 360);
         let plain = run_stream("uniform", events.clone(), cfg(120)).unwrap();
-        let planned = run_stream_with_policy(
-            "uniform",
-            events,
-            cfg(120),
-            crate::policy::shared(PolicyPlane::uniform()),
-        )
-        .unwrap();
+        let planned = run_planned("uniform", events, cfg(120), PolicyPlane::uniform()).unwrap();
         assert_eq!(plain.epochs.len(), planned.epochs.len());
         for (a, b) in plain.epochs.iter().zip(&planned.epochs) {
             assert_eq!(a.output.dataset.fingerprints, b.output.dataset.fingerprints);
@@ -1396,8 +1416,7 @@ mod tests {
             },
         });
         let events = regular_events(8, 30, 240);
-        let run =
-            run_stream_with_policy("swk", events, cfg(120), crate::policy::shared(plane)).unwrap();
+        let run = run_planned("swk", events, cfg(120), plane).unwrap();
         assert_eq!(run.epochs.len(), 2);
         assert!(run.epochs[0].output.dataset.is_k_anonymous(2));
         assert!(run.epochs[1].output.dataset.is_k_anonymous(4));
@@ -1427,8 +1446,7 @@ mod tests {
             },
         });
         let events = regular_events(6, 30, 240);
-        let run =
-            run_stream_with_policy("sww", events, cfg(120), crate::policy::shared(plane)).unwrap();
+        let run = run_planned("sww", events, cfg(120), plane).unwrap();
         assert_eq!(run.epochs.len(), 3, "120 + 60 + 60 covers 240 min");
         let starts: Vec<u64> = run.epochs.iter().map(|e| e.window_start_min).collect();
         assert_eq!(starts, vec![0, 120, 180]);
@@ -1456,8 +1474,7 @@ mod tests {
             }],
         };
         let events = regular_events(8, 30, 120);
-        let run =
-            run_stream_with_policy("coh", events, cfg(120), crate::policy::shared(plane)).unwrap();
+        let run = run_planned("coh", events, cfg(120), plane).unwrap();
         assert_eq!(run.epochs.len(), 1);
         let ds = &run.epochs[0].output.dataset;
         assert!(ds.is_k_anonymous(2), "global floor still holds");
@@ -1552,7 +1569,7 @@ mod tests {
             under_k,
             ..StreamConfig::default()
         };
-        run_stream_with_policy("floor", events, config, crate::policy::shared(plane))
+        run_planned("floor", events, config, plane)
     }
 
     #[test]
@@ -1632,10 +1649,14 @@ mod tests {
             let engine = StreamEngine::new("stage", cfg(60)).unwrap();
             let mut delivered = Vec::new();
             let result = pipelined(engine, |mut pipeline| {
+                let mut deliver = |e: EpochOutput| {
+                    delivered.push(e.epoch);
+                    Ok(())
+                };
                 for window in windows {
-                    pipeline.hand_off(window, &mut |e| delivered.push(e.epoch))?;
+                    pipeline.hand_off(window, &mut deliver)?;
                 }
-                pipeline.finish(&mut |e| delivered.push(e.epoch))
+                pipeline.finish(&mut deliver)
             });
             (result, delivered)
         })

@@ -90,28 +90,6 @@ pub fn sample_stretch(a: &Sample, na: f64, b: &Sample, nb: f64, cfg: &StretchCon
     s + t
 }
 
-/// Convenience wrapper for unweighted (single-subscriber) samples.
-#[inline]
-pub fn sample_stretch_unweighted(a: &Sample, b: &Sample, cfg: &StretchConfig) -> f64 {
-    sample_stretch(a, 1.0, b, 1.0, cfg)
-}
-
-/// Separation between two time windows in minutes (0 when they overlap).
-///
-/// This is a lower bound on the raw temporal stretch of Eqs. (7)–(9): to
-/// merge two samples, at least the gap between their windows must be covered
-/// on both sides, and the weighted sum of per-side stretches is minimized at
-/// exactly `gap` (weights sum to 1).
-#[inline]
-pub fn time_gap_min(a: &Sample, b: &Sample) -> f64 {
-    interval_gap(
-        i64::from(a.t),
-        a.t_end() as i64,
-        i64::from(b.t),
-        b.t_end() as i64,
-    ) as f64
-}
-
 /// The fingerprint stretch effort `Δ_ab` of Eq. (10): for each sample of the
 /// longer fingerprint, the minimum sample stretch effort to the shorter
 /// fingerprint; averaged over the longer fingerprint.
@@ -920,15 +898,15 @@ mod tests {
     #[test]
     fn identical_samples_have_zero_stretch() {
         let s = Sample::point(1_000, 2_000, 500);
-        assert_eq!(sample_stretch_unweighted(&s, &s, &cfg()), 0.0);
+        assert_eq!(sample_stretch(&s, 1.0, &s, 1.0, &cfg()), 0.0);
     }
 
     #[test]
     fn stretch_is_symmetric_for_equal_weights() {
         let a = Sample::point(0, 0, 10);
         let b = Sample::new(5_000, -2_000, 300, 700, 100, 45).unwrap();
-        let d_ab = sample_stretch_unweighted(&a, &b, &cfg());
-        let d_ba = sample_stretch_unweighted(&b, &a, &cfg());
+        let d_ab = sample_stretch(&a, 1.0, &b, 1.0, &cfg());
+        let d_ba = sample_stretch(&b, 1.0, &a, 1.0, &cfg());
         assert!((d_ab - d_ba).abs() < 1e-12);
     }
 
@@ -937,7 +915,7 @@ mod tests {
         let a = Sample::point(0, 0, 0);
         // Farther than both caps: delta saturates at exactly 1.
         let b = Sample::point(1_000_000, 1_000_000, 10_000);
-        let d = sample_stretch_unweighted(&a, &b, &cfg());
+        let d = sample_stretch(&a, 1.0, &b, 1.0, &cfg());
         assert_eq!(d, 1.0);
     }
 
@@ -957,8 +935,8 @@ mod tests {
         let a = Sample::new(0, 0, 200, 200, 0, 1).unwrap();
         let overlapping = Sample::new(100, 0, 200, 200, 0, 1).unwrap();
         let disjoint = Sample::new(400, 0, 200, 200, 0, 1).unwrap();
-        let d_overlap = sample_stretch_unweighted(&a, &overlapping, &cfg());
-        let d_disjoint = sample_stretch_unweighted(&a, &disjoint, &cfg());
+        let d_overlap = sample_stretch(&a, 1.0, &overlapping, 1.0, &cfg());
+        let d_disjoint = sample_stretch(&a, 1.0, &disjoint, 1.0, &cfg());
         assert!(d_overlap < d_disjoint);
     }
 
@@ -968,7 +946,7 @@ mod tests {
         // weighted effort is positive (Eq. 4 sums both directions).
         let a = Sample::new(0, 0, 1_000, 1_000, 0, 60).unwrap();
         let b = Sample::new(400, 400, 100, 100, 20, 1).unwrap();
-        let d = sample_stretch_unweighted(&a, &b, &cfg());
+        let d = sample_stretch(&a, 1.0, &b, 1.0, &cfg());
         assert!(d > 0.0);
         // With all the weight on a (na >> nb), the effort vanishes because
         // a's users lose nothing.
@@ -988,7 +966,7 @@ mod tests {
         let b = Sample::new(-500, -500, 2_000, 2_000, 0, 1).unwrap();
         let d1 = sample_stretch(&a, 9.0, &b, 1.0, &unweighted_cfg);
         let d2 = sample_stretch(&a, 1.0, &b, 9.0, &unweighted_cfg);
-        let d3 = sample_stretch_unweighted(&a, &b, &unweighted_cfg);
+        let d3 = sample_stretch(&a, 1.0, &b, 1.0, &unweighted_cfg);
         assert_eq!(d1, d2);
         assert_eq!(d1, d3);
         // And with weighting on the two differ (covered by the test below).
@@ -1015,18 +993,8 @@ mod tests {
         let b = Sample::point(0, 0, 60);
         assert_eq!(raw_temporal_stretch_min(&a, 1.0, &b, 1.0), 60.0);
         // delta = 0.5 * 60/480 = 0.0625
-        let d = sample_stretch_unweighted(&a, &b, &cfg());
+        let d = sample_stretch(&a, 1.0, &b, 1.0, &cfg());
         assert!((d - 0.0625).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_gap_is_zero_for_overlap() {
-        let a = Sample::new(0, 0, 100, 100, 10, 20).unwrap();
-        let b = Sample::new(0, 0, 100, 100, 25, 20).unwrap();
-        assert_eq!(time_gap_min(&a, &b), 0.0);
-        let c = Sample::new(0, 0, 100, 100, 100, 5).unwrap();
-        assert_eq!(time_gap_min(&a, &c), 70.0);
-        assert_eq!(time_gap_min(&c, &a), 70.0);
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! Properties of the unified run API (`glove_core::api`):
 //!
-//! * **Equivalence** — `RunBuilder` output is byte-identical to the legacy
-//!   entry points for all three core engines (the PR 2/3 exactness anchors
-//!   must survive the new surface);
-//! * **trait-object safety** — engines run behind `Box<dyn Anonymizer>`;
-//! * **builder validation** — invalid configurations fail at `build()`;
+//! * **Equivalence** — `RunBuilder` output is byte-identical to
+//!   `anonymize` (monolithic and sharded) and `run_stream` (the PR 2/3
+//!   exactness anchors must survive the new surface);
+//! * **trait-object safety** — engines run behind the `Box<dyn Anonymizer>`
+//!   that `RunBuilder::build` returns;
+//! * **builder validation** — invalid configurations fail at `build()`, and
+//!   `prepare` fails where `run` would;
 //! * **report round-trip** — reports of real runs survive JSON
 //!   serialization exactly;
 //! * **observer ordering** — the callback contract of
 //!   `glove_core::api::observer` holds on real runs.
 
 use glove_core::api::{
-    Anonymizer, BatchGlove, MetricsSink, NullObserver, Observer, RunBuilder, RunOutput, RunReport,
-    ShardedGlove, StreamGlove,
+    Anonymizer, NullObserver, Observer, PhaseMetric, RunBuilder, RunOutput, RunReport,
 };
 use glove_core::glove::anonymize;
-use glove_core::policy::PolicyPlane;
+use glove_core::policy::{CohortSpec, PolicyOverride, PolicyPlane, PolicyRule};
 use glove_core::prelude::*;
 use glove_core::shard::ShardStat;
 use glove_core::stream::{events_of, run_stream, EpochOutput};
@@ -257,14 +258,21 @@ fn engines_run_as_trait_objects() {
         ..GloveConfig::default()
     };
     let engines: Vec<Box<dyn Anonymizer>> = vec![
-        Box::new(BatchGlove::new(config)),
-        Box::new(ShardedGlove::new(config, ShardPolicy::activity(2))),
-        Box::new(StreamGlove::new(StreamConfig {
-            window_min: 500,
-            glove: config,
-            ..StreamConfig::default()
-        })),
+        RunBuilder::new(config).build().unwrap(),
+        RunBuilder::new(config)
+            .sharded(ShardPolicy::activity(2))
+            .build()
+            .unwrap(),
+        RunBuilder::new(config)
+            .stream(StreamConfig {
+                window_min: 500,
+                ..StreamConfig::default()
+            })
+            .build()
+            .unwrap(),
     ];
+    let ids: Vec<&str> = engines.iter().map(|e| e.engine()).collect();
+    assert_eq!(ids, ["glove-batch", "glove-sharded", "glove-stream"]);
     for engine in engines {
         engine.prepare(&ds).expect("prepare succeeds");
         let outcome = engine.run(&ds, &mut NullObserver).expect("run succeeds");
@@ -287,19 +295,59 @@ fn engines_run_as_trait_objects() {
 #[test]
 fn prepare_rejects_without_running() {
     let ds = dataset(4);
-    let undersized = BatchGlove::new(GloveConfig {
+    let undersized = RunBuilder::new(GloveConfig {
         k: 10,
         ..GloveConfig::default()
-    });
+    })
+    .build()
+    .unwrap();
     assert!(matches!(
         undersized.prepare(&ds),
         Err(GloveError::Unsatisfiable(_))
     ));
     let empty = Dataset::new("empty", vec![]).unwrap();
-    assert!(matches!(
-        BatchGlove::new(GloveConfig::default()).prepare(&empty),
-        Err(GloveError::InvalidDataset(_))
-    ));
+    for builder in [
+        RunBuilder::new(GloveConfig::default()),
+        RunBuilder::new(GloveConfig::default()).stream(StreamConfig::default()),
+    ] {
+        assert!(matches!(
+            builder.build().unwrap().prepare(&empty),
+            Err(GloveError::InvalidDataset(_))
+        ));
+    }
+
+    // A cohort floor above the population: prepare fails with the error
+    // run gives, monolithic and sharded alike.
+    let ds = dataset(6);
+    let floor = PolicyPlane {
+        cohorts: vec![CohortSpec {
+            name: "deep".into(),
+            users: vec![0],
+        }],
+        rules: vec![PolicyRule {
+            from_epoch: 0,
+            to_epoch: None,
+            cohort: Some("deep".into()),
+            set: PolicyOverride {
+                k: Some(10),
+                ..PolicyOverride::default()
+            },
+        }],
+    };
+    for builder in [
+        RunBuilder::new(GloveConfig::default()),
+        RunBuilder::new(GloveConfig::default()).sharded(ShardPolicy::activity(2)),
+    ] {
+        let engine = builder.policy(floor.clone()).build().unwrap();
+        let prepared = engine.prepare(&ds).unwrap_err();
+        assert!(
+            matches!(prepared, GloveError::Unsatisfiable(_)),
+            "{}: {prepared}",
+            engine.engine()
+        );
+        let ran = engine.run(&ds, &mut NullObserver).unwrap_err();
+        assert_eq!(prepared, ran, "{}", engine.engine());
+    }
 }
 
 #[test]
@@ -383,22 +431,37 @@ fn reports_of_real_runs_round_trip_through_json() {
 #[derive(Default)]
 struct TraceObserver {
     events: Vec<String>,
+    phases: Vec<PhaseMetric>,
     progress: Vec<(u64, u64, u64)>,
     reports: Vec<RunReport>,
+}
+
+impl TraceObserver {
+    fn epochs_seen(&self) -> usize {
+        self.events
+            .iter()
+            .filter(|e| e.starts_with("epoch:"))
+            .count()
+    }
 }
 
 impl Observer for TraceObserver {
     fn on_phase_start(&mut self, engine: &str, phase: &str) {
         self.events.push(format!("start:{engine}:{phase}"));
     }
-    fn on_phase_end(&mut self, engine: &str, phase: &str, _elapsed_s: f64) {
+    fn on_phase_end(&mut self, engine: &str, phase: &str, elapsed_s: f64) {
         self.events.push(format!("end:{engine}:{phase}"));
+        self.phases.push(PhaseMetric {
+            phase: phase.to_string(),
+            elapsed_s,
+        });
     }
     fn on_shard(&mut self, stat: &ShardStat) {
         self.events.push(format!("shard:{}", stat.shard));
     }
-    fn on_epoch(&mut self, epoch: &EpochOutput) {
+    fn on_epoch(&mut self, epoch: &EpochOutput) -> std::io::Result<()> {
         self.events.push(format!("epoch:{}", epoch.epoch));
+        Ok(())
     }
     fn on_progress(&mut self, merges: u64, pairs_computed: u64, pairs_pruned: u64) {
         self.events.push("progress".into());
@@ -436,6 +499,10 @@ fn assert_contract(trace: &TraceObserver) {
         (report.merges, report.pairs_computed, report.pairs_pruned),
         *last,
         "final progress must equal the report totals"
+    );
+    assert_eq!(
+        report.phases, trace.phases,
+        "the report's phases must be the phases the observer saw"
     );
 }
 
@@ -503,16 +570,16 @@ fn keep_epochs_false_drops_outputs_but_keeps_the_report() {
         ..StreamConfig::default()
     };
     let kept = RunBuilder::new(config).stream(stream_cfg).run(&ds).unwrap();
-    let mut sink = MetricsSink::new();
+    let mut trace = TraceObserver::default();
     let dropped = RunBuilder::new(config)
         .stream(stream_cfg)
         .keep_epochs(false)
-        .run_observed(&ds, &mut sink)
+        .run_observed(&ds, &mut trace)
         .unwrap();
     assert!(!kept.output.epochs().is_empty());
     assert!(dropped.output.epochs().is_empty(), "epochs must be dropped");
     // The observer still saw every epoch, and the report lost nothing.
-    assert_eq!(sink.epochs_seen(), kept.output.epochs().len());
+    assert_eq!(trace.epochs_seen(), kept.output.epochs().len());
     assert_eq!(
         dropped.report.fingerprints_out,
         kept.report.fingerprints_out

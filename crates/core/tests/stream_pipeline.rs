@@ -1,6 +1,6 @@
-//! The stream pipeline: `RunBuilder::run_events` and `run_stream_with_policy`
-//! anonymize each closed window on a stage thread while the next one fills.
-//! These tests pin what that may and may not change:
+//! The stream pipeline: `RunBuilder::run_events` (and `run_stream`, which
+//! wraps it) anonymizes each closed window on a stage thread while the next
+//! one fills. These tests pin what that may and may not change:
 //!
 //! * **Parity** — every epoch and every `StreamStats` counter equals a
 //!   hand-driven `StreamEngine::push` loop, the inline reference, across
@@ -11,13 +11,14 @@
 //! * **Input errors** — an event error inside a window still delivers
 //!   exactly the epochs the inline loop delivers before it, then returns
 //!   the error, and never hangs.
+//! * **Sink errors** — an observer that fails on an epoch ends the run
+//!   there: no later epoch is delivered, the pull stops, and the run
+//!   returns `GloveError::EpochSink` without a hang.
 
 use glove_core::api::{NullObserver, Observer, RunBuilder};
 use glove_core::glove::GloveStats;
 use glove_core::policy::{shared, CohortSpec, PolicyOverride, PolicyPlane, PolicyRule};
-use glove_core::stream::{
-    run_stream_with_policy, EpochOutput, StreamEngine, StreamEvent, StreamStats,
-};
+use glove_core::stream::{EpochOutput, StreamEngine, StreamEvent, StreamStats};
 use glove_core::{CarryPolicy, Fingerprint, GloveConfig, GloveError, StreamConfig, UnderKPolicy};
 use glove_synth::{ScenarioConfig, ScenarioEvents};
 use std::cell::Cell;
@@ -148,21 +149,6 @@ fn pipelined_runs_match_the_inline_engine() {
                     assert_eq!(got, expected, "{case}: run_events epochs");
                     let stats = built.report.detail.as_stream().unwrap().clone();
                     assert_eq!(canon_stats(stats), ref_stats, "{case}: run_events stats");
-
-                    let run = run_stream_with_policy(
-                        "metro",
-                        events.iter().copied(),
-                        config,
-                        shared(plane.clone()),
-                    )
-                    .unwrap();
-                    let got: Vec<_> = run.epochs.iter().map(canon_epoch).collect();
-                    assert_eq!(got, expected, "{case}: run_stream_with_policy epochs");
-                    assert_eq!(
-                        canon_stats(run.stats),
-                        ref_stats,
-                        "{case}: run_stream stats"
-                    );
                 }
             }
         }
@@ -170,18 +156,23 @@ fn pipelined_runs_match_the_inline_engine() {
 }
 
 /// Records, for every delivered epoch, how many events the pull had
-/// yielded when it arrived.
+/// yielded when it arrived; fails on epoch `fail_at`, if set.
 #[derive(Default)]
 struct PullAtEpoch {
     pulled: Rc<Cell<usize>>,
     seen: Vec<(u64, usize)>,
     epochs: Vec<EpochOutput>,
+    fail_at: Option<u64>,
 }
 
 impl Observer for PullAtEpoch {
-    fn on_epoch(&mut self, epoch: &EpochOutput) {
+    fn on_epoch(&mut self, epoch: &EpochOutput) -> std::io::Result<()> {
         self.seen.push((epoch.epoch, self.pulled.get()));
         self.epochs.push(epoch.clone());
+        if self.fail_at == Some(epoch.epoch) {
+            return Err(std::io::Error::other("disk full"));
+        }
+        Ok(())
     }
 }
 
@@ -240,7 +231,7 @@ fn within_10s<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T
         let _ = tx.send(body());
     });
     rx.recv_timeout(Duration::from_secs(10))
-        .expect("the pipeline hung on an input error")
+        .expect("the pipeline hung")
 }
 
 #[test]
@@ -303,4 +294,49 @@ fn an_input_error_delivers_the_closed_windows_first() {
         let message = result.expect_err("the bad event fails the run").to_string();
         assert!(message.contains(error), "{message}");
     }
+}
+
+#[test]
+fn a_failing_sink_ends_the_run_at_its_epoch() {
+    // The input of the bound test above: every window publishes, so epoch
+    // d is window d, and the stream holds 8 windows.
+    let window = 720;
+    let events = metro_events(60, 4, 21);
+    let config = stream_config(window, CarryPolicy::Fresh, UnderKPolicy::Suppress);
+    let first3 = events
+        .iter()
+        .position(|e| e.sample.t >= 3 * window)
+        .expect("a fourth window");
+
+    let (result, seen, pulled) = within_10s(move || {
+        let mut observer = PullAtEpoch {
+            fail_at: Some(1),
+            ..PullAtEpoch::default()
+        };
+        let pulled = Rc::clone(&observer.pulled);
+        let mut pull = events.into_iter().map(|e| {
+            pulled.set(pulled.get() + 1);
+            Ok(e)
+        });
+        let result = RunBuilder::new(config.glove)
+            .stream(config)
+            .keep_epochs(false)
+            .run_events("metro", &mut pull, &mut observer)
+            .map(|_| ());
+        (result, observer.seen, pulled.get())
+    });
+
+    let err = result.expect_err("the failed epoch fails the run");
+    assert!(
+        matches!(&err, GloveError::EpochSink { epoch: 1, message } if message.contains("disk full")),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("epoch 1"), "{err}");
+    let delivered: Vec<u64> = seen.iter().map(|&(d, _)| d).collect();
+    assert_eq!(delivered, [0, 1], "no epoch after the failed one");
+    assert!(
+        pulled <= first3 + 1,
+        "the pull went on to event {pulled}; the first event of window 3 is event {}",
+        first3 + 1
+    );
 }

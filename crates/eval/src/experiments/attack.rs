@@ -20,8 +20,8 @@
 use crate::context::EvalContext;
 use crate::report::{fmt, pct, Report};
 use glove_attack::{
-    cross_epoch_attack, multi_point_attack, random_point_attack, top_location_uniqueness,
-    AdversaryNoise, CrossEpochAttack, MultiPointAttack, PublishedView, RandomPointAttack,
+    cross_epoch_attack, multi_point_attack, top_location_uniqueness, AdversaryNoise,
+    CrossEpochAttack, MultiPointAttack, PublishedView,
 };
 use glove_core::stream::{events_of, run_stream};
 use glove_core::{CarryPolicy, Dataset, StreamConfig, SuppressionThresholds};
@@ -52,13 +52,15 @@ pub fn attack(ctx: &mut EvalContext) -> Report {
 
         // Adversary [6]: p random spatiotemporal points.
         for points in [2usize, 4] {
-            let cfg = RandomPointAttack {
+            let cfg = MultiPointAttack {
                 points,
                 trials: 300,
                 seed: 0x00A7_7AC4 + points as u64,
+                noise: AdversaryNoise::exact(),
+                threads: ctx.cfg.threads,
             };
-            let raw = random_point_attack(&ds, &ds, &cfg);
-            let anon = random_point_attack(&ds, &out.dataset, &cfg);
+            let raw = multi_point_attack(&ds, &PublishedView::Dataset(&ds), &cfg);
+            let anon = multi_point_attack(&ds, &PublishedView::Dataset(&out.dataset), &cfg);
             rows.push(vec![
                 format!("{points} random points"),
                 pct(raw.pinpoint_rate()),

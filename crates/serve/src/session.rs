@@ -32,7 +32,7 @@ use glove_core::{Dataset, GloveError};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -417,7 +417,6 @@ struct QueueIter {
     queue: Arc<EventQueue>,
     /// Events taken from the queue and not yet handed to the engine.
     held: VecDeque<StreamEvent>,
-    sink_failed: Arc<AtomicBool>,
 }
 
 impl Drop for QueueIter {
@@ -432,13 +431,6 @@ impl Iterator for QueueIter {
     type Item = Result<StreamEvent, GloveError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        // Once the epoch sink has failed, stop consuming: the run aborts
-        // at the next event instead of anonymizing into the void.
-        if self.sink_failed.load(Ordering::SeqCst) {
-            return Some(Err(GloveError::InvalidDataset(
-                "aborting tenant stream: an epoch could not be persisted".into(),
-            )));
-        }
         // `None` once the session closed the queue and it drained: the
         // clean end of the stream.
         if self.held.is_empty() && !self.queue.take(&mut self.held) {
@@ -449,30 +441,23 @@ impl Iterator for QueueIter {
 }
 
 /// The observer bound to the socket: persists epochs, pushes `EPOCH`
-/// frames, and mirrors progress counters into the shared metrics.
+/// frames, and mirrors progress counters into the shared metrics. A failed
+/// epoch write ends the run at that epoch.
 struct ServeObserver {
     tenant: String,
     out_dir: Option<PathBuf>,
     epoch_writer: Option<Arc<EpochWriteFn>>,
     push: Option<PushSink>,
     metrics: Arc<SessionMetrics>,
-    sink_failed: Arc<AtomicBool>,
-    sink_error: Option<String>,
 }
 
 impl Observer for ServeObserver {
-    fn on_epoch(&mut self, epoch: &EpochOutput) {
+    fn on_epoch(&mut self, epoch: &EpochOutput) -> std::io::Result<()> {
         if let (Some(writer), Some(dir)) = (&self.epoch_writer, &self.out_dir) {
-            if !self.sink_failed.load(Ordering::SeqCst) {
-                let path = dir.join(format!("epoch-{:04}.txt", epoch.epoch));
-                if let Err(e) = writer(&epoch.output.dataset, &path) {
-                    self.sink_error = Some(format!("writing {}: {e}", path.display()));
-                    self.sink_failed.store(true, Ordering::SeqCst);
-                    return;
-                }
-            } else {
-                return;
-            }
+            let path = dir.join(format!("epoch-{:04}.txt", epoch.epoch));
+            writer(&epoch.output.dataset, &path).map_err(|e| {
+                std::io::Error::new(e.kind(), format!("writing {}: {e}", path.display()))
+            })?;
         }
         self.metrics.epochs.fetch_add(1, Ordering::SeqCst);
         if let Some(push) = &self.push {
@@ -489,6 +474,7 @@ impl Observer for ServeObserver {
                 let _ = write_frame(&mut *w, &frame);
             }
         }
+        Ok(())
     }
 
     fn on_progress(&mut self, merges: u64, pairs_computed: u64, pairs_pruned: u64) {
@@ -511,32 +497,23 @@ fn run_worker(
         epoch_writer,
         ..
     } = config;
-    let sink_failed = Arc::new(AtomicBool::new(false));
     let mut observer = ServeObserver {
         tenant: tenant.clone(),
         out_dir: out_dir.clone(),
         epoch_writer,
         push,
         metrics: Arc::clone(&metrics),
-        sink_failed: Arc::clone(&sink_failed),
-        sink_error: None,
     };
     let mut events = QueueIter {
         queue,
         held: VecDeque::new(),
-        sink_failed: Arc::clone(&sink_failed),
     };
-    let builder = RunBuilder::new(stream.glove)
+    let outcome = RunBuilder::new(stream.glove)
         .stream(stream)
         .keep_epochs(false)
-        .shared_policy(policy);
-    let run = builder.run_events(&tenant, &mut events, &mut observer);
-    // The sink failure outranks the abort sentinel it raised — and covers
-    // a failed write of the final, flush-emitted epoch too.
-    if let Some(cause) = observer.sink_error.take() {
-        return Err(cause);
-    }
-    let outcome = run.map_err(|e| e.to_string())?;
+        .shared_policy(policy)
+        .run_events(&tenant, &mut events, &mut observer)
+        .map_err(|e| e.to_string())?;
 
     let mut report = outcome.report;
     if let RunDetail::Stream(stats) = &mut report.detail {

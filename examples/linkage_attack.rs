@@ -48,13 +48,15 @@ fn main() {
         "knowledge", "raw pinpoint", "GLOVE pinpoint", "min anon set"
     );
     for points in [2usize, 4] {
-        let cfg = RandomPointAttack {
+        let cfg = MultiPointAttack {
             points,
             trials: 300,
             seed: 42 + points as u64,
+            noise: AdversaryNoise::exact(),
+            threads: 0,
         };
-        let on_raw = random_point_attack(raw, raw, &cfg);
-        let on_published = random_point_attack(raw, published, &cfg);
+        let on_raw = multi_point_attack(raw, &PublishedView::Dataset(raw), &cfg);
+        let on_published = multi_point_attack(raw, &PublishedView::Dataset(published), &cfg);
         println!(
             "  {:>14} {:>15.1}% {:>15.1}% {:>14}",
             format!("{points} points"),

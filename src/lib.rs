@@ -58,18 +58,17 @@ pub use glove_synth as synth;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use glove_attack::{
-        classifier_attack, cross_epoch_attack, multi_point_attack, random_point_attack,
-        top_location_uniqueness, AdversaryNoise, Attack, AttackObserver, AttackOutcome,
-        AttackReport, CrossEpochAttack, MultiPointAttack, PublishedView, RandomPointAttack,
-        TopLocationClassifier,
+        classifier_attack, cross_epoch_attack, multi_point_attack, top_location_uniqueness,
+        AdversaryNoise, Attack, AttackObserver, AttackReport, CrossEpochAttack, MultiPointAttack,
+        PublishedView, TopLocationClassifier,
     };
     pub use glove_baselines::{
         generalize_uniform, w4m_lc, GeneralizationLevel, UniformAnonymizer, W4mAnonymizer,
         W4mConfig,
     };
     pub use glove_core::api::{
-        Anonymizer, JsonlReportWriter, LogObserver, MetricsSink, NullObserver, Observer,
-        RunBuilder, RunDetail, RunMode, RunOutcome, RunOutput, RunReport,
+        Anonymizer, JsonlReportWriter, LogObserver, NullObserver, Observer, RunBuilder, RunDetail,
+        RunOutcome, RunOutput, RunReport,
     };
     pub use glove_core::glove::{anonymize, GloveOutput, GloveStats};
     pub use glove_core::kgap::{kgap, kgap_all, kgap_decomposed_all};

@@ -5,9 +5,9 @@
 //!   `threads: 0`) the cascade settles candidate pairs at least twice as
 //!   fast as hull-only seeding (`GloveStats::pairs_per_second`);
 //! * **(b) builder overhead** — a run through `RunBuilder` takes at most
-//!   1.01 × the direct call + 0.25 s: a sharded release (`activity(8)`)
-//!   against `anonymize`, and a daily-window stream (`run_events`) against
-//!   `run_stream`;
+//!   1.01 × the direct call + [`BUILDER_SLACK_S`]: a sharded release
+//!   (`activity(8)`) against `anonymize`, and a daily-window stream
+//!   (`run_events`) against `run_stream`;
 //! * **(c) parallel attack** — the multi-point attack on every core beats
 //!   one worker whenever more than one worker exists.
 //!
@@ -41,6 +41,12 @@ const PAIRS: usize = 10;
 
 /// Subscribers in every gate's input.
 const USERS: usize = 600;
+
+/// The builder floor's fixed slack, seconds: about the whole 600-user
+/// sharded run (direct medians 0.045–0.060 s on a 2-vCPU host) and a
+/// third of the daily-window stream (0.13–0.17 s), so an overhead of that
+/// order fails the floor.
+const BUILDER_SLACK_S: f64 = 0.05;
 
 /// The gates' input: `users` metro subscribers on 300 towers, fixed seed.
 fn metro(users: usize) -> Dataset {
@@ -134,8 +140,8 @@ fn assert_builder_overhead(label: &str, builder: &[f64], direct: &[f64]) {
         .collect();
     let slack = summarize(&format!("{label}, builder - 1.01 x direct"), "s", &slack);
     assert!(
-        slack <= 0.25,
-        "{label}: builder overhead above 1 % + 0.25 s: median excess {slack:.3} s"
+        slack <= BUILDER_SLACK_S,
+        "{label}: builder overhead above 1 % + {BUILDER_SLACK_S} s: median excess {slack:.3} s"
     );
 }
 
